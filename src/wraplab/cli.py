@@ -18,7 +18,7 @@ from . import elog, hel
 from . import objects as ob
 from . import rpn
 from .doctree import DocTree, MalformedInput, parse_document, serialize
-from .testkit import TreeGenSpec, bchain_doc, gen_tree, shrink_tree
+from .testkit import TreeGenSpec, bchain_doc, gen_tree, items_doc, shrink_tree
 
 
 class WrapperError(Exception):
@@ -221,19 +221,24 @@ def cmd_diff(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.family != "quadratic":
+    if args.family not in ("quadratic", "parity"):
         raise WrapperError(f"unknown benchmark family {args.family!r}")
     if args.m < 1 or args.n < 1:
         raise WrapperError("m and n must be at least 1")
     program = elog.parse_elog(
-        (resources.files("wraplab") / "assets" / "quadratic.elog").read_text()
+        (resources.files("wraplab") / "assets" / f"{args.family}.elog").read_text()
     )
-    tree = parse_document(bchain_doc(args.m, args.n))
+    if args.family == "quadratic":
+        tree = parse_document(bchain_doc(args.m, args.n))
+        label = f"quadratic m={args.m} n={args.n}"
+    else:
+        tree = parse_document(items_doc(args.n))
+        label = f"parity n={args.n}"
     start = time.perf_counter()
     store = elog.eval_fixpoint(program, tree)
     elapsed = (time.perf_counter() - start) * 1000.0
-    count = len(store.pairs.get("p", ()))
-    print(f"quadratic m={args.m} n={args.n}: {count} atoms in {elapsed:.1f} ms")
+    count = sum(len(pairs) for pairs in store.pairs.values())
+    print(f"{label}: {count} atoms in {elapsed:.1f} ms")
     return 0
 
 
@@ -288,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser("bench", help="time a program family")
-    p.add_argument("--family", default="quadratic")
+    p.add_argument("--family", default="quadratic",
+                   help="quadratic (m b elements over n leaves) or parity "
+                   "(n list items)")
     p.add_argument("-m", type=int, default=3)
     p.add_argument("-n", type=int, default=2)
     p.set_defaults(fn=cmd_bench)

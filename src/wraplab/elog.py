@@ -15,8 +15,12 @@ defined solely by dom rules are kept as node sets and never materialized as
 pairs.  The copy rule ``p'(_, X) :- p(_, X).`` projects another predicate
 onto a fixed dummy parent; the monadic collapse transformation emits these.
 
-Evaluation is a least fixpoint, run stratum by stratum over the predicate
-dependency graph; strongly connected components are iterated until stable.
+Evaluation is a least fixpoint, run component by component over the
+predicate dependency graph, dependencies first.  Each rule is applied once
+per parent, when the parent is derived; a target whose body fails waits on
+the reference atoms it found false and is solved again only when one of
+them is derived, as in Dowling and Gallier's linear Horn-SAT.  A
+nonrecursive component is thus a single pass.
 A trailing rule range ``[rho]`` selects among each parent's derived targets
 in document order and forces the whole program to be nonrecursive.
 """
@@ -779,12 +783,6 @@ class AtomStore:
             for v0, v in sorted(self.pairs[pred]):
                 yield pred, v0, v
 
-    def copy(self) -> "AtomStore":
-        out = AtomStore(self.ordinals, self.aux, self.schema)
-        out.pairs = {p: set(s) for p, s in self.pairs.items()}
-        out.unary = dict(self.unary)
-        return out
-
 
 def unary_query(store: AtomStore, pred: str) -> frozenset:
     if pred in store.unary:
@@ -802,13 +800,31 @@ def dump_atoms(store: AtomStore) -> str:
 
 
 class _Eval:
+    """Least fixpoint in the manner of Dowling and Gallier's linear Horn-SAT.
+
+    Components of the predicate dependency graph run dependencies first.
+    Each (rule, parent) pair is expanded once, when the parent enters the
+    image of the rule's parent predicate.  A target whose body fails is
+    filed under what its solve found false among the component's own
+    predicates: a reference atom p(_, v), or the whole of p where a
+    reference enumerated p's image.  It is solved again only when one of
+    those becomes true.  A nonrecursive component files nothing, so its
+    evaluation is the single pass over its rules' parents.
+    """
+
     def __init__(self, program: ElogProgram, tree: DocTree):
         self.program = program
         self.tree = tree
         self.universal = program.universal_preds()
         self.store = AtomStore(program.ordinals(), program.aux, program.schema)
         self._sub: dict = {}
-        self._proj2: dict[str, set] = {}
+        # second-argument projection of each predicate; a dom-rule
+        # predicate's node set itself
+        self._image: dict[str, set] = {p: set() for p in program.head_preds()}
+        self._live: frozenset = frozenset()  # the running recursive component
+        self._watches: set = set()  # what the last solve found false in it
+        self._waiting: dict = {}  # watch -> [(rule, v0, v)] to solve again
+        self._work: list = []  # (pred, v): v is new in pred's image
 
     # -- relation access ----------------------------------------------------
 
@@ -820,17 +836,13 @@ class _Eval:
             self._sub[key] = hits
         return hits
 
-    def image(self, pred: str) -> frozenset:
-        if pred in self.universal:
-            return self.store.unary.get(pred, frozenset())
-        return frozenset(self._proj2.get(pred, ()))
-
-    def parents_of(self, rule: ChainRule) -> list[int]:
-        if rule.parent == "root":
+    def parents_of(self, rule) -> list[int]:
+        src = rule.src if isinstance(rule, CopyRule) else rule.parent
+        if src == "root":
             return [self.tree.root()]
-        if rule.parent == "dom":
+        if src == "dom":
             return list(self.tree.nodes())
-        return sorted(self.image(rule.parent))
+        return sorted(self._image[src])
 
     # -- condition solving --------------------------------------------------
 
@@ -852,7 +864,12 @@ class _Eval:
         if isinstance(c, Root):
             return env[c.x] == t.root()
         if isinstance(c, Ref):
-            return env[c.var] in self.image(c.pred)
+            v = env[c.var]
+            if v in self._image[c.pred]:
+                return True
+            if c.pred in self._live:
+                self._watches.add((c.pred, v))
+            return False
         raise TypeError(f"not a condition: {c!r}")
 
     def _candidates(self, c, env: dict):
@@ -885,7 +902,9 @@ class _Eval:
         if isinstance(c, Root) and c.x not in env:
             return c.x, [t.root()]
         if isinstance(c, Ref) and c.var not in env:
-            return c.var, sorted(self.image(c.pred))
+            if c.pred in self._live:
+                self._watches.add((c.pred, None))
+            return c.var, sorted(self._image[c.pred])
         return None
 
     def solve(self, env: dict, atoms: list) -> bool:
@@ -911,71 +930,84 @@ class _Eval:
 
     # -- rule application ---------------------------------------------------
 
-    def _chain_once(self, rule: ChainRule) -> bool:
-        grew = False
-        body = list(rule.conds) + list(rule.refs)
-        for v0 in self.parents_of(rule):
-            hits = apply_range(list(self.subelem_hits(v0, rule.path)), rule.rng)
-            sat = [
-                v
-                for v in hits
-                if self.solve({rule.v0var: v0, rule.xvar: v}, body)
-            ]
-            if rule.rule_range is not None:
-                sat = apply_range(sat, rule.rule_range)
-            for v in sat:
-                if self.store.add(rule.head, v0, v):
-                    self._proj2.setdefault(rule.head, set()).add(v)
-                    grew = True
-        return grew
+    def _add(self, head: str, v0, v: int) -> None:
+        """Derive head(v0, v); v0 is None for a dom-rule predicate."""
+        image = self._image[head]
+        if v0 is None:
+            if v in image:
+                return
+        elif not self.store.add(head, v0, v) or v in image:
+            return
+        image.add(v)
+        if self._live:
+            self._work.append((head, v))
 
-    def _copy_once(self, rule: CopyRule) -> bool:
-        grew = False
-        for v in sorted(self.image(rule.src)):
-            if self.store.add(rule.head, self.tree.root(), v):
-                self._proj2.setdefault(rule.head, set()).add(v)
-                grew = True
-        return grew
+    def _fire(self, rule, v0, targets) -> None:
+        """Derive the head at the targets where the body holds, selected by
+        the rule range if there is one; file the others under the watches
+        their solve recorded."""
+        body = rule.conds + rule.refs
+        watches = self._watches
+        sat = []
+        for v in targets:
+            env = {rule.xvar: v} if v0 is None else {rule.v0var: v0, rule.xvar: v}
+            if self.solve(env, body):
+                sat.append(v)
+            else:
+                for w in watches:
+                    self._waiting.setdefault(w, []).append((rule, v0, v))
+            watches.clear()
+        if rule.rule_range is not None:
+            sat = apply_range(sat, rule.rule_range)
+        for v in sat:
+            self._add(rule.head, v0, v)
 
-    def _universal_set(self, pred: str) -> frozenset:
-        out: set = set()
-        for rule in self.program.rules_for(pred):
-            body = list(rule.conds) + list(rule.refs)
-            sat = [
-                v for v in self.tree.nodes() if self.solve({rule.xvar: v}, body)
-            ]
-            if rule.rule_range is not None:
-                sat = apply_range(sat, rule.rule_range)
-            out.update(sat)
-        return frozenset(out)
+    def _expand(self, rule, v0) -> None:
+        """Apply the rule at one parent; v0 is None for a dom rule."""
+        if isinstance(rule, CopyRule):
+            self._add(rule.head, self.tree.root(), v0)
+        elif v0 is None:
+            self._fire(rule, None, self.tree.nodes())
+        else:
+            hits = self.subelem_hits(v0, rule.path)
+            self._fire(rule, v0, apply_range(list(hits), rule.rng))
+
+    def _component(self, comp: frozenset) -> None:
+        rules = [r for p in sorted(comp) for r in self.program.rules_for(p)]
+        triggered: dict[str, list] = {}  # pred -> rules it is the parent of
+        for r in rules:
+            if isinstance(r, DomRule):
+                self._expand(r, None)
+                continue
+            src = r.src if isinstance(r, CopyRule) else r.parent
+            if src in comp:
+                triggered.setdefault(src, []).append(r)
+            else:
+                for v0 in self.parents_of(r):
+                    self._expand(r, v0)
+        work = self._work
+        while work:
+            pred, v = work.pop()
+            for r in triggered.get(pred, ()):
+                self._expand(r, v)
+            for key in ((pred, v), (pred, None)):
+                for r, v0, w in self._waiting.pop(key, ()):
+                    self._fire(r, v0, (w,))
+        self._waiting.clear()
 
     def run(self) -> AtomStore:
         heads = self.program.head_preds()
-        comps = _sccs(heads, list(_dep_edges(self.program)))  # reverse topo
-        self_loop = {a for a, b in _dep_edges(self.program) if a == b}
-        for comp in comps:
-            recursive = len(comp) > 1 or (comp & self_loop)
-            while True:
-                grew = False
-                for pred in sorted(comp):
-                    if pred in self.universal:
-                        new = self._universal_set(pred)
-                        if new != self.store.unary.get(pred, frozenset()):
-                            self.store.unary[pred] = new
-                            grew = True
-                        continue
-                    for rule in self.program.rules_for(pred):
-                        if isinstance(rule, CopyRule):
-                            grew |= self._copy_once(rule)
-                        else:
-                            grew |= self._chain_once(rule)
-                if not recursive or not grew:
-                    break
+        edges = list(_dep_edges(self.program))
+        self_loop = {a for a, b in edges if a == b}
+        for comp in _sccs(heads, edges):  # dependencies first
+            recursive = len(comp) > 1 or bool(comp & self_loop)
+            self._live = comp if recursive else frozenset()
+            self._component(comp)
         for pred in heads:
-            if pred not in self.universal:
-                self.store.pairs.setdefault(pred, set())
+            if pred in self.universal:
+                self.store.unary[pred] = frozenset(self._image[pred])
             else:
-                self.store.unary.setdefault(pred, frozenset())
+                self.store.pairs.setdefault(pred, set())
         return self.store
 
 
@@ -1019,69 +1051,72 @@ def monadic_collapse(program: ElogProgram) -> ElogProgram:
 
 
 def eliminate_aux(store: AtomStore, aux=None) -> AtomStore:
-    """Close derivations across auxiliary atoms, then drop them along with
-    the atoms left hanging from parents that only auxiliary edges reached."""
+    """Splice auxiliary atoms out of the parent chain.
+
+    Every non-aux atom s(b, c) is re-anchored at each node that reaches b
+    along aux atoms (b itself included), except at orphaned nodes: aux
+    targets that no non-aux atom reaches.  Aux atoms are then dropped.
+    Raises AuxCycle when aux atoms form a cycle or a self-loop."""
     if aux is None:
         aux = store.aux
     aux = frozenset(aux)
-    triples = {(p, a, b) for p in store.pairs for a, b in store.pairs[p]}
-
-    aux_edges = [(a, b) for p, a, b in triples if p in aux]
-    _reject_cycles(aux_edges)
-
-    by_source: dict[int, set] = {}
-    for t in triples:
-        by_source.setdefault(t[1], set()).add(t)
-    queue = [t for t in triples if t[0] in aux]
-    while queue:
-        q, a, b = queue.pop()
-        for t in list(by_source.get(b, ())):
-            s, _, c = t
-            new = (s, a, c)
-            if new not in triples:
-                triples.add(new)
-                by_source.setdefault(a, set()).add(new)
-                if s in aux:
-                    queue.append(new)
-                # a non-aux copy still composes with aux atoms ending at a
-                queue.extend(
-                    t2 for t2 in triples if t2[0] in aux and t2[2] == a
-                )
-
-    retained = {t for t in triples if t[0] not in aux}
-    aux_targets = {b for p, a, b in triples if p in aux}
-    kept_targets = {b for p, a, b in retained}
-    orphaned = aux_targets - kept_targets
-    retained = {(p, a, b) for p, a, b in retained if a not in orphaned}
+    parents: dict[int, list] = {}  # aux target -> its aux sources
+    for p, pairs in store.pairs.items():
+        if p in aux:
+            for a, b in pairs:
+                if a == b:
+                    raise AuxCycle(f"auxiliary atom loops at node {a}")
+                parents.setdefault(b, []).append(a)
+    kept_targets = {
+        b for p, pairs in store.pairs.items() if p not in aux for _, b in pairs
+    }
+    sources = _surviving_sources(parents, kept_targets)
 
     out = AtomStore(store.ordinals, frozenset(), store.schema)
     out.unary = dict(store.unary)
-    out.pairs = {p: set() for p in store.pairs if p not in aux}
-    for p, a, b in retained:
-        out.pairs.setdefault(p, set()).add((a, b))
+    for p, pairs in store.pairs.items():
+        if p in aux:
+            continue
+        kept = out.pairs[p] = set()
+        for b, c in pairs:
+            srcs = sources.get(b)
+            if srcs is None:
+                kept.add((b, c))
+            else:
+                kept.update((x, c) for x in srcs)
     return out
 
 
-def _reject_cycles(edges: list) -> None:
-    adj: dict = {}
-    for a, b in edges:
-        if a == b:
-            raise AuxCycle(f"auxiliary atom loops at node {a}")
-        adj.setdefault(a, []).append(b)
-    state: dict = {}
-
-    def visit(v):
-        state[v] = 1
-        for w in adj.get(v, ()):
-            if state.get(w) == 1:
-                raise AuxCycle(f"auxiliary atoms form a cycle through node {w}")
-            if w not in state:
-                visit(w)
-        state[v] = 2
-
-    for v in list(adj):
-        if v not in state:
-            visit(v)
+def _surviving_sources(parents: dict, kept_targets: set) -> dict:
+    """Node of the aux graph -> the non-orphaned nodes reaching it along aux
+    edges, itself included; one pass in topological order (Kahn)."""
+    children: dict[int, list] = {}
+    for b, ps in parents.items():
+        for a in ps:
+            children.setdefault(a, []).append(b)
+    pending = {b: len(ps) for b, ps in parents.items()}
+    ready = [a for a in children if a not in parents]
+    sources: dict[int, frozenset] = {a: frozenset((a,)) for a in ready}
+    while ready:
+        for b in children.get(ready.pop(), ()):
+            pending[b] -= 1
+            if pending[b]:
+                continue
+            ps = parents[b]
+            if b not in kept_targets and len(ps) == 1:
+                sources[b] = sources[ps[0]]  # orphaned: shares its parent's
+            else:
+                srcs = set() if b not in kept_targets else {b}
+                for a in ps:
+                    srcs.update(sources[a])
+                sources[b] = frozenset(srcs)
+            ready.append(b)
+    stuck = [b for b, n in pending.items() if n]
+    if stuck:
+        raise AuxCycle(
+            f"auxiliary atoms form a cycle that reaches node {min(stuck)}"
+        )
+    return sources
 
 
 # ---------------------------------------------------------------------------

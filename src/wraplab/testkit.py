@@ -296,6 +296,77 @@ def naive_helvf(tree: DocTree, stmt, v: int | None = None):
 
 
 # ---------------------------------------------------------------------------
+# naive aux elimination (a worklist closure over triples)
+
+
+class AuxCycle(Exception):
+    """The oracle's counterpart of the engine's aux-cycle error."""
+
+
+def naive_eliminate_aux(pairs: dict, aux) -> dict:
+    """Close derivations across auxiliary atoms, then drop them along with
+    the atoms left hanging from parents that only auxiliary edges reached.
+    pairs maps each predicate to its (v0, v) set; returns the same shape."""
+    aux = frozenset(aux)
+    triples = {(p, a, b) for p in pairs for a, b in pairs[p]}
+
+    aux_edges = [(a, b) for p, a, b in triples if p in aux]
+    _reject_cycles(aux_edges)
+
+    by_source: dict[int, set] = {}
+    for t in triples:
+        by_source.setdefault(t[1], set()).add(t)
+    queue = [t for t in triples if t[0] in aux]
+    while queue:
+        q, a, b = queue.pop()
+        for t in list(by_source.get(b, ())):
+            s, _, c = t
+            new = (s, a, c)
+            if new not in triples:
+                triples.add(new)
+                by_source.setdefault(a, set()).add(new)
+                if s in aux:
+                    queue.append(new)
+                # a non-aux copy still composes with aux atoms ending at a
+                queue.extend(
+                    t2 for t2 in triples if t2[0] in aux and t2[2] == a
+                )
+
+    retained = {t for t in triples if t[0] not in aux}
+    aux_targets = {b for p, a, b in triples if p in aux}
+    kept_targets = {b for p, a, b in retained}
+    orphaned = aux_targets - kept_targets
+    retained = {(p, a, b) for p, a, b in retained if a not in orphaned}
+
+    out = {p: set() for p in pairs if p not in aux}
+    for p, a, b in retained:
+        out.setdefault(p, set()).add((a, b))
+    return out
+
+
+def _reject_cycles(edges: list) -> None:
+    adj: dict = {}
+    for a, b in edges:
+        if a == b:
+            raise AuxCycle(f"auxiliary atom loops at node {a}")
+        adj.setdefault(a, []).append(b)
+    state: dict = {}
+
+    def visit(v):
+        state[v] = 1
+        for w in adj.get(v, ()):
+            if state.get(w) == 1:
+                raise AuxCycle(f"auxiliary atoms form a cycle through node {w}")
+            if w not in state:
+                visit(w)
+        state[v] = 2
+
+    for v in list(adj):
+        if v not in state:
+            visit(v)
+
+
+# ---------------------------------------------------------------------------
 # random documents
 
 

@@ -301,10 +301,23 @@ def test_bench_counts_quadratic_atoms(wrapctl):
     assert out.startswith("quadratic m=1 n=1: 1 atoms in ")
 
 
+def test_bench_counts_parity_atoms(wrapctl):
+    # odd or even for the list, each item and each item's text; the mark
+    # only for an even count
+    rc, out, _ = wrapctl("bench", "--family", "parity", "-n", 4)
+    assert rc == 0
+    assert out.startswith("parity n=4: 10 atoms in ")
+    rc, out, _ = wrapctl("bench", "--family", "parity", "-n", 3)
+    assert rc == 0
+    assert out.startswith("parity n=3: 7 atoms in ")
+
+
 def test_bench_rejects_bad_parameters(wrapctl):
     rc, _, err = wrapctl("bench", "--family", "cubic")
     assert rc == 1 and "cubic" in err
     rc, _, err = wrapctl("bench", "-m", 0)
+    assert rc == 1 and "at least 1" in err
+    rc, _, err = wrapctl("bench", "--family", "parity", "-n", 0)
     assert rc == 1 and "at least 1" in err
 
 

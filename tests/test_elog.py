@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wraplab import elog
 from wraplab import objects as ob
 from wraplab.doctree import parse_document
+from wraplab import testkit
 from wraplab.testkit import DOC1, bchain_doc, items_doc
 
 CHAIN_TR = "p(X0, X) :- root(_, X0), subelem[html.body.table.tr][*](X0, X)."
@@ -288,6 +289,49 @@ def test_fixpoint_is_rule_order_independent(parity):
         assert store.unary == base.unary
 
 
+def test_parity_solve_calls_grow_linearly(parity, monkeypatch):
+    # each (rule, parent, target) is solved again only when a reference it
+    # found false turns true, so solving is linear in the fanout
+    calls = [0]
+    solve = elog._Eval.solve
+
+    def counted(self, env, atoms):
+        calls[0] += 1
+        return solve(self, env, atoms)
+
+    monkeypatch.setattr(elog._Eval, "solve", counted)
+    counts = []
+    for k in (50, 200):
+        calls[0] = 0
+        elog.eval_fixpoint(parity, parse_document(items_doc(k)))
+        counts.append(calls[0])
+    assert counts[1] / counts[0] <= 4.5, counts
+
+
+def test_recursive_reference_that_enumerates_its_image(doc1):
+    # q(_, Y) binds Y by enumerating q's own image, so a failed target waits
+    # on the whole predicate rather than on one atom
+    prog = elog.parse_elog(
+        "q(X0, X) :- root(_, X0), subelem[_][*](X0, X).\n"
+        "q(X0, X) :- dom(_, X0), subelem[_][*](X0, X), "
+        "contains[_][*](Y, X), q(_, Y).\n"
+    )
+    store = elog.eval_fixpoint(prog, doc1)
+    assert elog.unary_query(store, "q") == frozenset(range(1, len(doc1)))
+
+
+def test_dom_rule_inside_a_recursive_component(doc1):
+    prog = elog.parse_elog(
+        "c(X0, X) :- dom(X0, X), q(_, X).\n"
+        "q(X0, X) :- root(_, X0), subelem[html][*](X0, X).\n"
+        "q(X0, X) :- c(_, X0), subelem[_][0](X0, X).\n"
+    )
+    store = elog.eval_fixpoint(prog, doc1)
+    first_children = frozenset({1, 2, 3, 4, 5, 6})  # html down to "item"
+    assert store.unary["c"] == first_children
+    assert elog.unary_query(store, "q") == first_children
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_strict_descent_for_epsilon_free_paths(seed):
@@ -413,6 +457,42 @@ def test_eliminate_branching_aux():
         _store({"q": {(1, 2), (1, 4)}, "p": {(2, 3), (4, 5)}}, aux=["q"])
     )
     assert out.pairs == {"p": {(1, 3), (1, 5)}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 7), st.integers(0, 7)),
+        max_size=14,
+    ),
+    st.sets(st.integers(0, 3)),
+)
+def test_eliminate_aux_matches_naive_oracle(triples, aux_ids):
+    pairs: dict = {}
+    for p, a, b in triples:
+        pairs.setdefault(f"p{p}", set()).add((a, b))
+    aux = [f"p{p}" for p in aux_ids]
+    try:
+        expected = testkit.naive_eliminate_aux(pairs, aux)
+    except testkit.AuxCycle:
+        with pytest.raises(elog.AuxCycle):
+            elog.eliminate_aux(_store(pairs, aux))
+        return
+    assert elog.eliminate_aux(_store(pairs, aux)).pairs == expected
+
+
+def test_eliminate_deep_aux_chain():
+    n = 20_000
+    chain = {(i, i + 1) for i in range(n)}
+    out = elog.eliminate_aux(_store({"q": chain, "p": {(n, n + 1)}}, aux=["q"]))
+    assert out.pairs == {"p": {(0, n + 1)}}
+
+
+def test_eliminate_deep_aux_cycle_rejected():
+    n = 20_000
+    ring = {(i, (i + 1) % n) for i in range(n)}
+    with pytest.raises(elog.AuxCycle):
+        elog.eliminate_aux(_store({"q": ring, "p": {(0, n)}}, aux=["q"]))
 
 
 # ---------------------------------------------------------------------------
