@@ -18,6 +18,7 @@ from . import elog, hel
 from . import objects as ob
 from . import rpn
 from .doctree import DocTree, MalformedInput, parse_document, serialize
+from .pathrange import RangeError
 from .testkit import TreeGenSpec, bchain_doc, gen_tree, items_doc, shrink_tree
 
 
@@ -95,7 +96,7 @@ class Wrapper:
                 fn = hel.eval_cut if cut else hel.eval_vf
                 return None, fn(self.ast, tree, strict=strict)
             return elog.run_pipeline(self.ast, tree)
-        except (elog.ElogError, hel.HelError, ValueError) as e:
+        except (elog.ElogError, hel.HelError, RangeError, ValueError) as e:
             raise WrapperError(f"{self.path}: {e}") from None
 
     def value(self, tree: DocTree, strict: bool = True, cut: bool = False):

@@ -5,6 +5,11 @@ document is parsed from a small HTML-like surface syntax into an immutable
 tree whose nodes are numbered densely in preorder, so node ids double as
 document order: ``v < w`` iff v starts before w in the source text.
 
+The tree is stored as parallel lists indexed by node id.  Because ids are
+preorder, the subtree of v is the id interval ``v .. ends[v]``: v's first
+child, if any, is ``v + 1``, and its next sibling is ``ends[v] + 1`` when
+that still lies inside the parent's interval.
+
 Two tag names are reserved: the synthetic root is labeled ``#doc`` and text
 is stored in leaf nodes labeled ``#text``.  Text content is kept verbatim;
 no whitespace trimming or entity decoding happens anywhere.
@@ -12,7 +17,9 @@ no whitespace trimming or entity decoding happens anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from bisect import bisect_left, bisect_right
+from itertools import compress
 
 ROOT_TAG = "#doc"
 TEXT_TAG = "#text"
@@ -26,117 +33,124 @@ class MalformedInput(Exception):
         self.offset = offset
 
 
-@dataclass
-class Node:
-    id: int
-    tag: str
-    parent: int | None
-    children: list[int] = field(default_factory=list)
-    text: str = ""  # payload, nonempty only for #text nodes
-
-
 class DocTree:
-    """Immutable ordered tree; node ids are dense ints in document order."""
+    """Immutable ordered tree; node ids are dense ints in document order.
 
-    def __init__(self, nodes: list[Node]):
-        self._nodes = nodes
+    ``tags``, ``parents`` (None at the root), ``texts`` (nonempty only for
+    #text nodes) and ``ends`` (the id of each node's last descendant, the
+    node itself for a leaf) are read-only lists indexed by node id.
+    """
+
+    def __init__(self, tags: list, parents: list, texts: list, ends: list):
+        self.tags = tags
+        self.parents = parents
+        self.texts = texts
+        self.ends = ends
+        self._by_label: dict[str, list[int]] | None = None
+        self._prev: list | None = None
+        self._text_ids = list(compress(range(len(texts)), texts))  # #text leaves
         self._txt_cache: dict[int, str] = {}
-        by_label: dict[str, list[int]] = {}
-        for n in nodes:
-            by_label.setdefault(n.tag, []).append(n.id)
-        self._by_label = by_label
+
+    @classmethod
+    def from_parents(cls, tags: list, parents: list, texts: list) -> DocTree:
+        """A tree from preorder-numbered nodes; subtree ends are derived."""
+        ends = list(range(len(tags)))
+        for v in range(len(tags) - 1, 0, -1):
+            ends[parents[v]] = max(ends[parents[v]], ends[v])
+        return cls(tags, parents, texts, ends)
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.tags)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DocTree):
             return NotImplemented
-        return [(n.tag, n.text, tuple(n.children)) for n in self._nodes] == [
-            (n.tag, n.text, tuple(n.children)) for n in other._nodes
-        ]
-
-    def node(self, v: int) -> Node:
-        return self._nodes[v]
+        return (self.tags, self.texts, self.parents) == (
+            other.tags, other.texts, other.parents
+        )
 
     def nodes(self) -> range:
         """All node ids in document order."""
-        return range(len(self._nodes))
+        return range(len(self.tags))
 
     def label(self, v: int) -> str:
-        return self._nodes[v].tag
+        return self.tags[v]
 
     def text_of(self, v: int) -> str:
-        return self._nodes[v].text
+        return self.texts[v]
 
     def children(self, v: int) -> list[int]:
-        return self._nodes[v].children
+        ends = self.ends
+        out = []
+        c, last = v + 1, ends[v]
+        while c <= last:
+            out.append(c)
+            c = ends[c] + 1
+        return out
 
     def parent(self, v: int) -> int | None:
-        return self._nodes[v].parent
-
-    def is_root(self, v: int) -> bool:
-        return v == 0
+        return self.parents[v]
 
     def root(self) -> int:
         return 0
 
     def top_element(self) -> int:
         # the single child of the synthetic root
-        return self._nodes[0].children[0]
+        return 1
 
     def firstchild(self, v: int) -> int | None:
-        ch = self._nodes[v].children
-        return ch[0] if ch else None
+        return v + 1 if self.ends[v] > v else None
 
     def nextsibling(self, v: int) -> int | None:
-        p = self._nodes[v].parent
+        p = self.parents[v]
         if p is None:
             return None
-        sibs = self._nodes[p].children
-        i = sibs.index(v)
-        return sibs[i + 1] if i + 1 < len(sibs) else None
+        w = self.ends[v] + 1
+        return w if w <= self.ends[p] else None
+
+    def prevsibling(self, v: int) -> int | None:
+        prev = self._prev
+        if prev is None:
+            n, parents = len(self.tags), self.parents
+            prev = self._prev = [None] * n
+            for u, last in enumerate(self.ends):
+                if last + 1 < n and parents[last + 1] == parents[u]:
+                    prev[last + 1] = u
+        return prev[v]
 
     def lastsibling(self, v: int) -> bool:
         """True iff v has no following sibling."""
         return self.nextsibling(v) is None
 
-    def precedes(self, v: int, w: int) -> bool:
-        """Strict document order; a node precedes its descendants."""
-        return v < w
-
     def nodes_labeled(self, tag: str) -> list[int]:
-        return self._by_label.get(tag, [])
+        by_label = self._by_label
+        if by_label is None:
+            by_label = self._by_label = {}
+            for v, t in enumerate(self.tags):
+                by_label.setdefault(t, []).append(v)
+        return by_label.get(tag, [])
 
     def descendants(self, v: int) -> list[int]:
         """Nodes strictly below v, in document order."""
-        out: list[int] = []
-        stack = list(reversed(self._nodes[v].children))
-        while stack:
-            w = stack.pop()
-            out.append(w)
-            stack.extend(reversed(self._nodes[w].children))
-        return out
+        return list(range(v + 1, self.ends[v] + 1))
 
     def txt(self, v: int) -> str:
         """Concatenation of all text below v (and at v), in document order."""
         cached = self._txt_cache.get(v)
         if cached is None:
-            n = self._nodes[v]
-            if n.tag == TEXT_TAG:
-                cached = n.text
-            else:
-                cached = "".join(self.txt(c) for c in n.children)
+            ids, texts = self._text_ids, self.texts
+            lo = bisect_left(ids, v)
+            hi = bisect_right(ids, self.ends[v], lo)
+            cached = "".join([texts[t] for t in ids[lo:hi]])
             self._txt_cache[v] = cached
         return cached
 
 
-def txt(tree: DocTree, v: int) -> str:
-    return tree.txt(v)
-
-
-_TAG_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_TAG_CHARS = _TAG_START | set("0123456789-")
+_NAME = r"[A-Za-z][A-Za-z0-9-]*"
+_ATTRS = r"""(?:[^>"']|"[^"]*"|'[^']*')*"""  # quoted values skip as a whole
+# a tag name must end at whitespace, '/', '>' or the end of the input
+_OPEN_TAG = re.compile(rf"<({_NAME})(?![^\s/>]){_ATTRS}?(/?)>")
+_CLOSE_TAG = re.compile(rf"</({_NAME})\s*>")
 
 
 def parse_document(source: str) -> DocTree:
@@ -148,64 +162,14 @@ def parse_document(source: str) -> DocTree:
     case.  Text runs between tags become #text leaves, kept verbatim.
     Whitespace-only text outside the top element is ignored.
     """
-    nodes: list[Node] = [Node(0, ROOT_TAG, None)]
+    tags, parents, texts, ends = [ROOT_TAG], [None], [""], [0]
     stack = [0]  # open elements, root at bottom
     i = 0
     n = len(source)
-
-    def add_node(tag: str, text: str = "") -> int:
-        nid = len(nodes)
-        parent = stack[-1]
-        nodes.append(Node(nid, tag, parent, text=text))
-        nodes[parent].children.append(nid)
-        return nid
-
-    def read_tag_name(j: int) -> tuple[str, int]:
-        if j >= n or source[j] not in _TAG_START:
-            raise MalformedInput("expected tag name", j)
-        k = j
-        while k < n and source[k] in _TAG_CHARS:
-            k += 1
-        return source[j:k].lower(), k
+    open_tag, close_tag = _OPEN_TAG.match, _CLOSE_TAG.match
 
     while i < n:
-        if source[i] == "<":
-            if source.startswith("<!--", i):
-                end = source.find("-->", i + 4)
-                if end < 0:
-                    raise MalformedInput("unterminated comment", i)
-                i = end + 3
-                continue
-            if source.startswith("<!", i):
-                end = source.find(">", i)
-                if end < 0:
-                    raise MalformedInput("unterminated declaration", i)
-                i = end + 1
-                continue
-            if source.startswith("</", i):
-                tag, j = read_tag_name(i + 2)
-                j = _skip_ws(source, j)
-                if j >= n or source[j] != ">":
-                    raise MalformedInput("malformed close tag", i)
-                if len(stack) == 1:
-                    raise MalformedInput(f"unmatched close tag </{tag}>", i)
-                open_tag = nodes[stack[-1]].tag
-                if open_tag != tag:
-                    raise MalformedInput(
-                        f"close tag </{tag}> does not match open <{open_tag}>", i
-                    )
-                stack.pop()
-                i = j + 1
-                continue
-            tag, j = read_tag_name(i + 1)
-            j, self_closing = _skip_attrs(source, j)
-            if len(stack) == 1 and nodes[0].children:
-                raise MalformedInput("more than one top-level element", i)
-            nid = add_node(tag)
-            if not self_closing:
-                stack.append(nid)
-            i = j
-        else:
+        if source[i] != "<":
             j = source.find("<", i)
             if j < 0:
                 j = n
@@ -213,69 +177,115 @@ def parse_document(source: str) -> DocTree:
             if len(stack) == 1:
                 if run.strip():
                     raise MalformedInput("text outside the top-level element", i)
-            elif run:
-                add_node(TEXT_TAG, text=run)
+            else:
+                nid = len(tags)
+                tags.append(TEXT_TAG)
+                parents.append(stack[-1])
+                texts.append(run)
+                ends.append(nid)
             i = j
+            continue
+        m = open_tag(source, i)
+        if m is not None:
+            if len(stack) == 1 and len(tags) > 1:
+                raise MalformedInput("more than one top-level element", i)
+            nid = len(tags)
+            tags.append(m[1].lower())
+            parents.append(stack[-1])
+            texts.append("")
+            ends.append(nid)
+            if not m[2]:
+                stack.append(nid)
+            i = m.end()
+            continue
+        m = close_tag(source, i)
+        if m is not None:
+            tag = m[1].lower()
+            if len(stack) == 1:
+                raise MalformedInput(f"unmatched close tag </{tag}>", i)
+            v = stack[-1]
+            if tags[v] != tag:
+                raise MalformedInput(
+                    f"close tag </{tag}> does not match open <{tags[v]}>", i
+                )
+            stack.pop()
+            ends[v] = len(tags) - 1
+            i = m.end()
+            continue
+        if source.startswith("<!--", i):
+            end = source.find("-->", i + 4)
+            if end < 0:
+                raise MalformedInput("unterminated comment", i)
+            i = end + 3
+        elif source.startswith("<!", i):
+            end = source.find(">", i)
+            if end < 0:
+                raise MalformedInput("unterminated declaration", i)
+            i = end + 1
+        else:
+            _reject_tag(source, i)
 
     if len(stack) > 1:
-        raise MalformedInput(f"unclosed element <{nodes[stack[-1]].tag}>", n)
-    if not nodes[0].children:
+        raise MalformedInput(f"unclosed element <{tags[stack[-1]]}>", n)
+    if len(tags) == 1:
         raise MalformedInput("empty document", 0)
-    return DocTree(nodes)
+    ends[0] = len(tags) - 1
+    return DocTree(tags, parents, texts, ends)
 
 
-def _skip_ws(s: str, i: int) -> int:
-    while i < len(s) and s[i].isspace():
-        i += 1
-    return i
+def _reject_tag(s: str, i: int) -> None:
+    """Raise the error for a '<' at i that starts no well-formed tag."""
+    close = s.startswith("</", i)
+    j = i + 2 if close else i + 1
+    m = re.compile(_NAME).match(s, j)
+    if m is None:
+        raise MalformedInput("expected tag name", j)
+    k = m.end()
+    if k < len(s) and not (s[k].isspace() or s[k] in "/>"):
+        raise MalformedInput(f"unexpected {s[k]!r} after tag name", k)
+    if close:
+        raise MalformedInput("malformed close tag", i)
+    k = re.compile(_ATTRS).match(s, k).end()
+    if k < len(s):
+        raise MalformedInput("unterminated attribute value", k)
+    raise MalformedInput("unterminated tag", k)
 
 
-def _skip_attrs(s: str, i: int) -> tuple[int, bool]:
-    """Scan from the end of a tag name to past '>'; attribute text is discarded."""
-    n = len(s)
-    while i < n:
-        c = s[i]
-        if c == ">":
-            return i + 1, False
-        if c == "/" and i + 1 < n and s[i + 1] == ">":
-            return i + 2, True
-        if c in "\"'":
-            end = s.find(c, i + 1)
-            if end < 0:
-                raise MalformedInput("unterminated attribute value", i)
-            i = end + 1
-            continue
-        i += 1
-    raise MalformedInput("unterminated tag", i)
+def _events(tree: DocTree, v: int):
+    """(entering, w) for each node w of v's subtree, in document order: True
+    before w's descendants, False after them."""
+    ends = tree.ends
+    open_: list[int] = []
+    for w in range(v, ends[v] + 1):
+        while open_ and ends[open_[-1]] < w:
+            yield False, open_.pop()
+        yield True, w
+        open_.append(w)
+    while open_:
+        yield False, open_.pop()
 
 
 def serialize(tree: DocTree) -> str:
     """Inverse of parse_document on its supported subset."""
     out: list[str] = []
-
-    def emit(v: int) -> None:
-        node = tree.node(v)
-        if node.tag == TEXT_TAG:
-            out.append(node.text)
-        elif not node.children:
-            out.append(f"<{node.tag}/>")
+    for entering, v in _events(tree, tree.top_element()):
+        tag = tree.tags[v]
+        if tag == TEXT_TAG:
+            out.append(tree.texts[v] if entering else "")
+        elif tree.ends[v] == v:
+            out.append(f"<{tag}/>" if entering else "")
         else:
-            out.append(f"<{node.tag}>")
-            for c in node.children:
-                emit(c)
-            out.append(f"</{node.tag}>")
-
-    emit(tree.top_element())
+            out.append(f"<{tag}>" if entering else f"</{tag}>")
     return "".join(out)
 
 
 def dump_sexpr(tree: DocTree, v: int | None = None) -> str:
     """S-expression rendering ``(tag child... "text")`` for goldens."""
-    if v is None:
-        v = tree.root()
-    node = tree.node(v)
-    if node.tag == TEXT_TAG:
-        escaped = node.text.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    parts = [node.tag] + [dump_sexpr(tree, c) for c in node.children]
-    return "(" + " ".join(parts) + ")"
+    out: list[str] = []
+    for entering, w in _events(tree, tree.root() if v is None else v):
+        if tree.tags[w] != TEXT_TAG:
+            out.append(f" ({tree.tags[w]}" if entering else ")")
+        elif entering:
+            escaped = tree.texts[w].replace("\\", "\\\\").replace('"', '\\"')
+            out.append(f' "{escaped}"')
+    return "".join(out)[1:]  # no space before the first node

@@ -891,12 +891,8 @@ class _Eval:
                 ns = t.nextsibling(env[c.x])
                 return c.y, [] if ns is None else [ns]
             if c.y in env and c.x not in env:
-                p = t.parent(env[c.y])
-                if p is None:
-                    return c.x, []
-                kids = t.children(p)
-                i = kids.index(env[c.y])
-                return c.x, [kids[i - 1]] if i > 0 else []
+                ps = t.prevsibling(env[c.y])
+                return c.x, [] if ps is None else [ps]
         if isinstance(c, Label) and c.x not in env:
             return c.x, t.nodes_labeled(c.tag)
         if isinstance(c, Root) and c.x not in env:

@@ -9,7 +9,9 @@ came from, and JSON rendering lists elements in that order.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 @dataclass(frozen=True)
@@ -42,9 +44,15 @@ class SetVal:
             old = best.get(value)
             if old is None or key < old:
                 best[value] = key
-        self.keyed = tuple(
-            sorted(((k, v) for v, k in best.items()), key=_sort_key)
-        )
+        keys = list(best.values())
+        if len(set(keys)) == len(keys):
+            keyed = sorted(zip(keys, best), key=_first)
+        else:  # distinct values share a key: their JSON text breaks the tie
+            shared = {k for k, c in Counter(keys).items() if c > 1}
+            keyed = sorted(zip(keys, best), key=lambda kv: (
+                kv[0], json_text(kv[1]) if kv[0] in shared else ""
+            ))
+        self.keyed = tuple(keyed)
         self._values = frozenset(best)
 
     def values(self) -> tuple:
@@ -71,10 +79,7 @@ class SetVal:
         return f"SetVal({list(self.values())!r})"
 
 
-def _sort_key(item):
-    key, value = item
-    return (key, json_text(value))
-
+_first = itemgetter(0)
 
 Value = object  # StrVal | NodeVal | RecordVal | SetVal
 

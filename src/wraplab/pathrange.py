@@ -11,9 +11,7 @@ Ranges come in structured forms (star, index, interval, unions, last) that
 select by direct indexing and never fail, and as raw regular expressions
 over {0,1} that must mark positions deterministically: at most one word per
 length (checked up to a probe bound at compile time).  The word for length
-k has a 1 at each selected position.  Matching a range against the reverse
-of the sequence gives backward selection; ``last`` is the structured
-shorthand for the backward word ``1.0*``.
+k has a 1 at each selected position.
 """
 
 from __future__ import annotations
@@ -110,11 +108,6 @@ def alt(*items) -> PathRegex:
     if len(flat) == 1:
         return flat[0]
     return Alt(tuple(flat))
-
-
-def descendant_of(tag: str) -> PathRegex:
-    """The path ``_*.tag``: any node below with that label."""
-    return Concat((Star(Wildcard()), Atom(tag)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,21 +245,30 @@ def path_to_text(node: PathRegex, sep: str = ".") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Thompson construction + subset stepping
+# Thompson construction, determinised lazily
 
 
 class PathAutomaton:
-    """NFA with per-state epsilon closures; stepped with frozen state sets."""
+    """Thompson NFA, determinised on demand.
+
+    Each set of NFA states reached so far is a DFA state, numbered in the
+    order it was first reached: 0 is the empty (dead) set and ``start`` is
+    1.  ``delta[s]`` caches state s's transitions by tag, so ``step``, the
+    subset construction, runs once per (state, tag) pair ever taken.
+    """
+
+    start = 1
 
     def __init__(self, ast: PathRegex):
-        self.ast = ast
         self._eps: list[list[int]] = []
         self._moves: list[list[tuple[str | None, int]]] = []
         start, accept = self._build(ast)
-        self.accept_state = accept
-        closures = self._closures()
-        self._closure = closures
-        self.start = closures[start]
+        self._closure = self._closures()
+        self._final = accept
+        self._sets = [frozenset(), self._closure[start]]
+        self._ids = {s: d for d, s in enumerate(self._sets)}
+        self.delta: list[dict[str, int]] = [{}, {}]
+        self.accept = [False, accept in self._sets[1]]
 
     def _new_state(self) -> int:
         self._eps.append([])
@@ -326,21 +328,31 @@ class PathAutomaton:
             out.append(frozenset(seen))
         return out
 
-    def step(self, states: frozenset, tag: str) -> frozenset:
+    def step(self, state: int, tag: str) -> int:
+        """Determinise the transition from DFA state on tag and cache it."""
         nxt: set = set()
-        for s in states:
+        for s in self._sets[state]:
             for lab, d in self._moves[s]:
                 if lab is None or lab == tag:
                     nxt |= self._closure[d]
-        return frozenset(nxt)
+        key = frozenset(nxt)
+        d = self._ids.get(key)
+        if d is None:
+            d = self._ids[key] = len(self._sets)
+            self._sets.append(key)
+            self.delta.append({})
+            self.accept.append(self._final in key)
+        self.delta[state][tag] = d
+        return d
 
-    def accepting(self, states: frozenset) -> bool:
-        return self.accept_state in states
-
-    @property
-    def nullable(self) -> bool:
-        """True iff the empty word is in the language."""
-        return self.accepting(self.start)
+    def determinise(self, alphabet: str) -> list[list[int]]:
+        """The complete DFA over a fixed alphabet: row s lists state s's
+        successor on each symbol in turn."""
+        rows: list[list[int]] = []
+        while len(rows) < len(self._sets):
+            s = len(rows)
+            rows.append([self.step(s, a) for a in alphabet])
+        return rows
 
 
 _automata: dict = {}
@@ -456,28 +468,12 @@ def range_to_text(rng: Range) -> str:
 
 class _BinaryDfa:
     def __init__(self, pattern):
-        nfa = PathAutomaton(pattern)
-        states = {nfa.start: 0}
-        order = [nfa.start]
-        trans: list[list[int]] = []
-        accept: list[bool] = []
-        i = 0
-        while i < len(order):
-            cur = order[i]
-            row = []
-            for sym in "01":
-                nxt = nfa.step(cur, sym)
-                if nxt not in states:
-                    states[nxt] = len(order)
-                    order.append(nxt)
-                row.append(states[nxt])
-            trans.append(row)
-            accept.append(nfa.accepting(cur))
-            i += 1
-        self.trans = trans
-        self.accept = accept
+        aut = PathAutomaton(pattern)
+        self.trans = aut.determinise("01")
+        self.accept = aut.accept
+        self.start = aut.start
         self._counts: list[list[int]] = [
-            [1 if a else 0 for a in accept]
+            [1 if a else 0 for a in self.accept]
         ]  # counts[m][s], saturated at 2
 
     def counts_at(self, length: int) -> list[int]:
@@ -490,13 +486,13 @@ class _BinaryDfa:
 
     def word(self, length: int) -> str:
         """The unique accepted word of this length."""
-        total = self.counts_at(length)[0]
+        total = self.counts_at(length)[self.start]
         if total == 0:
             raise NoWordOfLength(length)
         if total > 1:
             raise MultipleWords(length)
         out = []
-        state = 0
+        state = self.start
         for m in range(length, 0, -1):
             row = self.trans[state]
             if self.counts_at(m - 1)[row[1]] >= 1:
@@ -523,7 +519,7 @@ def validate_raw_range(rng: RawRegex) -> None:
     """Reject regexes with two marking words of one length (probe 0..63)."""
     dfa = _binary_dfa(rng)
     for k in range(DENSITY_PROBE):
-        if dfa.counts_at(k)[0] > 1:
+        if dfa.counts_at(k)[dfa.start] > 1:
             raise MultipleWords(k)
 
 
@@ -557,18 +553,13 @@ def _positions(rng: Range, k: int) -> list[int]:
     raise TypeError(f"not a range: {rng!r}")
 
 
-def apply_range(seq: list, rng: Range, backward: bool = False) -> list:
+def apply_range(seq: list, rng: Range) -> list:
     """Select positions of a duplicate-free document-ordered sequence.
 
-    backward matches the range against the reversed sequence, then restores
-    the original order in the result.  Structured ranges never raise; raw
-    regexes raise NoWordOfLength / MultipleWords on density violations.
+    Structured ranges never raise; raw regexes raise NoWordOfLength /
+    MultipleWords on density violations.
     """
-    k = len(seq)
-    if backward:
-        picked = _positions(rng, k)
-        return [seq[j] for j in sorted(k - 1 - i for i in picked)]
-    return [seq[i] for i in _positions(rng, k)]
+    return [seq[i] for i in _positions(rng, len(seq))]
 
 
 # ---------------------------------------------------------------------------
@@ -577,33 +568,30 @@ def apply_range(seq: list, rng: Range, backward: bool = False) -> list:
 
 def subelem(tree: DocTree, v0: int, path) -> list[int]:
     """Descendants of v0 (and v0 itself on the empty word) whose downward
-    label word matches, in document order."""
+    label word matches, in document order.
+
+    One preorder pass over v0's id interval: a node's DFA state is its
+    parent's stepped on its tag, and a dead state skips the whole subtree.
+    """
     aut = compile_path(path)
-    out: list[int] = []
-    if aut.accepting(aut.start):
-        out.append(v0)
-    stack = [
-        (c, aut.step(aut.start, tree.label(c)))
-        for c in reversed(tree.children(v0))
-    ]
-    while stack:
-        v, states = stack.pop()
-        if not states:
-            continue
-        if aut.accepting(states):
-            out.append(v)
-        stack.extend(
-            (c, aut.step(states, tree.label(c))) for c in reversed(tree.children(v))
-        )
-    return out  # preorder emission, which is document order
-
-
-def subelem_range(
-    tree: DocTree, v0: int, path, rng: Range, backward: bool = False
-) -> list[int]:
-    return apply_range(subelem(tree, v0, path), rng, backward)
-
-
-def contains_string(tree: DocTree, v: int, s: str) -> bool:
-    """Exact byte equality of the node's concatenated text."""
-    return tree.txt(v) == s
+    delta, accept, step = aut.delta, aut.accept, aut.step
+    tags, parents, ends = tree.tags, tree.parents, tree.ends
+    out = [v0] if accept[aut.start] else []
+    last = ends[v0]
+    states = [0] * (last - v0 + 1)  # by offset from v0
+    states[0] = aut.start
+    v = v0 + 1
+    while v <= last:
+        s = states[parents[v] - v0]
+        tag = tags[v]
+        d = delta[s].get(tag)
+        if d is None:
+            d = step(s, tag)
+        if d:
+            states[v - v0] = d
+            if accept[d]:
+                out.append(v)
+            v += 1
+        else:
+            v = ends[v] + 1
+    return out

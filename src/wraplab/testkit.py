@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
-from .doctree import ROOT_TAG, TEXT_TAG, DocTree, Node
+from .doctree import ROOT_TAG, TEXT_TAG, DocTree
 
 DOC1 = (
     "<html><body><table>"
@@ -156,20 +156,20 @@ def word_matches(r, word) -> bool:
 
 
 def naive_subelem(tree: DocTree, v0: int, path) -> list[int]:
-    """Enumerate every downward path from v0 explicitly and match its label
-    word; document order.  path is an engine AST or internal tuple form."""
+    """Walk every downward path from v0 explicitly, carrying the regex's
+    derivative by the labels read so far; document order.  path is an engine
+    AST or internal tuple form."""
     r = path if isinstance(path, tuple) else convert_regex(path)
     out = [v0] if _nullable(r) else []
-
-    def walk(v: int, word: list[str]) -> None:
-        for c in tree.children(v):
-            word.append(tree.label(c))
-            if word_matches(r, word):
-                out.append(c)
-            walk(c, word)
-            word.pop()
-
-    walk(v0, [])
+    stack = [(c, r) for c in tree.children(v0)]
+    while stack:
+        v, r = stack.pop()
+        r = _deriv(r, tree.label(v))
+        if r == _EMPTY:
+            continue  # no extension of this word matches either
+        if _nullable(r):
+            out.append(v)
+        stack.extend((c, r) for c in tree.children(v))
     out.sort()
     return out
 
@@ -383,39 +383,41 @@ class TreeGenSpec:
 def gen_tree(spec: TreeGenSpec) -> DocTree:
     """Deterministic random document; same seed, same tree."""
     rng = random.Random(spec.seed)
-    nodes = [Node(0, ROOT_TAG, None)]
+    tags, parents, texts = [ROOT_TAG], [None], [""]
     if spec.max_nodes < 2:
-        return DocTree(nodes)
-    budget = [rng.randint(2, max(2, spec.max_nodes)) - 1]
+        return DocTree.from_parents(tags, parents, texts)
+    budget = rng.randint(2, max(2, spec.max_nodes)) - 1
 
     def add(tag: str, parent: int, text: str = "") -> int:
-        nid = len(nodes)
-        nodes.append(Node(nid, tag, parent, text=text))
-        nodes[parent].children.append(nid)
-        budget[0] -= 1
-        return nid
+        nonlocal budget
+        tags.append(tag)
+        parents.append(parent)
+        texts.append(text)
+        budget -= 1
+        return len(tags) - 1
 
-    def grow(v: int, depth: int) -> None:
-        last_was_text = False
-        while (
-            budget[0] > 0
-            and len(nodes[v].children) < spec.max_fanout
-            and rng.random() < 0.7
-        ):
-            if not last_was_text and depth >= 1 and rng.random() < 0.3:
-                length = rng.randint(1, 3)
-                text = "".join(rng.choice(spec.text_alphabet) for _ in range(length))
-                add(TEXT_TAG, v, text)
-                last_was_text = True
-            else:
-                child = add(rng.choice(spec.tags), v, "")
-                last_was_text = False
-                if depth < spec.max_depth:
-                    grow(child, depth + 1)
-
-    top = add(rng.choice(spec.tags), 0)
-    grow(top, 1)
-    return DocTree(nodes)
+    # one frame per element still growing: [node, depth, children, last
+    # child was text]; a child element's frame runs before its parent's
+    # next draw, so ids come out in preorder
+    stack = [[add(rng.choice(spec.tags), 0), 1, 0, False]]
+    while stack:
+        frame = stack[-1]
+        v, depth, kids, last_was_text = frame
+        if not (budget > 0 and kids < spec.max_fanout and rng.random() < 0.7):
+            stack.pop()
+            continue
+        frame[2] += 1
+        if not last_was_text and depth >= 1 and rng.random() < 0.3:
+            length = rng.randint(1, 3)
+            text = "".join(rng.choice(spec.text_alphabet) for _ in range(length))
+            add(TEXT_TAG, v, text)
+            frame[3] = True
+        else:
+            child = add(rng.choice(spec.tags), v)
+            frame[3] = False
+            if depth < spec.max_depth:
+                stack.append([child, depth + 1, 0, False])
+    return DocTree.from_parents(tags, parents, texts)
 
 
 def shrink_tree(tree: DocTree, failing) -> DocTree:
@@ -438,20 +440,17 @@ def shrink_tree(tree: DocTree, failing) -> DocTree:
 
 
 def _without(tree: DocTree, victim: int) -> DocTree:
-    nodes: list[Node] = []
-
-    def copy(v: int, parent: int | None) -> None:
-        old = tree.node(v)
-        nid = len(nodes)
-        nodes.append(Node(nid, old.tag, parent, text=old.text))
-        if parent is not None:
-            nodes[parent].children.append(nid)
-        for c in old.children:
-            if c != victim:
-                copy(c, nid)
-
-    copy(0, None)
-    return DocTree(nodes)
+    """The tree with victim's subtree, the id interval victim..ends[victim],
+    cut out and later ids shifted down."""
+    lo, hi = victim, tree.ends[victim]
+    kept = [v for v in tree.nodes() if not lo <= v <= hi]
+    gap = hi - lo + 1
+    parents = [tree.parent(v) for v in kept]
+    return DocTree.from_parents(
+        [tree.label(v) for v in kept],
+        [p if p is None or p < lo else p - gap for p in parents],
+        [tree.text_of(v) for v in kept],
+    )
 
 
 # ---------------------------------------------------------------------------

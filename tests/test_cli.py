@@ -1,5 +1,6 @@
 """wrapctl command surface: routing, output formats, exit codes."""
 
+import json
 import pathlib
 
 import pytest
@@ -111,6 +112,60 @@ def test_run_exit_codes_for_bad_inputs(wrapctl, tmp_path):
     assert rc == 2
     rc, _, err = wrapctl("run", good_w, bad_doc)
     assert rc == 2 and "top-level element" in err
+
+
+def test_run_reports_range_errors_on_one_line(wrapctl, tmp_path):
+    w = tmp_path / "one.rpn"
+    w.write_text("a.b[regex:1].txt")
+    d = tmp_path / "two.doc"
+    d.write_text("<a><b>x</b><b>y</b></a>")
+    rc, out, err = wrapctl("run", w, d)
+    assert (rc, out) == (1, "")
+    assert err.startswith("wrapctl: ") and err.count("\n") == 1
+    assert "no word of length 2" in err
+
+
+BIG = 100_000
+# the deep document nests BIG b elements, each with an a leaf before the
+# next b; the wide one is a list of BIG items
+BIG_DOCS = {
+    "deep": "<b><a/>" * BIG + "x" + "</b>" * BIG,
+    "wide": "<list>" + "".join(f"<i>t{j}</i>" for j in range(BIG)) + "</list>",
+}
+SIBLINGS = (
+    "before(X0, X) :- root(_, X0), subelem[_*][*](X0, X), nextsibling(X, Y).\n"
+    "after(X0, X) :- root(_, X0), subelem[_*][*](X0, X), nextsibling(Y, X).\n"
+)
+
+
+@pytest.mark.parametrize("shape", ["deep", "wide"])
+def test_run_statement_on_a_large_document(wrapctl, tmp_path, shape):
+    d = tmp_path / f"{shape}.doc"
+    d.write_text(BIG_DOCS[shape])
+    w = tmp_path / "s.rpn"
+    w.write_text("(b*).txt" if shape == "deep" else "list.i.txt")
+    rc, out, err = wrapctl("run", w, d)
+    assert (rc, err) == (0, "")
+    expect = ["x"] if shape == "deep" else [f"t{j}" for j in range(BIG)]
+    assert json.loads(out) == expect
+
+
+@pytest.mark.parametrize("shape", ["deep", "wide"])
+def test_run_sibling_program_on_a_large_document(wrapctl, tmp_path, shape):
+    d = tmp_path / f"{shape}.doc"
+    d.write_text(BIG_DOCS[shape])
+    w = tmp_path / "siblings.elog"
+    w.write_text(SIBLINGS)
+    rc, out, err = wrapctl("run", w, d)
+    assert (rc, err) == (0, "")
+    if shape == "deep":  # b at 2k-1, a at 2k, the text at 2*BIG+1
+        before = range(2, 2 * BIG + 1, 2)
+        after = list(range(3, 2 * BIG, 2)) + [2 * BIG + 1]
+    else:  # the items at even ids from 2, each over one text node
+        before = range(2, 2 * BIG, 2)
+        after = range(4, 2 * BIG + 1, 2)
+    expect = [f"before(0,{v})" for v in before] + [f"after(0,{v})" for v in after]
+    assert sorted(out.split()) == sorted(expect)
 
 
 def test_run_flag_misuse_is_a_wrapper_error(wrapctl):

@@ -12,7 +12,6 @@ from wraplab.doctree import (
     dump_sexpr,
     parse_document,
     serialize,
-    txt,
 )
 from wraplab.testkit import DOC1, TreeGenSpec, gen_tree
 
@@ -37,7 +36,6 @@ def test_ids_are_preorder_and_dense(doc1):
 def test_root_and_top(doc1):
     assert doc1.root() == 0
     assert doc1.label(0) == ROOT_TAG
-    assert doc1.is_root(0)
     assert doc1.top_element() == 1
     assert doc1.label(1) == "html"
 
@@ -52,10 +50,10 @@ def test_structure_of_doc1(doc1):
 
 
 def test_txt_concatenates_in_document_order(doc1):
-    assert txt(doc1, 4) == "itemA"
-    assert txt(doc1, 3) == "itemAxBitemC"
-    assert txt(doc1, 0) == "itemAxBitemC"
-    assert txt(doc1, 6) == "item"
+    assert doc1.txt(4) == "itemA"
+    assert doc1.txt(3) == "itemAxBitemC"
+    assert doc1.txt(0) == "itemAxBitemC"
+    assert doc1.txt(6) == "item"
     assert doc1.txt(17) == "C"
 
 
@@ -76,9 +74,16 @@ def test_navigation(doc1):
     assert doc1.firstchild(6) is None
     assert doc1.parent(4) == 3
     assert doc1.parent(0) is None
-    assert doc1.precedes(4, 9)
-    assert not doc1.precedes(9, 4)
-    assert not doc1.precedes(4, 4)
+
+
+def test_previous_sibling_mirrors_next(doc1):
+    assert doc1.prevsibling(9) == 4
+    assert doc1.prevsibling(4) is None
+    assert doc1.prevsibling(0) is None
+    for v in doc1.nodes():
+        w = doc1.nextsibling(v)
+        if w is not None:
+            assert doc1.prevsibling(w) == v
 
 
 def test_descendants_in_document_order(doc1):
@@ -94,10 +99,10 @@ def test_serialize_round_trip(doc1):
 
 def test_text_is_verbatim():
     t = parse_document("<a>  two  spaces </a>")
-    assert txt(t, 1) == "  two  spaces "
+    assert t.txt(1) == "  two  spaces "
     t2 = parse_document("<a>\n  <b>x</b>\n</a>")
     # whitespace runs between elements are real text nodes
-    assert txt(t2, 1) == "\n  x\n"
+    assert t2.txt(1) == "\n  x\n"
     assert len(t2.children(1)) == 3
 
 
@@ -138,6 +143,25 @@ def test_malformed_inputs_rejected(source):
         parse_document(source)
 
 
+@pytest.mark.parametrize(
+    "source, offset",
+    [("<a_b></a_b>", 2), ("<a><b_c/></a>", 5), ("<a></a_b>", 6), ("<a#b>x</a#b>", 2)],
+)
+def test_tag_name_must_end_at_space_slash_or_gt(source, offset):
+    with pytest.raises(MalformedInput, match="after tag name") as info:
+        parse_document(source)
+    assert info.value.offset == offset
+
+
+def test_deep_document_round_trips():
+    source = "<a>" * 5000 + "<b/>x" + "</a>" * 5000
+    t = parse_document(source)
+    assert serialize(t) == source
+    assert dump_sexpr(t) == "(#doc " + "(a " * 5000 + '(b) "x"' + ")" * 5001
+    assert t.txt(1) == "x"
+    assert t.descendants(5000) == [5001, 5002]
+
+
 def test_trees_compare_by_shape_and_text():
     a = parse_document("<a><b>x</b></a>")
     b = parse_document("<a><b>x</b></a>")
@@ -161,10 +185,30 @@ def test_generated_trees_are_well_formed(seed):
     t = gen_tree(TreeGenSpec(seed=seed, max_nodes=25))
     assert list(t.nodes()) == list(range(len(t)))
     for v in t.nodes():
-        n = t.node(v)
-        for w in n.children:
+        for w in t.children(v):
             assert t.parent(w) == v
-        if n.tag == TEXT_TAG:
-            assert not n.children
+        if t.label(v) == TEXT_TAG:
+            assert not t.children(v)
         else:
-            assert n.text == ""
+            assert t.text_of(v) == ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_generated_trees_navigate_by_their_parents(seed):
+    t = gen_tree(TreeGenSpec(seed=seed, max_nodes=25))
+    below: dict = {v: [] for v in t.nodes()}
+    for v in reversed(t.nodes()):  # children before parents
+        if v:
+            below[t.parent(v)] += [v] + below[v]
+    for v in t.nodes():
+        kids = [w for w in t.nodes() if t.parent(w) == v]
+        assert t.children(v) == kids
+        assert t.firstchild(v) == (kids[0] if kids else None)
+        assert t.descendants(v) == sorted(below[v])
+        for a, b in zip(kids, kids[1:] + [None]):
+            assert t.nextsibling(a) == b
+            if b is not None:
+                assert t.prevsibling(b) == a
+        if kids:
+            assert t.prevsibling(kids[0]) is None

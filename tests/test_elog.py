@@ -343,7 +343,7 @@ def test_strict_descent_for_epsilon_free_paths(seed):
     )
     store = elog.eval_fixpoint(prog, t)
     for v0, v in store.pairs["p"]:
-        assert t.precedes(v0, v)
+        assert v0 < v
         w = t.parent(v)
         while w is not None and w != v0:
             w = t.parent(w)

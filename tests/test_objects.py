@@ -1,6 +1,8 @@
 """Complex values, their JSON image, types, and schema syntax."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wraplab import objects as ob
 
@@ -18,6 +20,20 @@ def test_setval_dedups_by_value_keeping_first_origin():
 def test_setval_orders_by_origin_then_text():
     s = sv((2, ob.StrVal("b")), (1, ob.StrVal("z")), (2, ob.StrVal("a")))
     assert ob.to_jsonable(s) == ["z", "a", "b"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(["a", "b", "ab", "\""]))))
+def test_setval_order_is_origin_then_json_text(pairs):
+    s = sv(*[(k, ob.StrVal(x)) for k, x in pairs])
+    best: dict = {}
+    for k, x in pairs:
+        best[x] = min(k, best.get(x, k))
+    expect = sorted(
+        ((k, ob.StrVal(x)) for x, k in best.items()),
+        key=lambda kv: (kv[0], ob.json_text(kv[1])),
+    )
+    assert list(s.keyed) == expect
 
 
 def test_setval_equality_is_set_like():

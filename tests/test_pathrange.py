@@ -1,11 +1,14 @@
 """Path regexes, ranges, and the subelem primitive, cross-checked against
 the brute-force oracles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wraplab import pathrange as pr
+from wraplab import rpn
 from wraplab import testkit as tk
 from wraplab.doctree import parse_document
 
@@ -28,7 +31,7 @@ def test_parse_precedence():
         pr.concat(pr.Atom("a"), pr.Atom("b"))
     )
     assert pr.parse_path("()") == pr.Epsilon()
-    assert pr.parse_path("_*.td") == pr.descendant_of("td")
+    assert pr.parse_path("_*.td") == pr.Concat((pr.Star(pr.Wildcard()), pr.Atom("td")))
 
 
 @pytest.mark.parametrize(
@@ -106,6 +109,68 @@ def test_subelem_matches_naive_enumeration(tree_seed, path_seed):
         assert pr.subelem(t, v0, p) == tk.naive_subelem(t, v0, p)
 
 
+def _deep_doc(rng, depth: int) -> str:
+    """A chain of random elements, some carrying text or a leaf sibling."""
+    tags = [rng.choice("abc") for _ in range(depth)]
+    opened = "".join(
+        f"<{t}>"
+        + ("x" if rng.random() < 0.3 else "")
+        + (f"<{rng.choice('abc')}/>" if rng.random() < 0.3 else "")
+        for t in tags
+    )
+    return opened + "".join(f"</{t}>" for t in reversed(tags))
+
+
+def _wide_doc(rng, width: int) -> str:
+    """One element over random children, each empty, text, or one level."""
+    kids = []
+    for _ in range(width):
+        t = rng.choice("abc")
+        kids.append(f"<{t}>{rng.choice(['', 'x', '<a/>', '<b>y</b>'])}</{t}>")
+    return "<c>" + "".join(kids) + "</c>"
+
+
+@pytest.mark.parametrize("shape", ["deep", "wide"])
+def test_subelem_matches_naive_on_large_shapes(shape):
+    rng = random.Random(f"subelem-{shape}")
+    source = _deep_doc(rng, 3000) if shape == "deep" else _wide_doc(rng, 3000)
+    t = parse_document(source)
+    starts = [0, 1] + rng.sample(range(2, len(t)), 3)
+    texts = ["_*.a", "(a|b)*.c", "(_._)*.b"]  # these reach the whole depth
+    for text in texts + [tk.gen_path_text(seed) for seed in range(12)]:
+        p = pr.parse_path(text)
+        for v0 in starts:
+            assert pr.subelem(t, v0, p) == tk.naive_subelem(t, v0, p)
+
+
+def _rows(n: int) -> str:
+    cells = "".join(
+        f"<tr><td>{'item' if r % 3 else 'x'}</td><td>v{r}</td></tr>" for r in range(n)
+    )
+    return f"<html><body><table>{cells}</table></body></html>"
+
+
+def test_automaton_steps_do_not_grow_with_the_document(monkeypatch):
+    # a step is a determinisation miss: each (DFA state, tag) pair is
+    # stepped once, so a larger table over the same tags costs no more
+    calls = [0]
+    step = pr.PathAutomaton.step
+
+    def counted(self, state, tag):
+        calls[0] += 1
+        return step(self, state, tag)
+
+    monkeypatch.setattr(pr.PathAutomaton, "step", counted)
+    stmt = rpn.parse_rpn('(_*.tr){td[0].txt = "item"}.td[1].txt')
+    counts = []
+    for n in (100, 2000):
+        monkeypatch.setattr(pr, "_automata", {})  # every run starts cold
+        calls[0] = 0
+        rpn.eval_rpn(stmt, parse_document(_rows(n)))
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0, counts
+
+
 # ---------------------------------------------------------------------------
 # range syntax
 
@@ -158,13 +223,6 @@ def test_structured_ranges_select_by_position():
     assert pr.apply_range([], pr.parse_range("*")) == []
 
 
-def test_backward_ranges_count_from_the_end():
-    assert pr.apply_range(SEQ, pr.parse_range("0"), backward=True) == [50]
-    assert pr.apply_range(SEQ, pr.parse_range("1-2"), backward=True) == [30, 40]
-    # results stay in forward document order
-    assert pr.apply_range(SEQ, pr.parse_range("*"), backward=True) == SEQ
-
-
 def test_last_is_backward_first():
     rng = pr.parse_range("regex:10*")
     for n in range(6):
@@ -172,7 +230,7 @@ def test_last_is_backward_first():
         expect = seq[-1:]
         assert pr.apply_range(seq, pr.parse_range("last")) == expect
         if n:  # the regex form needs a word of that length
-            assert pr.apply_range(seq, rng, backward=True) == expect
+            assert pr.apply_range(seq[::-1], rng)[::-1] == expect
 
 
 def test_raw_regex_selects_marked_positions():
@@ -219,26 +277,8 @@ def structured_ranges(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(), max_size=12), structured_ranges(), st.booleans())
-def test_apply_range_matches_direct_indexing(seq, rng, backward):
-    got = pr.apply_range(seq, rng, backward=backward)
-    pos = tk.naive_positions(rng, len(seq))
-    if backward:
-        expect = [seq[i] for i in sorted(len(seq) - 1 - i for i in pos)]
-    else:
-        expect = [seq[i] for i in pos]
-    assert got == expect
+@given(st.lists(st.integers(), max_size=12), structured_ranges())
+def test_apply_range_matches_direct_indexing(seq, rng):
+    got = pr.apply_range(seq, rng)
+    assert got == [seq[i] for i in tk.naive_positions(rng, len(seq))]
 
-
-def test_subelem_range_combined():
-    rng = pr.parse_range("1")
-    p = path("html.body.table.tr")
-    assert pr.subelem_range(DOC1, 0, p, rng) == [9]
-    assert pr.subelem_range(DOC1, 0, p, rng, backward=True) == [9]
-    assert pr.subelem_range(DOC1, 0, p, pr.parse_range("0"), backward=True) == [14]
-
-
-def test_contains_string_is_full_text_equality():
-    assert pr.contains_string(DOC1, 5, "item")
-    assert not pr.contains_string(DOC1, 5, "ite")
-    assert pr.contains_string(DOC1, 4, "itemA")
