@@ -16,11 +16,15 @@ pairs.  The copy rule ``p'(_, X) :- p(_, X).`` projects another predicate
 onto a fixed dummy parent; the monadic collapse transformation emits these.
 
 Evaluation is a least fixpoint, run component by component over the
-predicate dependency graph, dependencies first.  Each rule is applied once
-per parent, when the parent is derived; a target whose body fails waits on
-the reference atoms it found false and is solved again only when one of
-them is derived, as in Dowling and Gallier's linear Horn-SAT.  A
-nonrecursive component is thus a single pass.
+predicate dependency graph, dependencies first.  Each rule body is planned
+once per evaluation: the order its atoms are solved in depends only on
+which variables the rule's shape binds, so it is fixed when the program is
+loaded (a body with no such order is rejected then), and conditions on the
+parent alone are checked once per parent rather than at every target.
+Each rule is applied once per parent, when the parent is derived; a target
+whose body fails waits on the reference atoms it found false and is tried
+again only when one of them is derived, as in Dowling and Gallier's linear
+Horn-SAT.  A nonrecursive component is thus a single pass.
 A trailing rule range ``[rho]`` selects among each parent's derived targets
 in document order and forces the whole program to be nonrecursive.
 """
@@ -34,9 +38,11 @@ from dataclasses import dataclass, replace
 from . import objects as ob
 from .doctree import DocTree
 from .pathrange import (
+    PathAutomaton,
     Range,
     StarRange,
     apply_range,
+    compile_path,
     parse_path,
     parse_range,
     path_to_text,
@@ -187,14 +193,6 @@ Rule = object
 
 
 @dataclass(frozen=True)
-class Predicate:
-    name: str
-    kind: str  # pattern | aux-pattern | builtin
-    universal: bool = False
-    ordinal: int | None = None
-
-
-@dataclass(frozen=True)
 class ElogProgram:
     rules: tuple
     aux: frozenset = frozenset()
@@ -234,17 +232,6 @@ class ElogProgram:
             if p not in order:
                 order.append(p)
         return {p: i for i, p in enumerate(order)}
-
-    def predicates(self) -> dict:
-        ordinals = self.ordinals()
-        universal = self.universal_preds()
-        out = {
-            b: Predicate(b, "builtin") for b in BUILTINS
-        }
-        for p in self.head_preds():
-            kind = "aux-pattern" if p in self.aux else "pattern"
-            out[p] = Predicate(p, kind, p in universal, ordinals.get(p))
-        return out
 
     def to_text(self) -> str:
         return serialize_elog(self)
@@ -302,7 +289,49 @@ def _sccs(nodes, edges) -> list:
 def _cond_vars(c) -> tuple:
     if isinstance(c, (Contains, FirstChild, NextSibling)):
         return (c.x, c.y)
+    if isinstance(c, Ref):
+        return (c.var,)
     return (c.x,)
+
+
+def _binds(c, bound: set) -> str | None:
+    """The variable atom c can enumerate when some of its variables are
+    unbound, or None."""
+    if isinstance(c, (Label, Root)):
+        return c.x
+    if isinstance(c, Ref):
+        return c.var
+    if isinstance(c, (FirstChild, NextSibling)) and c.y in bound:
+        return c.x
+    if isinstance(c, (Contains, FirstChild, NextSibling)) and c.x in bound:
+        return c.y
+    return None
+
+
+def _orient(rule) -> list:
+    """The order a chain or dom rule's body is solved in, as (atom, var)
+    steps: again and again the first atom whose variables are all bound,
+    checked (var None), else the first that can enumerate an unbound
+    variable var.  Only which variables are bound decides, and the rule's
+    shape fixes those, so the order is the same at every target."""
+    bound = {rule.xvar} if isinstance(rule, DomRule) else {rule.v0var, rule.xvar}
+    rest = list(rule.conds + rule.refs)
+    order = []
+    while rest:
+        step = next(
+            ((c, None) for c in rest if bound.issuperset(_cond_vars(c))), None
+        ) or next(((c, v) for c in rest if (v := _binds(c, bound))), None)
+        if step is None:
+            raise UnsafeRule(
+                f"rule for {rule.head!r}: cannot orient "
+                f"{', '.join(_cond_text(c) for c in rest)} from the bound "
+                f"variables {', '.join(sorted(bound))}"
+            )
+        rest.remove(step[0])
+        if step[1] is not None:
+            bound.add(step[1])
+        order.append(step)
+    return order
 
 
 def validate_program(program: ElogProgram) -> None:
@@ -326,9 +355,7 @@ def validate_program(program: ElogProgram) -> None:
             if ref.pred not in heads:
                 raise UnknownPredicate(f"{where}: no rules for {ref.pred!r}")
         if isinstance(r, DomRule):
-            used = {v for c in r.conds for v in _cond_vars(c)}
-            used |= {ref.var for ref in r.refs}
-            if r.v0var in used:
+            if r.v0var in {v for c in r.conds + r.refs for v in _cond_vars(c)}:
                 raise UnsafeRule(
                     f"{where}: the first argument of a dom rule is free and "
                     "cannot appear in conditions"
@@ -350,14 +377,13 @@ def validate_program(program: ElogProgram) -> None:
             if not grew:
                 break
             pending = rest
-        allvars = {v for c in r.conds for v in _cond_vars(c)}
-        allvars |= {ref.var for ref in r.refs}
-        stray = allvars - linked
+        stray = {v for c in r.conds + r.refs for v in _cond_vars(c)} - linked
         if stray:
             raise UnsafeRule(
                 f"{where}: variable {sorted(stray)[0]!r} is not connected to "
                 "the head variables"
             )
+        _orient(r)
     # one predicate, one shape: dom rules do not mix with chain rules
     for p in heads:
         rs = program.rules_for(p)
@@ -722,6 +748,8 @@ def _cond_text(c) -> str:
         return f"label({c.x}, {c.tag})"
     if isinstance(c, Root):
         return f"root({c.x})"
+    if isinstance(c, Ref):
+        return f"{c.pred}(_, {c.var})"
     raise TypeError(f"not a condition: {c!r}")
 
 
@@ -737,8 +765,7 @@ def _rule_text(r) -> str:
         )
     else:
         parts.append(f"dom({r.v0var}, {r.xvar})")
-    parts.extend(_cond_text(c) for c in r.conds)
-    parts.extend(f"{ref.pred}(_, {ref.var})" for ref in r.refs)
+    parts.extend(_cond_text(c) for c in r.conds + r.refs)
     tail = ""
     if r.rule_range is not None:
         tail = f" [{range_to_text(r.rule_range)}]"
@@ -799,16 +826,42 @@ def dump_atoms(store: AtomStore) -> str:
     return "\n".join(lines)
 
 
+@dataclass(slots=True)
+class _Plan:
+    """One rule compiled for one evaluation.
+
+    ``aut`` is a chain rule's navigation automaton.  ``parent`` checks the
+    conditions on the parent alone, once per parent; ``body`` runs the rest
+    of the rule's orientation at one target.  Both take a list of variable
+    slots: the target in slot 0, the parent in slot 1, then the body's own
+    variables (``pad`` holds their initial values).  Either is None when it
+    has nothing to check.
+    """
+
+    rule: object
+    aut: PathAutomaton | None = None
+    parent: object = None
+    body: object = None
+    pad: tuple = ()
+
+    def holds(self, v0, v: int) -> bool:
+        """Whether the body holds at target v of parent v0."""
+        return self.body([v, v0, *self.pad])
+
+
 class _Eval:
     """Least fixpoint in the manner of Dowling and Gallier's linear Horn-SAT.
 
     Components of the predicate dependency graph run dependencies first.
-    Each (rule, parent) pair is expanded once, when the parent enters the
-    image of the rule's parent predicate.  A target whose body fails is
-    filed under what its solve found false among the component's own
-    predicates: a reference atom p(_, v), or the whole of p where a
-    reference enumerated p's image.  It is solved again only when one of
-    those becomes true.  A nonrecursive component files nothing, so its
+    Each rule is planned once, when its component starts: its body becomes
+    a fixed chain of checks and enumerations (see ``_orient``), and the
+    conditions on the parent alone are checked once per parent.  Each
+    (rule, parent) pair is expanded once, when the parent enters the image
+    of the rule's parent predicate.  A target whose body fails is filed
+    under what its body found false among the component's own predicates:
+    a reference atom p(_, v), or the whole of p where a reference
+    enumerated p's image.  It is tried again only when one of those
+    becomes true.  A nonrecursive component files nothing, so its
     evaluation is the single pass over its rules' parents.
     """
 
@@ -822,17 +875,17 @@ class _Eval:
         # predicate's node set itself
         self._image: dict[str, set] = {p: set() for p in program.head_preds()}
         self._live: frozenset = frozenset()  # the running recursive component
-        self._watches: set = set()  # what the last solve found false in it
-        self._waiting: dict = {}  # watch -> [(rule, v0, v)] to solve again
+        self._watches: set = set()  # what the last body found false in it
+        self._waiting: dict = {}  # watch -> [(plan, v0, v)] to try again
         self._work: list = []  # (pred, v): v is new in pred's image
 
     # -- relation access ----------------------------------------------------
 
-    def subelem_hits(self, v0: int, path) -> tuple:
-        key = (v0, path)
+    def subelem_hits(self, v0: int, aut: PathAutomaton) -> tuple:
+        key = (v0, aut)
         hits = self._sub.get(key)
         if hits is None:
-            hits = tuple(subelem(self.tree, v0, path))
+            hits = tuple(subelem(self.tree, v0, aut))
             self._sub[key] = hits
         return hits
 
@@ -844,85 +897,137 @@ class _Eval:
             return list(self.tree.nodes())
         return sorted(self._image[src])
 
-    # -- condition solving --------------------------------------------------
+    # -- planning -------------------------------------------------------------
 
-    def _check(self, c, env: dict) -> bool:
-        t = self.tree
-        if isinstance(c, Contains):
-            hits = self.subelem_hits(env[c.x], c.path)
-            return env[c.y] in apply_range(list(hits), c.rng)
-        if isinstance(c, ContainsStr):
-            return t.txt(env[c.x]) == c.s
-        if isinstance(c, FirstChild):
-            return t.firstchild(env[c.x]) == env[c.y]
-        if isinstance(c, NextSibling):
-            return t.nextsibling(env[c.x]) == env[c.y]
-        if isinstance(c, LastSibling):
-            return t.lastsibling(env[c.x])
-        if isinstance(c, Label):
-            return t.label(env[c.x]) == c.tag
-        if isinstance(c, Root):
-            return env[c.x] == t.root()
-        if isinstance(c, Ref):
-            v = env[c.var]
-            if v in self._image[c.pred]:
-                return True
-            if c.pred in self._live:
-                self._watches.add((c.pred, v))
+    def _plan(self, rule) -> _Plan:
+        if isinstance(rule, CopyRule):
+            return _Plan(rule)
+        order = _orient(rule)
+        slot = {rule.v0var: 1, rule.xvar: 0}  # in p(X, X), X is the target
+        for c, _ in order:
+            for v in _cond_vars(c):
+                slot.setdefault(v, len(slot))
+        # Conditions on the parent alone are among the checks every target
+        # starts with, before any reference, so failing once per parent
+        # fails every target the same way, with no watch filed.  A contains
+        # check ahead of one may raise a range error first: stop there.
+        on_parent = []
+        if isinstance(rule, ChainRule) and rule.v0var != rule.xvar:
+            for c, var in order:
+                if var is not None or isinstance(c, (Contains, Ref)):
+                    break
+                if set(_cond_vars(c)) == {rule.v0var}:
+                    on_parent.append(c)
+        rest = [(c, var) for c, var in order if c not in on_parent]
+        aut = compile_path(rule.path) if isinstance(rule, ChainRule) else None
+        return _Plan(
+            rule,
+            aut,
+            self._chain([(c, None) for c in on_parent], slot),
+            self._chain(rest, slot),
+            (None,) * (len(slot) - 2),
+        )
+
+    def _chain(self, steps: list, slot: dict):
+        """The steps compiled into one callable on slots, or None."""
+        nxt = None
+        for c, var in reversed(steps):
+            nxt = self._step(c, var, slot, nxt)
+        return nxt
+
+    def _step(self, c, var, slot: dict, nxt):
+        """One plan step: check atom c if var is None, else bind var to each
+        value c allows; then go on to nxt, None at the end of the chain."""
+        if var is None:
+            test = self._test(c, slot)
+            if nxt is None:
+                return test
+            return lambda env: test(env) and nxt(env)
+        values, s = self._values(c, var, slot), slot[var]
+
+        def bind(env) -> bool:
+            for w in values(env):
+                env[s] = w
+                if nxt is None or nxt(env):
+                    return True
             return False
+
+        return bind
+
+    def _test(self, c, slot: dict):
+        """Whether atom c holds, its variables all bound."""
+        t = self.tree
+        if isinstance(c, Ref):
+            x, image, pred = slot[c.var], self._image[c.pred], c.pred
+            live, watches = pred in self._live, self._watches
+
+            def ref(env) -> bool:
+                v = env[x]
+                if v in image:
+                    return True
+                if live:
+                    watches.add((pred, v))
+                return False
+
+            return ref
+        if isinstance(c, (Contains, FirstChild, NextSibling)):
+            values, y = self._values(c, c.y, slot), slot[c.y]
+            return lambda env: env[y] in values(env)
+        x = slot[c.x]
+        if isinstance(c, ContainsStr):
+            txt, s = t.txt, c.s
+            return lambda env: txt(env[x]) == s
+        if isinstance(c, LastSibling):
+            last = t.lastsibling
+            return lambda env: last(env[x])
+        if isinstance(c, Label):
+            tags, tag = t.tags, c.tag
+            return lambda env: tags[env[x]] == tag
+        if isinstance(c, Root):
+            root = t.root()
+            return lambda env: env[x] == root
         raise TypeError(f"not a condition: {c!r}")
 
-    def _candidates(self, c, env: dict):
-        """(var, values) for one unbound variable, or None."""
+    def _values(self, c, var: str, slot: dict):
+        """The values atom c allows var, the rest of its variables bound."""
         t = self.tree
-        if isinstance(c, Contains) and c.x in env and c.y not in env:
-            hits = self.subelem_hits(env[c.x], c.path)
-            return c.y, apply_range(list(hits), c.rng)
-        if isinstance(c, FirstChild):
-            if c.x in env and c.y not in env:
-                fc = t.firstchild(env[c.x])
-                return c.y, [] if fc is None else [fc]
-            if c.y in env and c.x not in env:
-                p = t.parent(env[c.y])
-                ok = p is not None and t.firstchild(p) == env[c.y]
-                return c.x, [p] if ok else []
-        if isinstance(c, NextSibling):
-            if c.x in env and c.y not in env:
-                ns = t.nextsibling(env[c.x])
-                return c.y, [] if ns is None else [ns]
-            if c.y in env and c.x not in env:
-                ps = t.prevsibling(env[c.y])
-                return c.x, [] if ps is None else [ps]
-        if isinstance(c, Label) and c.x not in env:
-            return c.x, t.nodes_labeled(c.tag)
-        if isinstance(c, Root) and c.x not in env:
-            return c.x, [t.root()]
-        if isinstance(c, Ref) and c.var not in env:
-            if c.pred in self._live:
-                self._watches.add((c.pred, None))
-            return c.var, sorted(self._image[c.pred])
-        return None
+        if isinstance(c, Ref):
+            image, pred = self._image[c.pred], c.pred
+            live, watches = pred in self._live, self._watches
 
-    def solve(self, env: dict, atoms: list) -> bool:
-        """Satisfiability of the remaining condition and reference atoms."""
-        if not atoms:
-            return True
-        for i, c in enumerate(atoms):
-            vs = (c.var,) if isinstance(c, Ref) else _cond_vars(c)
-            if all(v in env for v in vs):
-                if not self._check(c, env):
-                    return False
-                return self.solve(env, atoms[:i] + atoms[i + 1 :])
-        for i, c in enumerate(atoms):
-            cand = self._candidates(c, env)
-            if cand is None:
-                continue
-            var, values = cand
-            rest = atoms[:i] + atoms[i + 1 :]
-            return any(self.solve({**env, var: v}, rest) for v in values)
-        raise UnsafeRule(
-            f"cannot orient conditions {atoms!r} from bound variables"
-        )
+            def members(env) -> list:
+                if live:
+                    watches.add((pred, None))
+                return sorted(image)
+
+            return members
+        if isinstance(c, Label):
+            nodes_labeled, tag = t.nodes_labeled, c.tag
+            return lambda env: nodes_labeled(tag)
+        if isinstance(c, Root):
+            root = (t.root(),)
+            return lambda env: root
+        if isinstance(c, Contains):
+            hits, aut, rng = self.subelem_hits, compile_path(c.path), c.rng
+            x = slot[c.x]
+            return lambda env: apply_range(hits(env[x], aut), rng)
+        # firstchild and nextsibling give at most one value either way
+        if var == c.y:
+            x = slot[c.x]
+            f = t.firstchild if isinstance(c, FirstChild) else t.nextsibling
+        elif isinstance(c, FirstChild):
+            x, parents = slot[c.y], t.parents
+
+            def f(w):  # ids are preorder: a first child follows its parent
+                return w - 1 if parents[w] == w - 1 else None
+        else:
+            x, f = slot[c.y], t.prevsibling
+
+        def one(env) -> tuple:
+            w = f(env[x])
+            return () if w is None else (w,)
+
+        return one
 
     # -- rule application ---------------------------------------------------
 
@@ -938,57 +1043,65 @@ class _Eval:
         if self._live:
             self._work.append((head, v))
 
-    def _fire(self, rule, v0, targets) -> None:
+    def _fire(self, plan: _Plan, v0, targets) -> None:
         """Derive the head at the targets where the body holds, selected by
         the rule range if there is one; file the others under the watches
-        their solve recorded."""
-        body = rule.conds + rule.refs
-        watches = self._watches
-        sat = []
-        for v in targets:
-            env = {rule.xvar: v} if v0 is None else {rule.v0var: v0, rule.xvar: v}
-            if self.solve(env, body):
-                sat.append(v)
-            else:
-                for w in watches:
-                    self._waiting.setdefault(w, []).append((rule, v0, v))
-            watches.clear()
+        their body recorded."""
+        if plan.body is None:
+            sat = targets
+        else:
+            holds, watches, sat = plan.holds, self._watches, []
+            for v in targets:
+                if holds(v0, v):
+                    sat.append(v)
+                elif watches:
+                    for w in watches:
+                        self._waiting.setdefault(w, []).append((plan, v0, v))
+                watches.clear()
+        rule = plan.rule
         if rule.rule_range is not None:
             sat = apply_range(sat, rule.rule_range)
         for v in sat:
             self._add(rule.head, v0, v)
 
-    def _expand(self, rule, v0) -> None:
+    def _expand(self, plan: _Plan, v0) -> None:
         """Apply the rule at one parent; v0 is None for a dom rule."""
+        rule = plan.rule
         if isinstance(rule, CopyRule):
             self._add(rule.head, self.tree.root(), v0)
         elif v0 is None:
-            self._fire(rule, None, self.tree.nodes())
+            self._fire(plan, None, self.tree.nodes())
         else:
-            hits = self.subelem_hits(v0, rule.path)
-            self._fire(rule, v0, apply_range(list(hits), rule.rng))
+            # the step range applies before the parent check, so its range
+            # errors surface whatever the parent
+            targets = apply_range(self.subelem_hits(v0, plan.aut), rule.rng)
+            if plan.parent is not None and not plan.parent([None, v0]):
+                targets = ()
+            self._fire(plan, v0, targets)
 
     def _component(self, comp: frozenset) -> None:
         rules = [r for p in sorted(comp) for r in self.program.rules_for(p)]
-        triggered: dict[str, list] = {}  # pred -> rules it is the parent of
-        for r in rules:
+        plans = [self._plan(r) for r in rules]
+        triggered: dict[str, list] = {}  # pred -> plans it is the parent of
+        for plan in plans:
+            r = plan.rule
             if isinstance(r, DomRule):
-                self._expand(r, None)
+                self._expand(plan, None)
                 continue
             src = r.src if isinstance(r, CopyRule) else r.parent
             if src in comp:
-                triggered.setdefault(src, []).append(r)
+                triggered.setdefault(src, []).append(plan)
             else:
                 for v0 in self.parents_of(r):
-                    self._expand(r, v0)
+                    self._expand(plan, v0)
         work = self._work
         while work:
             pred, v = work.pop()
-            for r in triggered.get(pred, ()):
-                self._expand(r, v)
+            for plan in triggered.get(pred, ()):
+                self._expand(plan, v)
             for key in ((pred, v), (pred, None)):
-                for r, v0, w in self._waiting.pop(key, ()):
-                    self._fire(r, v0, (w,))
+                for plan, v0, w in self._waiting.pop(key, ()):
+                    self._fire(plan, v0, (w,))
         self._waiting.clear()
 
     def run(self) -> AtomStore:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
 
 from .doctree import ROOT_TAG, TEXT_TAG, DocTree
@@ -175,7 +174,9 @@ def naive_subelem(tree: DocTree, v0: int, path) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# naive range selection (direct enumeration; raw regexes by brute force)
+# naive range selection (direct enumeration; raw regexes by derivatives)
+
+RAW_PROBE = 64  # range regexes are checked for lengths below this at parse time
 
 
 def naive_positions(rng, k: int) -> list[int]:
@@ -194,16 +195,44 @@ def naive_positions(rng, k: int) -> list[int]:
     if kind == "Last":
         return [k - 1] if k else []
     if kind == "RawRegex":
-        if k > 18:
-            raise ValueError("naive raw-regex selection capped at length 18")
-        r = convert_regex(rng.pattern)
-        words = ["".join(w) for w in product("01", repeat=k) if word_matches(r, w)]
-        if not words:
-            raise ValueError(f"no word of length {k}")
-        if len(words) > 1:
-            raise ValueError(f"several words of length {k}")
-        return [i for i, c in enumerate(words[0]) if c == "1"]
+        count, word = _words_of_length(convert_regex(rng.pattern), k)
+        if count == 0:
+            if k >= RAW_PROBE:
+                return []  # longer than any length checked at parse time
+            raise NoWordOfLength(f"no word of length {k}")
+        if count > 1:
+            raise MultipleWords(f"several words of length {k}")
+        return [i for i, c in enumerate(word) if c == "1"]
     raise TypeError(f"unrecognized range {rng!r}")
+
+
+def _words_of_length(r, k: int) -> tuple:
+    """How many 01-words of length k r matches, counted up to two, and one
+    of them.  Each derivative reached after i symbols carries how many
+    prefixes reach it (up to two) and one such prefix."""
+    reach = {r: (1, "")}
+    for _ in range(k):
+        nxt: dict = {}
+        for d, (n, w) in reach.items():
+            for a in "01":
+                e = _deriv(d, a)
+                if e != _EMPTY:
+                    m, u = nxt.get(e, (0, w + a))
+                    nxt[e] = (min(2, m + n), u)
+        reach = nxt
+    count, word = 0, None
+    for d, (n, w) in reach.items():
+        if _nullable(d):
+            count, word = min(2, count + n), w
+    return count, word
+
+
+class NoWordOfLength(ValueError):
+    """The oracle's counterpart of the engine's error of the same name."""
+
+
+class MultipleWords(ValueError):
+    """The oracle's counterpart of the engine's error of the same name."""
 
 
 def naive_select(seq: list, rng) -> list:
@@ -364,6 +393,171 @@ def _reject_cycles(edges: list) -> None:
     for v in list(adj):
         if v not in state:
             visit(v)
+
+
+# ---------------------------------------------------------------------------
+# naive datalog fixpoint (components re-fired until nothing changes)
+
+
+class UnorientableBody(Exception):
+    """No atom left in a body can be solved from the bound variables."""
+
+
+def naive_fixpoint(program, tree: DocTree) -> tuple:
+    """The least fixpoint of an Elog program by the naive method:
+    components of the dependency graph run dependencies first, a
+    recursive one re-fires every rule at every parent until nothing
+    changes, and each body picks its next atom at run time.
+    Rules and conditions are read by class name and fields.  Returns
+    (pairs, unary): pred -> set of (v0, v) for predicates with chain or
+    copy rules, pred -> frozenset of nodes for those with dom rules only."""
+    rules = program.rules
+    heads = list(dict.fromkeys(r.head for r in rules))
+    by_head = {p: [r for r in rules if r.head == p] for p in heads}
+    universal = {
+        p for p in heads if all(type(r).__name__ == "DomRule" for r in by_head[p])
+    }
+    pairs = {p: set() for p in heads if p not in universal}
+    unary = {p: frozenset() for p in universal}
+    hits_memo: dict = {}
+
+    def image(p) -> set:
+        return set(unary[p]) if p in universal else {v for _, v in pairs[p]}
+
+    def hits(v0: int, path) -> list:
+        if (v0, path) not in hits_memo:
+            hits_memo[v0, path] = naive_subelem(tree, v0, path)
+        return hits_memo[v0, path]
+
+    def sibling(v: int, step: int):
+        p = tree.parent(v)
+        if p is None:
+            return None
+        kids = tree.children(p)
+        i = kids.index(v) + step
+        return kids[i] if 0 <= i < len(kids) else None
+
+    def holds(c, env) -> bool:
+        kind, x = type(c).__name__, env.get(getattr(c, "x", None))
+        if kind == "Contains":
+            return env[c.y] in naive_select(hits(x, c.path), c.rng)
+        if kind == "ContainsStr":
+            return "".join(tree.text_of(w) for w in [x, *tree.descendants(x)]) == c.s
+        if kind == "FirstChild":
+            return tree.children(x)[:1] == [env[c.y]]
+        if kind == "NextSibling":
+            return sibling(x, 1) == env[c.y]
+        if kind == "LastSibling":
+            return sibling(x, 1) is None
+        if kind == "Label":
+            return tree.label(x) == c.tag
+        if kind == "Root":
+            return x == tree.root()
+        if kind == "Ref":
+            return env[c.var] in image(c.pred)
+        raise TypeError(f"unrecognized condition {c!r}")
+
+    def values(c, env):
+        """(var, its values) for an atom that can bind an unbound variable."""
+        kind = type(c).__name__
+        if kind == "Ref":
+            return c.var, sorted(image(c.pred))
+        if kind == "Label":
+            return c.x, [v for v in tree.nodes() if tree.label(v) == c.tag]
+        if kind == "Root":
+            return c.x, [tree.root()]
+        if kind in ("Contains", "FirstChild", "NextSibling") and c.x in env:
+            x = env[c.x]
+            if kind == "Contains":
+                return c.y, naive_select(hits(x, c.path), c.rng)
+            w = tree.children(x)[:1] if kind == "FirstChild" else [sibling(x, 1)]
+            return c.y, [v for v in w if v is not None]
+        if kind in ("FirstChild", "NextSibling") and c.y in env:
+            y, p = env[c.y], tree.parent(env[c.y])
+            if kind == "FirstChild":
+                return c.x, [p] if p is not None and tree.children(p)[0] == y else []
+            return c.x, [w for w in [sibling(y, -1)] if w is not None]
+        return None
+
+    def variables(c) -> tuple:
+        if type(c).__name__ == "Ref":
+            return (c.var,)
+        return (c.x, c.y) if hasattr(c, "y") else (c.x,)
+
+    def solve(env: dict, atoms: list) -> bool:
+        if not atoms:
+            return True
+        for i, c in enumerate(atoms):
+            if all(v in env for v in variables(c)):
+                return holds(c, env) and solve(env, atoms[:i] + atoms[i + 1 :])
+        for i, c in enumerate(atoms):
+            found = values(c, env)
+            if found is not None:
+                var, ws = found
+                rest = atoms[:i] + atoms[i + 1 :]
+                return any(solve({**env, var: w}, rest) for w in ws)
+        raise UnorientableBody(f"cannot orient {atoms!r}")
+
+    def select(rule, v0, targets) -> list:
+        body = list(rule.conds) + list(rule.refs)
+        env = {} if v0 is None else {rule.v0var: v0}
+        sat = [v for v in targets if solve({**env, rule.xvar: v}, body)]
+        if rule.rule_range is not None:
+            sat = naive_select(sat, rule.rule_range)
+        return sat
+
+    def fire(p) -> bool:
+        if p in universal:
+            new = frozenset(
+                v for r in by_head[p] for v in select(r, None, list(tree.nodes()))
+            )
+            grew, unary[p] = new != unary[p], new
+            return grew
+        before = len(pairs[p])
+        for r in by_head[p]:
+            if type(r).__name__ == "CopyRule":
+                pairs[p].update((tree.root(), v) for v in sorted(image(r.src)))
+                continue
+            if r.parent == "root":
+                parents = [tree.root()]
+            elif r.parent == "dom":
+                parents = list(tree.nodes())
+            else:
+                parents = sorted(image(r.parent))
+            for v0 in parents:
+                targets = naive_select(hits(v0, r.path), r.rng)
+                pairs[p].update((v0, v) for v in select(r, v0, targets))
+        return len(pairs[p]) != before
+
+    # what each predicate depends on, closed transitively
+    reach: dict = {p: set() for p in heads}
+    for r in rules:
+        kind = type(r).__name__
+        if kind == "CopyRule":
+            reach[r.head].add(r.src)
+        else:
+            reach[r.head].update(ref.pred for ref in r.refs)
+            if kind == "ChainRule" and r.parent not in ("root", "dom"):
+                reach[r.head].add(r.parent)
+    grown = True
+    while grown:
+        grown = False
+        for p in heads:
+            more = set().union(*(reach[q] for q in reach[p])) - reach[p]
+            if more:
+                reach[p] |= more
+                grown = True
+    done: set = set()
+    while len(done) < len(heads):
+        for p in heads:
+            comp = {p} | {q for q in reach[p] if p in reach[q]}
+            if p not in done and reach[p] - comp <= done:
+                break
+        recursive = p in reach[p]
+        while any([fire(q) for q in heads if q in comp]) and recursive:
+            pass
+        done |= comp
+    return pairs, unary
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +744,105 @@ def gen_stmt(spec: StmtGenSpec) -> str:
 
     body = statement(spec.max_depth - 1)
     return body + ";" if helvf else body
+
+
+# each admits at most one word per length; all but 0* miss some lengths
+_RAW_RANGES = ("regex:10*", "regex:0*1", "regex:0*", "regex:(10)*")
+
+
+def gen_program(seed: int) -> str:
+    """Random Elog program text that parses: chain, dom and copy rules
+    over up to four predicates q0, q1, ...; every condition kind, binding a
+    variable either way it can; references that check and that enumerate.
+    Tags and texts are those gen_tree draws.  A recursive program may refer
+    to any predicate; a nonrecursive one only to earlier ones, and only it
+    gets rule ranges and range regexes, whose errors depend on nothing but
+    the document there."""
+    rng = random.Random(seed)
+    tags = TreeGenSpec.tags
+    recursive = rng.random() < 0.5
+    preds = [f"q{i}" for i in range(rng.randint(1, 4))]
+
+    def a_range() -> str:
+        if not recursive and rng.random() < 0.15:
+            return rng.choice(_RAW_RANGES)
+        return rng.choice(("*", "*", "*", "0", "1", "0-1", "0,2", "last"))
+
+    def a_path() -> str:
+        t1, t2 = rng.choice(tags), rng.choice(tags)
+        return rng.choice((t1, "_", f"{t1}|{t2}", f"_*.{t1}", f"{t1}*", f"_.{t1}"))
+
+    def a_pred(i: int) -> str:
+        if recursive:  # the predicate itself half the time, to close cycles
+            return rng.choice((preds[i], rng.choice(preds)))
+        return rng.choice(preds[:i])
+
+    def body(i: int, bound: list) -> list:
+        atoms: list = []
+        size = rng.randint(0, 4)  # atoms, binders included
+        while len(atoms) < size:
+            a = rng.choice(bound)
+            y = f"Y{len(bound)}"
+            kind = rng.choice(
+                ("contains", "contains_up", "firstchild", "nextsibling",
+                 "contains_s", "lastsibling", "label", "root", "ref")
+            )
+            if kind == "contains_up":
+                # contains cannot bind y from a, so another atom enumerates
+                # y and contains checks it
+                refer = i > 0 or recursive
+                binder = rng.choice(("label", "root") + ("ref",) * 2 * refer)
+                atoms.append(f"contains[{a_path()}][{a_range()}]({y}, {a})")
+                atoms.append(
+                    f"label({y}, {rng.choice(tags)})" if binder == "label"
+                    else f"root({y})" if binder == "root"
+                    else f"{a_pred(i)}(_, {y})"
+                )
+                bound.append(y)
+            elif kind in ("contains", "firstchild", "nextsibling"):
+                others = [v for v in bound if v != a]
+                b = rng.choice(others) if others and rng.random() < 0.4 else y
+                if b == y:
+                    bound.append(y)
+                brackets = f"[{a_path()}][{a_range()}]" if kind == "contains" else ""
+                x, z = (b, a) if kind != "contains" and rng.random() < 0.5 else (a, b)
+                atoms.append(f"{kind}{brackets}({x}, {z})")
+            elif kind == "contains_s":
+                text = rng.choice(("", "x", "y", "xy"))
+                atoms.append(f'contains_s({a}, "{text}")')
+            elif kind == "label":
+                atoms.append(f"label({a}, {rng.choice(tags)})")
+            elif kind == "ref" and (i > 0 or recursive):
+                atoms.append(f"{a_pred(i)}(_, {a})")
+            elif kind in ("lastsibling", "root"):
+                atoms.append(f"{kind}({a})")
+        rng.shuffle(atoms)
+        return atoms
+
+    def rule_range() -> str:
+        return f" [{a_range()}]" if not recursive and rng.random() < 0.3 else ""
+
+    lines = []
+    for i, p in enumerate(preds):
+        shape = rng.choice(("chain", "chain", "dom", "copy") if i else ("chain", "dom"))
+        if shape == "copy":
+            lines.append(f"{p}(_, X) :- {a_pred(i)}(_, X).")
+            continue
+        for j in range(rng.randint(1, 2)):
+            if shape == "dom":
+                atoms = ["dom(X0, X)", *body(i, ["X"])]
+            else:
+                # the first rule grounds the predicate in root, dom or an
+                # earlier predicate
+                parents = 2 * (preds if recursive and j else preds[:i])
+                parent = rng.choice(["root", "dom", *parents])
+                atoms = [
+                    f"{parent}(_, X0)",
+                    f"subelem[{a_path()}][{a_range()}](X0, X)",
+                    *body(i, ["X0", "X"]),
+                ]
+            lines.append(f"{p}(X0, X) :- {', '.join(atoms)}{rule_range()}.")
+    return "\n".join(lines) + "\n"
 
 
 def gen_path_text(seed: int, tags=("a", "b", "c"), max_depth: int = 4) -> str:

@@ -275,6 +275,24 @@ def test_check_flags_ranged_recursion(wrapctl, tmp_path):
     assert "nonrecursive" in err
 
 
+def test_unorientable_body_fails_whatever_the_document(wrapctl, tmp_path):
+    # nothing binds Y: contains can only enumerate below a bound node
+    w = tmp_path / "stuck.elog"
+    w.write_text(
+        "p(X0, X) :- root(_, X0), subelem[_*.td][*](X0, X), contains[td][0](Y, X).\n"
+    )
+    message = "cannot orient contains[td][0](Y, X)"
+    for doc in ("<table><tr><td>a</td></tr></table>", "<p>no cells</p>"):
+        d = tmp_path / "page.doc"
+        d.write_text(doc)
+        rc, out, err = wrapctl("run", w, d)
+        assert (rc, out) == (1, "")
+        assert err.startswith("wrapctl: ") and err.count("\n") == 1
+        assert message in err
+    rc, _, err = wrapctl("check", w)
+    assert rc == 1 and message in err
+
+
 # ---------------------------------------------------------------------------
 # diff
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wraplab import elog
+from wraplab import pathrange as pr
 from wraplab import objects as ob
 from wraplab.doctree import parse_document
 from wraplab import testkit
@@ -289,23 +290,38 @@ def test_fixpoint_is_rule_order_independent(parity):
         assert store.unary == base.unary
 
 
-def test_parity_solve_calls_grow_linearly(parity, monkeypatch):
-    # each (rule, parent, target) is solved again only when a reference it
-    # found false turns true, so solving is linear in the fanout
+@pytest.fixture
+def body_runs(monkeypatch):
+    """Counts the per-target body runs of every evaluation."""
     calls = [0]
-    solve = elog._Eval.solve
+    holds = elog._Plan.holds
 
-    def counted(self, env, atoms):
+    def counted(self, v0, v):
         calls[0] += 1
-        return solve(self, env, atoms)
+        return holds(self, v0, v)
 
-    monkeypatch.setattr(elog._Eval, "solve", counted)
+    monkeypatch.setattr(elog._Plan, "holds", counted)
+    return calls
+
+
+def test_parity_body_runs_grow_linearly(parity, body_runs):
+    # each (rule, parent, target) runs its body again only when a reference
+    # it found false turns true, so body runs are linear in the fanout
     counts = []
     for k in (50, 200):
-        calls[0] = 0
+        body_runs[0] = 0
         elog.eval_fixpoint(parity, parse_document(items_doc(k)))
-        counts.append(calls[0])
+        counts.append(body_runs[0])
     assert counts[1] / counts[0] <= 4.5, counts
+
+
+def test_quadratic_body_runs_at_most_once_per_parent(quadratic, body_runs):
+    # label(X0, b) mentions the parent alone, so it is checked once per
+    # parent rather than at each of the 1050 targets
+    t = parse_document(bchain_doc(20, 50))
+    store = elog.eval_fixpoint(quadratic, t)
+    assert len(store.pairs["p"]) == 20 * 50
+    assert body_runs[0] <= len(t) == 71, body_runs[0]
 
 
 def test_recursive_reference_that_enumerates_its_image(doc1):
@@ -318,6 +334,40 @@ def test_recursive_reference_that_enumerates_its_image(doc1):
     )
     store = elog.eval_fixpoint(prog, doc1)
     assert elog.unary_query(store, "q") == frozenset(range(1, len(doc1)))
+
+
+def test_enumerating_reference_waits_on_the_whole_image(doc1):
+    # the recursive rule comes first, so at every target q's image is still
+    # empty; only the watch on all of q brings the targets back
+    prog = elog.parse_elog(
+        "q(X0, X) :- dom(_, X0), subelem[_][*](X0, X), "
+        "contains[_][*](Y, X), q(_, Y).\n"
+        "q(X0, X) :- root(_, X0), subelem[_][*](X0, X).\n"
+    )
+    store = elog.eval_fixpoint(prog, doc1)
+    assert elog.unary_query(store, "q") == frozenset(range(1, len(doc1)))
+
+
+def test_parent_condition_after_a_raising_check_keeps_the_error(doc1):
+    # contains checks X0 against a regex with no word of odd length, at
+    # every target before label(X0, td) fails; the other order never
+    # reaches contains
+    rule = "p(X0, X) :- root(_, X0), subelem[_*][*](X0, X), {}, {}."
+    check, on_parent = "contains[_*][regex:(10)*](X, X0)", "label(X0, td)"
+    with pytest.raises(pr.NoWordOfLength):
+        elog.eval_fixpoint(elog.parse_elog(rule.format(check, on_parent)), doc1)
+    store = elog.eval_fixpoint(elog.parse_elog(rule.format(on_parent, check)), doc1)
+    assert store.pairs["p"] == set()
+
+
+def test_head_with_one_variable_binds_it_to_the_target(doc1):
+    # in p(X, X) the conditions on X test the target, not the parent
+    for body, expected in [
+        ("subelem[_][*](X, X), label(X, html)", {(0, 1)}),
+        ("subelem[_*][*](X, X), nextsibling(X, Y), label(Y, tr)", {(0, 4), (0, 9)}),
+    ]:
+        prog = elog.parse_elog(f"p(X, X) :- root(_, X), {body}.")
+        assert elog.eval_fixpoint(prog, doc1).pairs["p"] == expected
 
 
 def test_dom_rule_inside_a_recursive_component(doc1):
@@ -348,6 +398,39 @@ def test_strict_descent_for_epsilon_free_paths(seed):
         while w is not None and w != v0:
             w = t.parent(w)
         assert w == v0
+
+
+def _fixpoint_outcome(program, tree):
+    try:
+        store = elog.eval_fixpoint(program, tree)
+    except pr.RangeError as e:
+        return type(e).__name__
+    return store.pairs, store.unary
+
+
+def _oracle_outcome(program, tree):
+    try:
+        return testkit.naive_fixpoint(program, tree)
+    except (testkit.NoWordOfLength, testkit.MultipleWords) as e:
+        return type(e).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6))
+def test_fixpoint_matches_naive_oracle(seed):
+    program = elog.parse_elog(testkit.gen_program(seed))
+    tree = testkit.gen_tree(testkit.TreeGenSpec(seed=seed, max_nodes=30))
+    assert _fixpoint_outcome(program, tree) == _oracle_outcome(program, tree)
+
+
+def test_fixpoint_matches_naive_oracle_on_a_large_tree():
+    spec = testkit.TreeGenSpec(seed=11, max_nodes=600, max_fanout=8, max_depth=9)
+    tree = testkit.gen_tree(spec)
+    assert len(tree) == 465
+    for seed in range(40):
+        program = elog.parse_elog(testkit.gen_program(seed))
+        expected = _oracle_outcome(program, tree)
+        assert _fixpoint_outcome(program, tree) == expected, program.to_text()
 
 
 # ---------------------------------------------------------------------------
