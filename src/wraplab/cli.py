@@ -18,7 +18,7 @@ from . import elog, hel
 from . import objects as ob
 from . import rpn
 from .doctree import DocTree, MalformedInput, parse_document, serialize
-from .pathrange import RangeError
+from .pathrange import PathSyntaxError, RangeError, RangeSyntaxError
 from .testkit import TreeGenSpec, bchain_doc, gen_tree, items_doc, shrink_tree
 
 
@@ -66,6 +66,14 @@ def load_document(path: str) -> DocTree:
         raise DocumentError(f"{path}: {e}") from None
 
 
+# what a wrapper text can fail with; a text nested deeper than the parsers
+# recurse fails with RecursionError
+_PARSE_ERRORS = (
+    rpn.RpnSyntaxError, hel.HelError, elog.ElogError, PathSyntaxError,
+    RangeSyntaxError, RecursionError,
+)
+
+
 class Wrapper:
     """A parsed wrapper file: .hel is desugared on load, so all three
     statement languages evaluate through the same two shapes."""
@@ -84,7 +92,7 @@ class Wrapper:
                 self.ast = hel.desugar(self.hel_ast)
             else:
                 self.ast = elog.parse_elog(text)
-        except Exception as e:
+        except _PARSE_ERRORS as e:
             raise WrapperError(f"{path}: {e}") from None
 
     def evaluate(self, tree: DocTree, strict: bool = True, cut: bool = False):

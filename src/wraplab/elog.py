@@ -47,6 +47,8 @@ from .pathrange import (
     parse_range,
     path_to_text,
     range_to_text,
+    scan,
+    split_top,
     subelem,
 )
 
@@ -86,10 +88,6 @@ class HasRuleRanges(ElogError):
 
 
 class AuxCycle(ElogError):
-    pass
-
-
-class CycleDetected(ElogError):
     pass
 
 
@@ -221,17 +219,6 @@ class ElogProgram:
         return any(
             getattr(r, "rule_range", None) is not None for r in self.rules
         )
-
-    def ordinals(self) -> dict:
-        order: list[str] = list(self.record_order)
-        if self.schema is not None:
-            for p in ob.schema_predicates(self.schema):
-                if p not in order:
-                    order.append(p)
-        for p in self.head_preds():
-            if p not in order:
-                order.append(p)
-        return {p: i for i, p in enumerate(order)}
 
     def to_text(self) -> str:
         return serialize_elog(self)
@@ -432,61 +419,9 @@ _VAR = re.compile(r"[A-Z][A-Za-z0-9_]*")
 
 
 def _strip_comment(line: str) -> str:
-    out = []
-    in_str = False
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if in_str:
-            out.append(c)
-            if c == "\\" and i + 1 < len(line):
-                out.append(line[i + 1])
-                i += 1
-            elif c == '"':
-                in_str = False
-        elif c == '"':
-            in_str = True
-            out.append(c)
-        elif c == "%":
-            break
-        else:
-            out.append(c)
-        i += 1
-    return "".join(out)
-
-
-def _split_top(text: str, sep: str) -> list[str]:
-    parts = []
-    depth = 0
-    in_str = False
-    cur = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if in_str:
-            cur.append(c)
-            if c == "\\" and i + 1 < len(text):
-                cur.append(text[i + 1])
-                i += 1
-            elif c == '"':
-                in_str = False
-        elif c == '"':
-            in_str = True
-            cur.append(c)
-        elif c in "([":
-            depth += 1
-            cur.append(c)
-        elif c in ")]":
-            depth -= 1
-            cur.append(c)
-        elif c == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-        i += 1
-    parts.append("".join(cur))
-    return parts
+    if "%" not in line:
+        return line
+    return next((line[:i] for i, c, _ in scan(line) if c == "%"), line)
 
 
 @dataclass
@@ -514,7 +449,7 @@ def _parse_atom(text: str, line: int) -> _Atom:
         raise ElogSyntaxError(f"expected '(' in atom {text!r}", line)
     if not text.endswith(")"):
         raise ElogSyntaxError(f"expected ')' in atom {text!r}", line)
-    args = [a.strip() for a in _split_top(text[i + 1 : -1], ",")]
+    args = [a.strip() for a in split_top(text[i + 1 : -1], ",")]
     return _Atom(name, brackets, args)
 
 
@@ -631,7 +566,7 @@ def _parse_rule(text: str, line: int):
     if head.brackets or len(head.args) != 2:
         raise ElogSyntaxError("head must be p(V0, V)", line)
     body_s, rule_range = _trailing_range(body_s, line)
-    atoms = [_parse_atom(a, line) for a in _split_top(body_s, ",")]
+    atoms = [_parse_atom(a, line) for a in split_top(body_s, ",")]
     if not atoms:
         raise ElogSyntaxError("empty body", line)
     first = atoms[0]
@@ -792,15 +727,16 @@ class AtomStore:
     """Derived atoms: pair sets per materialized predicate, node sets per
     universal (dom-rule) predicate."""
 
-    def __init__(self, ordinals: dict, aux: frozenset, schema=None):
+    def __init__(self, aux: frozenset, schema=None):
         self.pairs: dict[str, set] = {}
         self.unary: dict[str, frozenset] = {}
-        self.ordinals = dict(ordinals)
         self.aux = frozenset(aux)
         self.schema = schema
 
     def add(self, pred: str, v0: int, v: int) -> bool:
-        bucket = self.pairs.setdefault(pred, set())
+        bucket = self.pairs.get(pred)
+        if bucket is None:
+            bucket = self.pairs[pred] = set()
         before = len(bucket)
         bucket.add((v0, v))
         return len(bucket) != before
@@ -869,7 +805,7 @@ class _Eval:
         self.program = program
         self.tree = tree
         self.universal = program.universal_preds()
-        self.store = AtomStore(program.ordinals(), program.aux, program.schema)
+        self.store = AtomStore(program.aux, program.schema)
         self._sub: dict = {}
         # second-argument projection of each predicate; a dom-rule
         # predicate's node set itself
@@ -1181,7 +1117,7 @@ def eliminate_aux(store: AtomStore, aux=None) -> AtomStore:
     }
     sources = _surviving_sources(parents, kept_targets)
 
-    out = AtomStore(store.ordinals, frozenset(), store.schema)
+    out = AtomStore(frozenset(), store.schema)
     out.unary = dict(store.unary)
     for p, pairs in store.pairs.items():
         if p in aux:
@@ -1238,7 +1174,6 @@ class OutputGraph:
     edges: frozenset  # of (v0, v)
     labels: dict  # pred -> frozenset of nodes (the unary queries)
     edge_preds: dict  # (v0, v) -> frozenset of preds
-    ordinals: dict
 
 
 def output_graph(store: AtomStore, tree: DocTree) -> OutputGraph:
@@ -1252,46 +1187,7 @@ def output_graph(store: AtomStore, tree: DocTree) -> OutputGraph:
             edge_preds[e] = edge_preds.get(e, frozenset()) | {pred}
     for pred, nodes in store.unary.items():
         labels[pred] = nodes
-    return OutputGraph(
-        len(tree), frozenset(edges), labels, edge_preds, dict(store.ordinals)
-    )
-
-
-@dataclass(frozen=True)
-class UnfoldNode:
-    node: int
-    preds: tuple
-    children: tuple
-
-
-def unfold(graph: OutputGraph, root: int = 0) -> UnfoldNode:
-    """Expand the graph into the tree of paths out of the document root;
-    shared targets are duplicated, cycles are an error."""
-    succ: dict[int, list] = {}
-    for v0, v in graph.edges:
-        succ.setdefault(v0, []).append(v)
-    big = len(graph.ordinals) + 1
-
-    def edge_key(v0: int, v: int):
-        preds = graph.edge_preds.get((v0, v), frozenset())
-        first = min((graph.ordinals.get(p, big) for p in preds), default=big)
-        return (first, v)
-
-    def labels_at(v: int) -> tuple:
-        named = [p for p, ns in graph.labels.items() if v in ns]
-        return tuple(sorted(named, key=lambda p: graph.ordinals.get(p, big)))
-
-    def walk(v: int, on_path: frozenset) -> UnfoldNode:
-        if v in on_path:
-            raise CycleDetected(f"unfolding revisits node {v}")
-        kids = sorted(succ.get(v, ()), key=lambda w: edge_key(v, w))
-        return UnfoldNode(
-            v,
-            labels_at(v),
-            tuple(walk(w, on_path | {v}) for w in kids),
-        )
-
-    return walk(root, frozenset())
+    return OutputGraph(len(tree), frozenset(edges), labels, edge_preds)
 
 
 def to_dot(graph: OutputGraph, tree: DocTree) -> str:

@@ -10,12 +10,13 @@ The result is a variable-free statement in the condition-chain dialect
 (the rpn module's AST), where conditions filter nodes BEFORE the range
 selects among them.
 
-The variable-free form has two evaluators.  The plain one keeps every
-navigated node whose conditions hold.  The cut evaluator additionally
-treats ``!``-marked conditions as scan stoppers: once a navigated node
-violates a marked condition, no later sibling match survives.  Condition
-paths are expected to reach at most one node; by default a wider set is an
-error, in lenient mode it degrades to an existential check and a warning.
+The variable-free form evaluates through the rpn module's walker, with
+conditions first and the range second.  ``eval_vf`` keeps every navigated
+node whose conditions hold.  ``eval_cut`` additionally treats
+``!``-marked conditions as scan stoppers: once a navigated node violates
+a marked condition, no later sibling match survives.  Condition paths are
+expected to reach at most one node; by default a wider set is an error, in
+lenient mode it degrades to an existential check and a warning.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 from . import rpn
 from .doctree import DocTree
-from .objects import SetVal, StrVal, RecordVal
+from .objects import SetVal
 from .pathrange import (
     Range,
     StarRange,
@@ -144,7 +146,7 @@ class _HelParser(rpn._StmtParser):
         if self.peek() == "(":
             inside = self.balanced("(", ")")
             entries = tuple(
-                _HelParser(part).cc_entry() for part in _split_entries(inside)
+                _HelParser(part).cc_entry() for part in rpn.split_entries(inside)
             )
             if len(entries) < 2:
                 self.error("a record needs at least two '#'-separated entries")
@@ -215,41 +217,6 @@ class _HelParser(rpn._StmtParser):
 
 def _is_var(s: str) -> bool:
     return s.isidentifier() and s not in _RESERVED
-
-
-def _split_entries(inside: str) -> list[str]:
-    """Split a record body on depth-0 '#' separators ('#' glued to a tag
-    character is part of a tag name)."""
-    entries = []
-    cur = []
-    depth = 0
-    i = 0
-    while i < len(inside):
-        c = inside[i]
-        if c == '"':
-            j = i + 1
-            while j < len(inside):
-                if inside[j] == "\\":
-                    j += 2
-                elif inside[j] == '"':
-                    break
-                else:
-                    j += 1
-            cur.append(inside[i : j + 1])
-            i = j + 1
-            continue
-        if c in "([{":
-            depth += 1
-        elif c in ")]}":
-            depth -= 1
-        if c == "#" and depth == 0 and inside[i + 1 : i + 2] not in rpn._TAG_CHARS:
-            entries.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-        i += 1
-    entries.append("".join(cur))
-    return entries
 
 
 def parse_hel(text: str) -> HelStatement:
@@ -424,12 +391,10 @@ def _cond_target_txts(tree: DocTree, v: int, cond) -> tuple[list, str]:
     anchors = [v]
     while isinstance(cond, rpn.CondChain):
         pa = cond.patom
-        nxt: list = []
-        for x in anchors:
-            for u in apply_range(subelem(tree, x, pa.path), pa.range):
-                if u not in nxt:
-                    nxt.append(u)
-        anchors = nxt
+        anchors = list(dict.fromkeys(  # first-seen order, without repeats
+            u for x in anchors
+            for u in apply_range(subelem(tree, x, pa.path), pa.range)
+        ))
         cond = cond.rest
     return anchors, cond.s
 
@@ -451,51 +416,15 @@ def _vf_cond_holds(tree: DocTree, v: int, cond, strict: bool) -> bool:
 def eval_vf(stmt, tree: DocTree, v: int | None = None, strict: bool = True) -> SetVal:
     """Conditions filter the navigated nodes first, the range selects among
     the survivors.  Cut marks are ignored here."""
-    if v is None:
-        v = tree.root()
-    if isinstance(stmt, rpn.Txt):
-        return SetVal([(v, StrVal(tree.txt(v)))])
-    if isinstance(stmt, rpn.Record):
-        entries = tuple(eval_vf(e, tree, v, strict) for e in stmt.entries)
-        return SetVal([(v, RecordVal(entries))])
-    if isinstance(stmt, rpn.Chain):
-        pa = stmt.patom
-        keep = [
-            w
-            for w in subelem(tree, v, pa.path)
-            if all(_vf_cond_holds(tree, w, c, strict) for c in pa.conds)
-        ]
-        pairs = []
-        for w in apply_range(keep, pa.range):
-            pairs.extend(eval_vf(stmt.rest, tree, w, strict).keyed)
-        return SetVal(pairs)
-    raise TypeError(f"not a statement: {stmt!r}")
+    holds = partial(_vf_cond_holds, strict=strict)
+    return rpn._evaluate(stmt, tree, v, holds, range_first=False, cut=False)
 
 
 def eval_cut(stmt, tree: DocTree, v: int | None = None, strict: bool = True) -> SetVal:
     """Like eval_vf, but a node violating a '!'-marked condition stops the
     scan: no later navigated node survives, whatever its own conditions."""
-    if v is None:
-        v = tree.root()
-    if isinstance(stmt, rpn.Txt):
-        return SetVal([(v, StrVal(tree.txt(v)))])
-    if isinstance(stmt, rpn.Record):
-        entries = tuple(eval_cut(e, tree, v, strict) for e in stmt.entries)
-        return SetVal([(v, RecordVal(entries))])
-    if isinstance(stmt, rpn.Chain):
-        pa = stmt.patom
-        keep = []
-        for w in subelem(tree, v, pa.path):
-            held = [(_vf_cond_holds(tree, w, c, strict), c.cut) for c in pa.conds]
-            if all(ok for ok, _ in held):
-                keep.append(w)
-            if not all(ok for ok, cut in held if cut):
-                break
-        pairs = []
-        for w in apply_range(keep, pa.range):
-            pairs.extend(eval_cut(stmt.rest, tree, w, strict).keyed)
-        return SetVal(pairs)
-    raise TypeError(f"not a statement: {stmt!r}")
+    holds = partial(_vf_cond_holds, strict=strict)
+    return rpn._evaluate(stmt, tree, v, holds, range_first=False, cut=True)
 
 
 def has_cut(stmt) -> bool:

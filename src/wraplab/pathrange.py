@@ -16,6 +16,7 @@ k has a 1 at each selected position.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .doctree import DocTree
@@ -108,6 +109,46 @@ def alt(*items) -> PathRegex:
     if len(flat) == 1:
         return flat[0]
     return Alt(tuple(flat))
+
+
+# ---------------------------------------------------------------------------
+# scanning wrapper text: the one quote- and bracket-aware loop that the
+# statement and program parsers share
+
+
+# a "..." literal (possibly unterminated), or one character the parsers
+# look for outside literals
+_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[()\[\]{}#,%]', re.S)
+
+
+def scan(text: str, start: int = 0):
+    """Yield (index, char, depth) for each bracket and each of the
+    separators ``#``, ``,`` and ``%`` in text from start on that lies outside
+    a "..." literal, where a backslash escapes the next character.  depth
+    counts the brackets ( [ { open around the character; a bracket itself
+    is at the depth outside it."""
+    depth = 0
+    for m in _TOKEN.finditer(text, start):
+        c = m.group()
+        if c[0] == '"':
+            continue
+        if c in ")]}":
+            depth -= 1
+        yield m.start(), c, depth
+        if c in "([{":
+            depth += 1
+
+
+def split_top(text: str, sep: str, glue=frozenset()) -> list[str]:
+    """Split text at each sep outside literals and brackets, unless a
+    character of glue follows it."""
+    parts, last = [], 0
+    for i, c, depth in scan(text):
+        if c == sep and depth == 0 and text[i + 1 : i + 2] not in glue:
+            parts.append(text[last:i])
+            last = i + 1
+    parts.append(text[last:])
+    return parts
 
 
 # ---------------------------------------------------------------------------

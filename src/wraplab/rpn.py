@@ -7,7 +7,12 @@ applied to the navigation result BEFORE the conditions are checked.  The
 condition-chain dialect (vf) shares this AST and concrete syntax but
 restricts paths to ``t``/``->t`` steps, forbids nesting conditions inside
 conditions, applies conditions before ranges, and may mark conditions with
-a leading ``!``; its evaluators live in the hel module.
+a leading ``!``.
+
+Both dialects evaluate through one walker, ``_walk``: it takes the
+condition semantics, the order (range then filter, or filter then range)
+and whether cut marks stop the filter scan.  ``eval_rpn`` here and the hel
+module's ``eval_vf`` and ``eval_cut`` only choose those three.
 
 Statements translate to datalog programs whose derived atoms reproduce the
 evaluator's output; the last predicate of every chain carries a schema
@@ -35,6 +40,8 @@ from .pathrange import (
     parse_range,
     path_to_text,
     range_to_text,
+    scan,
+    split_top,
     subelem,
 )
 
@@ -180,29 +187,13 @@ class _StmtParser:
     def balanced(self, open_c: str, close_c: str) -> str:
         """Consume a balanced group (cursor on open_c), return the inside."""
         self.eat(open_c)
-        depth = 1
-        start = self.pos
-        i = self.pos
-        while i < len(self.text):
-            c = self.text[i]
-            if c == '"':
-                j = i + 1
-                while j < len(self.text):
-                    if self.text[j] == "\\":
-                        j += 2
-                    elif self.text[j] == '"':
-                        break
-                    else:
-                        j += 1
-                i = j
-            elif c == open_c:
-                depth += 1
-            elif c == close_c:
-                depth -= 1
-                if depth == 0:
+        start = self.pos - 1
+        for i, c, depth in scan(self.text, start):
+            if depth == 0 and i > start:  # the bracket that closes the group
+                if c == close_c:
                     self.pos = i + 1
-                    return self.text[start:i]
-            i += 1
+                    return self.text[start + 1 : i]
+                break
         self.error(f"missing {close_c!r}")
 
     # -- grammar --------------------------------------------------------------
@@ -247,66 +238,19 @@ class _StmtParser:
         return node
 
     def _group_is_record(self) -> bool:
-        """A parenthesized group is a record iff it has a separating '#' at
-        depth 1; '#' immediately followed by a tag character is a tag."""
-        i = self.pos + 1
-        depth = 1
-        while i < len(self.text) and depth:
-            c = self.text[i]
-            if c == '"':
-                j = i + 1
-                while j < len(self.text):
-                    if self.text[j] == "\\":
-                        j += 2
-                    elif self.text[j] == '"':
-                        break
-                    else:
-                        j += 1
-                i = j
-            elif c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-            elif (
-                c == "#"
-                and depth == 1
-                and self.text[i + 1 : i + 2] not in _TAG_CHARS
-            ):
+        """A parenthesized group is a record iff it has a separating '#'
+        directly inside it; '#' immediately followed by a tag character is
+        a tag."""
+        start = self.pos
+        for i, c, depth in scan(self.text, start):
+            if depth == 0 and i > start:
+                return False
+            if c == "#" and depth == 1 and self.text[i + 1 : i + 2] not in _TAG_CHARS:
                 return True
-            i += 1
         return False
 
     def _record(self):
-        inside = self.balanced("(", ")")
-        entries = []
-        depth = 0
-        cur = []
-        i = 0
-        while i < len(inside):
-            c = inside[i]
-            if c == '"':
-                j = i + 1
-                while j < len(inside):
-                    if inside[j] == "\\":
-                        j += 2
-                    elif inside[j] == '"':
-                        break
-                    else:
-                        j += 1
-                cur.append(inside[i : j + 1])
-                i = j + 1
-                continue
-            if c in "([{":
-                depth += 1
-            elif c in ")]}":
-                depth -= 1
-            if c == "#" and depth == 0 and inside[i + 1 : i + 2] not in _TAG_CHARS:
-                entries.append("".join(cur))
-                cur = []
-            else:
-                cur.append(c)
-            i += 1
-        entries.append("".join(cur))
+        entries = split_entries(self.balanced("(", ")"))
         if len(entries) < 2:
             self.error("a record needs at least two '#'-separated entries")
         dialect = "vhel" if self.vf else "rpn"
@@ -387,6 +331,12 @@ class _StmtParser:
         if self.vf and pa.conds:
             self.error("conditions may not nest inside conditions here")
         return pa
+
+
+def split_entries(inside: str) -> list[str]:
+    """A record body's entries: '#' separates them outside brackets and
+    literals, unless a tag character follows ('#text' is a tag)."""
+    return split_top(inside, "#", _TAG_CHARS)
 
 
 def parse_statement(text: str, dialect: str = "rpn"):
@@ -493,22 +443,61 @@ def _cond_holds(tree: DocTree, v: int, cond) -> bool:
 def eval_rpn(stmt, tree: DocTree, v: int | None = None):
     """The range selects among the path matches first; conditions filter
     the selected nodes afterwards."""
-    if v is None:
-        v = tree.root()
-    if isinstance(stmt, Txt):
-        return ob.SetVal([(v, ob.StrVal(tree.txt(v)))])
-    if isinstance(stmt, Record):
-        entries = tuple(eval_rpn(e, tree, v) for e in stmt.entries)
-        return ob.SetVal([(v, ob.RecordVal(entries))])
+    return _evaluate(stmt, tree, v, _cond_holds, range_first=True, cut=False)
+
+
+def _evaluate(
+    stmt, tree: DocTree, v: int | None, holds, range_first: bool, cut: bool
+):
+    """The value of stmt at v (default: the root) under the given order
+    and condition semantics; every evaluator entry point lands here."""
+    best: dict = {}
+    _walk(stmt, tree, tree.root() if v is None else v, holds, range_first, cut, best)
+    return ob.SetVal([(key, value) for value, key in best.items()])
+
+
+def _walk(stmt, tree: DocTree, v: int, holds, range_first: bool, cut: bool, best: dict):
+    """Put each value stmt yields at v into best, under its smallest key.
+
+    range_first applies a chain step's range to the navigated nodes and
+    then checks holds(tree, w, cond) on the selected ones; otherwise the
+    conditions filter first and the range selects among the survivors.
+    With cut, a node failing a '!'-marked condition ends the filter scan.
+    A record opens one output set per entry."""
     if isinstance(stmt, Chain):
         pa = stmt.patom
-        hits = apply_range(subelem(tree, v, pa.path), pa.range)
-        pairs = []
-        for w in hits:
-            if all(_cond_holds(tree, w, c) for c in pa.conds):
-                pairs.extend(eval_rpn(stmt.rest, tree, w).keyed)
-        return ob.SetVal(pairs)
-    raise TypeError(f"not a statement: {stmt!r}")
+        hits = subelem(tree, v, pa.path)
+        if range_first:
+            kept = (
+                w for w in apply_range(hits, pa.range)
+                if all(holds(tree, w, c) for c in pa.conds)
+            )
+        else:
+            keep = []
+            for w in hits:
+                if cut:  # all run: a marked one may fail after another did
+                    held = [holds(tree, w, c) for c in pa.conds]
+                    if all(held):
+                        keep.append(w)
+                    if not all(ok for ok, c in zip(held, pa.conds) if c.cut):
+                        break
+                elif all(holds(tree, w, c) for c in pa.conds):
+                    keep.append(w)
+            kept = apply_range(keep, pa.range)
+        for w in kept:
+            _walk(stmt.rest, tree, w, holds, range_first, cut, best)
+        return
+    if isinstance(stmt, Txt):
+        value = ob.StrVal(tree.txt(v))
+    elif isinstance(stmt, Record):
+        value = ob.RecordVal(tuple(
+            _evaluate(e, tree, v, holds, range_first, cut) for e in stmt.entries
+        ))
+    else:
+        raise TypeError(f"not a statement: {stmt!r}")
+    old = best.get(value)
+    if old is None or v < old:
+        best[value] = v
 
 
 # ---------------------------------------------------------------------------

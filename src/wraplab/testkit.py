@@ -302,26 +302,34 @@ def has_eps_link(stmt) -> bool:
     return has_eps_link(stmt.rest)
 
 
-def naive_helvf(tree: DocTree, stmt, v: int | None = None):
+def naive_helvf(tree: DocTree, stmt, v: int | None = None, cut: bool = False):
     """Direct transcription of the variable-free semantics: conditions
-    filter the navigation result first, then the range selects."""
+    filter the navigation result first, then the range selects.  With cut,
+    the scan over the navigated nodes stops after the first one that fails
+    a '!'-marked condition."""
     if v is None:
         v = tree.root()
     kind = type(stmt).__name__
     if kind == "Txt":
         return frozenset({tree.txt(v)})
     if kind == "Record":
-        return frozenset({tuple(naive_helvf(tree, e, v) for e in stmt.entries)})
+        return frozenset({tuple(naive_helvf(tree, e, v, cut) for e in stmt.entries)})
     if kind == "Chain":
-        pa = stmt.patom
-        hits = [
-            w
-            for w in naive_subelem(tree, v, pa.path)
-            if _conds_hold(tree, w, pa.conds)
-        ]
-        sel = naive_select(hits, pa.range)
-        return _plain_union(naive_helvf(tree, stmt.rest, w) for w in sel)
+        hits = []
+        for w in naive_subelem(tree, v, stmt.patom.path):
+            failed = [c for c in stmt.patom.conds if not _naive_cond(tree, w, c)]
+            if not failed:
+                hits.append(w)
+            if cut and any(c.cut for c in failed):
+                break
+        sel = naive_select(hits, stmt.patom.range)
+        return _plain_union(naive_helvf(tree, stmt.rest, w, cut) for w in sel)
     raise TypeError(f"unrecognized statement {stmt!r}")
+
+
+def naive_cut(tree: DocTree, stmt, v: int | None = None):
+    """The cut semantics of '!'-marked conditions, lenient: see naive_helvf."""
+    return naive_helvf(tree, stmt, v, cut=True)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,16 @@ def test_run_statement_on_a_large_document(wrapctl, tmp_path, shape):
     assert (rc, err) == (0, "")
     expect = ["x"] if shape == "deep" else [f"t{j}" for j in range(BIG)]
     assert json.loads(out) == expect
+    if shape == "wide":  # a condition path that reaches every item
+        v = tmp_path / "wide.vhel"
+        v.write_text('list{->i.txt = "t0"}.txt;')
+        rc, out, err = wrapctl("run", v, d)
+        assert (rc, out) == (1, "")
+        assert err.startswith("wrapctl: ") and err.count("\n") == 1
+        assert f"reaches {BIG} nodes" in err
+        with pytest.warns(SingleValueWarning):
+            rc, out, _ = wrapctl("run", v, d, "--lenient")
+        assert rc == 0
 
 
 @pytest.mark.parametrize("shape", ["deep", "wide"])
@@ -188,6 +198,25 @@ def test_run_rejects_wrapper_parse_errors(wrapctl, tmp_path):
     rc, _, err = wrapctl("run", w, corpus("items_table", "page.doc"))
     assert rc == 1
     assert "broken.rpn" in err
+
+
+DEEP = 3000
+DEEP_WRAPPERS = {  # each nests DEEP levels in its syntax
+    "conds.rpn": "a{b" * DEEP + '.txt = "x"' + "}" * DEEP + ".txt",
+    "parens.rpn": "(" * DEEP + "a" + ")" * DEEP + ".txt",
+    "parens.elog": "p(X0, X) :- root(_, X0), subelem["
+    + "(" * DEEP + "a" + ")" * DEEP + "][*](X0, X).",
+}
+
+
+@pytest.mark.parametrize("name", DEEP_WRAPPERS)
+def test_run_rejects_wrappers_nested_too_deep(wrapctl, tmp_path, name):
+    w = tmp_path / name
+    w.write_text(DEEP_WRAPPERS[name])
+    rc, out, err = wrapctl("run", w, corpus("items_table", "page.doc"))
+    assert (rc, out) == (1, "")
+    assert err.startswith("wrapctl: ") and err.count("\n") == 1
+    assert "recursion" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def test_builtin_root_as_condition(doc1):
 
 
 def test_unary_query_projects_second_argument():
-    store = elog.AtomStore({}, frozenset())
+    store = elog.AtomStore(frozenset())
     store.pairs = {"p": {(1, 5), (3, 5)}}
     assert elog.unary_query(store, "p") == frozenset({5})
     with pytest.raises(elog.UnknownPredicate):
@@ -488,7 +488,7 @@ def test_collapse_avoids_name_collisions():
 
 
 def _store(pairs, aux=()):
-    s = elog.AtomStore({}, frozenset(aux))
+    s = elog.AtomStore(frozenset(aux))
     s.pairs = {p: set(v) for p, v in pairs.items()}
     return s
 
@@ -579,11 +579,7 @@ def test_eliminate_deep_aux_cycle_rejected():
 
 
 # ---------------------------------------------------------------------------
-# output graphs and unfolding
-
-
-def _shape(n):
-    return (n.node, [_shape(c) for c in n.children])
+# output graphs
 
 
 def test_output_graph_counts(quadratic):
@@ -603,45 +599,6 @@ def test_output_graph_merges_parallel_edges(doc1):
     assert g.edges == frozenset({(0, 1)})
     assert g.edge_preds[(0, 1)] == frozenset({"p", "q"})
     assert g.labels["p"] == g.labels["q"] == frozenset({1})
-
-
-def test_unfold_duplicates_diamond():
-    t = parse_document("<a><b/><c/></a>")
-    store = _store({"p": {(0, 1), (0, 2), (1, 3), (2, 3)}})
-    u = elog.unfold(elog.output_graph(store, t))
-    assert _shape(u) == (0, [(1, [(3, [])]), (2, [(3, [])])])
-
-
-def test_unfold_edgeless_graph_is_root_only(doc1):
-    u = elog.unfold(elog.output_graph(_store({}), doc1))
-    assert _shape(u) == (0, [])
-
-
-def test_unfold_orders_children_by_ordinal_then_position():
-    t = parse_document("<a><b/><c/></a>")
-    store = elog.AtomStore({"q": 0, "p": 1}, frozenset())
-    store.pairs = {"p": {(0, 1)}, "q": {(0, 2)}}
-    u = elog.unfold(elog.output_graph(store, t))
-    assert [c.node for c in u.children] == [2, 1]  # q's ordinal wins
-
-
-def test_unfold_cycle_detected():
-    t = parse_document("<a><b/></a>")
-    with pytest.raises(elog.CycleDetected):
-        elog.unfold(elog.output_graph(_store({"p": {(0, 1), (1, 0)}}), t))
-
-
-def test_quadratic_unfolding_repeats_leaves(quadratic):
-    t = parse_document(bchain_doc(2, 2))
-    prog = elog.parse_elog(
-        "b(X0, X) :- root(_, X0), subelem[b|b.b][*](X0, X).\n"
-        + asset("quadratic.elog")
-    )
-    u = elog.unfold(elog.output_graph(elog.eval_fixpoint(prog, t), t))
-    assert _shape(u) == (
-        0,
-        [(1, [(3, []), (4, [])]), (2, [(3, []), (4, [])])],
-    )
 
 
 def test_dot_rendering_mentions_nodes_and_edges(doc1):

@@ -1,6 +1,7 @@
 """Variable statements: parsing, validation, desugaring, both evaluators."""
 
 import warnings
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,15 @@ from wraplab import objects as ob
 from wraplab import rpn
 from wraplab.doctree import parse_document
 from wraplab.pathrange import Atom, Index, Interval, StarRange
-from wraplab.testkit import DOC1, StmtGenSpec, TreeGenSpec, gen_stmt, gen_tree, naive_helvf
+from wraplab.testkit import (
+    DOC1,
+    StmtGenSpec,
+    TreeGenSpec,
+    gen_stmt,
+    gen_tree,
+    naive_cut,
+    naive_helvf,
+)
 
 ITEMS_HEL = (
     "html.body.table(tr[0].td[0].txt # tr[i:*].td[1].txt) "
@@ -361,6 +370,39 @@ def test_cut_results_are_contained_in_plain_results(seed):
     cut = plain(quiet_eval(hel.eval_cut, w, tree))
     full = plain(quiet_eval(hel.eval_vf, w, tree))
     assert _covered(cut, full)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_cut_agrees_with_the_naive_oracle(seed):
+    tree = gen_tree(TreeGenSpec(seed=seed))
+    text = gen_stmt(StmtGenSpec(seed=seed + 5, language="helvf", cut_probability=0.5))
+    w = hel.parse_vhel(text)
+    for v in range(len(tree)):
+        got = plain(quiet_eval(partial(hel.eval_cut, v=v), w, tree))
+        assert got == naive_cut(tree, w, v)
+
+
+def test_both_evaluators_agree_with_the_naive_oracles_on_a_large_tree():
+    # one tag and one text letter, so conditions often hold and cuts matter
+    tree = gen_tree(TreeGenSpec(
+        seed=11, max_nodes=600, max_fanout=8, max_depth=9, tags=("a",), text_alphabet="x"
+    ))
+    assert len(tree) == 465
+    cuts_mattered = 0
+    for seed in range(100):
+        text = gen_stmt(StmtGenSpec(
+            seed=seed, language="helvf", tags=("a",), text_pool=("", "x", "xx"),
+            condition_probability=0.9, cut_probability=0.5,
+        ))
+        w = hel.parse_vhel(text)
+        for v in range(0, len(tree), 3):
+            full = plain(quiet_eval(partial(hel.eval_vf, v=v), w, tree))
+            cut = plain(quiet_eval(partial(hel.eval_cut, v=v), w, tree))
+            assert full == naive_helvf(tree, w, v), (text, v)
+            assert cut == naive_cut(tree, w, v), (text, v)
+            cuts_mattered += cut != full
+    assert cuts_mattered >= 50
 
 
 def _covered(a, b) -> bool:

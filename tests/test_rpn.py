@@ -301,6 +301,23 @@ def test_eval_agrees_with_the_naive_oracle(seed):
     assert plain(rpn.eval_rpn(w, tree)) == naive_rpn(tree, w)
 
 
+def test_eval_agrees_with_the_naive_oracle_on_a_large_tree():
+    # one tag and one text letter, so paths and conditions often match
+    tree = gen_tree(TreeGenSpec(
+        seed=11, max_nodes=600, max_fanout=8, max_depth=9, tags=("a",), text_alphabet="x"
+    ))
+    assert len(tree) == 465
+    nonempty = 0
+    for seed in range(40):
+        spec = StmtGenSpec(seed=seed, tags=("a",), text_pool=("", "x", "xx"))
+        w = rpn.parse_rpn(gen_stmt(spec))
+        for v in range(0, len(tree), 5):
+            got = plain(rpn.eval_rpn(w, tree, v))
+            assert got == naive_rpn(tree, w, v), (seed, v)
+            nonempty += bool(got)
+    assert nonempty >= 200
+
+
 def test_adding_a_condition_never_grows_the_result(doc1):
     for seed in range(60):
         tree = gen_tree(TreeGenSpec(seed=seed * 31))
