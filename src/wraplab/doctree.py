@@ -39,6 +39,8 @@ class DocTree:
     ``tags``, ``parents`` (None at the root), ``texts`` (nonempty only for
     #text nodes) and ``ends`` (the id of each node's last descendant, the
     node itself for a leaf) are read-only lists indexed by node id.
+    ``scratch``, also indexed by node id, is working space that a walk
+    over the tree may overwrite; nothing may rely on what it holds.
     """
 
     def __init__(self, tags: list, parents: list, texts: list, ends: list):
@@ -50,6 +52,8 @@ class DocTree:
         self._prev: list | None = None
         self._text_ids = list(compress(range(len(texts)), texts))  # #text leaves
         self._txt_cache: dict[int, str] = {}
+        self._txt_lens: list[int] | None = None  # prefix sums over _text_ids
+        self.scratch = [0] * len(tags)
 
     @classmethod
     def from_parents(cls, tags: list, parents: list, texts: list) -> DocTree:
@@ -144,6 +148,22 @@ class DocTree:
             cached = "".join([texts[t] for t in ids[lo:hi]])
             self._txt_cache[v] = cached
         return cached
+
+    def txt_equals(self, v: int, s: str) -> bool:
+        """Whether txt(v) == s, joining the text only when its length,
+        read off prefix sums over the #text lengths, is len(s)."""
+        cached = self._txt_cache.get(v)
+        if cached is not None:
+            return cached == s
+        lens = self._txt_lens
+        if lens is None:
+            lens = self._txt_lens = [0]
+            for t in self._text_ids:
+                lens.append(lens[-1] + len(self.texts[t]))
+        ids = self._text_ids
+        lo = bisect_left(ids, v)
+        hi = bisect_right(ids, self.ends[v], lo)
+        return lens[hi] - lens[lo] == len(s) and self.txt(v) == s
 
 
 _NAME = r"[A-Za-z][A-Za-z0-9-]*"

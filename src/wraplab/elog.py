@@ -27,6 +27,15 @@ again only when one of them is derived, as in Dowling and Gallier's linear
 Horn-SAT.  A nonrecursive component is thus a single pass.
 A trailing rule range ``[rho]`` selects among each parent's derived targets
 in document order and forces the whole program to be nonrecursive.
+
+A dom rule is evaluated one of two ways.  When it lies outside a
+recursive component, has no range regex, and its body is solved as checks
+on X, then ``contains[pi][rho](X, Y)``, then atoms that never mention X,
+``pathrange.holders`` derives the nodes whose range-selected matches
+include a Y satisfying those atoms in one pass over the document, for a
+finite path or the ``*`` range; the checks on X and the rule range then
+select from that image in document order.  Every other dom rule runs its
+body at each node of the document.
 """
 
 from __future__ import annotations
@@ -39,10 +48,13 @@ from . import objects as ob
 from .doctree import DocTree
 from .pathrange import (
     PathAutomaton,
+    RawRegex,
     Range,
     StarRange,
     apply_range,
     compile_path,
+    holders,
+    is_finite,
     parse_path,
     parse_range,
     path_to_text,
@@ -771,7 +783,9 @@ class _Plan:
     of the rule's orientation at one target.  Both take a list of variable
     slots: the target in slot 0, the parent in slot 1, then the body's own
     variables (``pad`` holds their initial values).  Either is None when it
-    has nothing to check.
+    has nothing to check.  ``targets`` gives a dom rule's targets: every
+    node, or, when the rule's contains condition is derived in one pass,
+    the nodes that hold it, with ``body`` left to check the rest.
     """
 
     rule: object
@@ -779,6 +793,7 @@ class _Plan:
     parent: object = None
     body: object = None
     pad: tuple = ()
+    targets: object = None
 
     def holds(self, v0, v: int) -> bool:
         """Whether the body holds at target v of parent v0."""
@@ -855,14 +870,62 @@ class _Eval:
                 if set(_cond_vars(c)) == {rule.v0var}:
                     on_parent.append(c)
         rest = [(c, var) for c, var in order if c not in on_parent]
-        aut = compile_path(rule.path) if isinstance(rule, ChainRule) else None
+        pad = (None,) * (len(slot) - 2)
+        if isinstance(rule, ChainRule):
+            return _Plan(
+                rule,
+                compile_path(rule.path),
+                self._chain([(c, None) for c in on_parent], slot),
+                self._chain(rest, slot),
+                pad,
+            )
+        k = self._one_pass(rule, order)
+        if k is None:
+            return _Plan(rule, body=self._chain(order, slot), pad=pad,
+                         targets=self.tree.nodes)
+        # the checks on X run on the image; the atoms after contains never
+        # mention X, so they test its Y alone
+        c = order[k][0]
+        y, after = slot[c.y], self._chain(order[k + 1 :], slot)
+
+        def test(w: int) -> bool:
+            if after is None:
+                return True
+            env = [None, None, *pad]
+            env[y] = w
+            return after(env)
+
         return _Plan(
             rule,
-            aut,
-            self._chain([(c, None) for c in on_parent], slot),
-            self._chain(rest, slot),
-            (None,) * (len(slot) - 2),
+            body=self._chain(order[:k], slot),
+            pad=pad,
+            targets=lambda: holders(self.tree, c.path, c.rng, test),
         )
+
+    def _one_pass(self, rule, order: list) -> int | None:
+        """Where in its orientation a dom rule's image can come from one
+        holders pass, or None: the rule is outside a recursive component,
+        no range of it is a regex (so no range error depends on the order
+        the nodes are tried in), the first atom to bind a variable is
+        contains(X, Y) with a finite path or the * range, and no later atom
+        mentions X."""
+        if rule.head in self._live or isinstance(rule.rule_range, RawRegex):
+            return None
+        if any(isinstance(c, Contains) and isinstance(c.rng, RawRegex)
+               for c in rule.conds):
+            return None
+        k = next((i for i, (_, var) in enumerate(order) if var), None)
+        if k is None:
+            return None
+        c = order[k][0]
+        if (
+            isinstance(c, Contains)
+            and c.x == rule.xvar
+            and (isinstance(c.rng, StarRange) or is_finite(c.path))
+            and all(rule.xvar not in _cond_vars(a) for a, _ in order[k + 1 :])
+        ):
+            return k
+        return None
 
     def _chain(self, steps: list, slot: dict):
         """The steps compiled into one callable on slots, or None."""
@@ -911,8 +974,8 @@ class _Eval:
             return lambda env: env[y] in values(env)
         x = slot[c.x]
         if isinstance(c, ContainsStr):
-            txt, s = t.txt, c.s
-            return lambda env: txt(env[x]) == s
+            equals, s = t.txt_equals, c.s
+            return lambda env: equals(env[x], s)
         if isinstance(c, LastSibling):
             last = t.lastsibling
             return lambda env: last(env[x])
@@ -1006,7 +1069,7 @@ class _Eval:
         if isinstance(rule, CopyRule):
             self._add(rule.head, self.tree.root(), v0)
         elif v0 is None:
-            self._fire(plan, None, self.tree.nodes())
+            self._fire(plan, None, plan.targets())
         else:
             # the step range applies before the parent check, so its range
             # errors surface whatever the parent

@@ -293,11 +293,6 @@ def cc_step_paths(cc) -> list[tuple]:
     return out
 
 
-def cc_paths(stmt: HelStatement) -> tuple:
-    """The binding paths as text, for reporting and tests."""
-    return tuple(steps_to_text(p) + ".txt" for p in cc_step_paths(stmt.cc))
-
-
 def _cc_vars(cc) -> list[str]:
     if isinstance(cc, PseqTxt):
         return [s.patom.var for s in cc.steps if s.patom.var]
@@ -409,8 +404,8 @@ def _vf_cond_holds(tree: DocTree, v: int, cond, strict: bool) -> bool:
         if strict:
             raise SingleValueViolation(detail)
         warnings.warn(detail, SingleValueWarning, stacklevel=3)
-        return any(tree.txt(u) == s for u in targets)
-    return bool(targets) and tree.txt(targets[0]) == s
+        return any(tree.txt_equals(u, s) for u in targets)
+    return bool(targets) and tree.txt_equals(targets[0], s)
 
 
 def eval_vf(stmt, tree: DocTree, v: int | None = None, strict: bool = True) -> SetVal:

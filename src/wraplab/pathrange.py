@@ -17,6 +17,7 @@ k has a 1 at each selected position.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .doctree import DocTree
@@ -310,6 +311,12 @@ class PathAutomaton:
         self._ids = {s: d for d, s in enumerate(self._sets)}
         self.delta: list[dict[str, int]] = [{}, {}]
         self.accept = [False, accept in self._sets[1]]
+        # for bottom-up passes: sets of NFA states as bitmasks
+        self.start_bit = 1 << start
+        self.final_mask = sum(
+            1 << q for q, c in enumerate(self._closure) if accept in c
+        )
+        self.back: defaultdict = defaultdict(dict)  # tag -> mask -> mask
 
     def _new_state(self) -> int:
         self._eps.append([])
@@ -386,6 +393,20 @@ class PathAutomaton:
         self.delta[state][tag] = d
         return d
 
+    def pre(self, tag: str, mask: int) -> int:
+        """The NFA states from which one move on tag, after their closure,
+        lands in mask; cached in ``back``."""
+        out = 0
+        for q, c in enumerate(self._closure):
+            if any(
+                (lab is None or lab == tag) and mask >> d & 1
+                for p in c
+                for lab, d in self._moves[p]
+            ):
+                out |= 1 << q
+        self.back[tag][mask] = out
+        return out
+
     def determinise(self, alphabet: str) -> list[list[int]]:
         """The complete DFA over a fixed alphabet: row s lists state s's
         successor on each symbol in turn."""
@@ -394,6 +415,23 @@ class PathAutomaton:
             s = len(rows)
             rows.append([self.step(s, a) for a in alphabet])
         return rows
+
+
+def is_finite(path: PathRegex) -> bool:
+    """Whether the path's language is finite: no star repeats a label."""
+
+    def labelled(n) -> bool:
+        if isinstance(n, (Atom, Wildcard)):
+            return True
+        if isinstance(n, Star):
+            return labelled(n.item)
+        return isinstance(n, (Concat, Alt)) and any(map(labelled, n.items))
+
+    if isinstance(path, Star):
+        return not labelled(path.item)
+    if isinstance(path, (Concat, Alt)):
+        return all(map(is_finite, path.items))
+    return True
 
 
 _automata: dict = {}
@@ -613,26 +651,111 @@ def subelem(tree: DocTree, v0: int, path) -> list[int]:
 
     One preorder pass over v0's id interval: a node's DFA state is its
     parent's stepped on its tag, and a dead state skips the whole subtree.
+    The states live in the tree's scratch list, indexed by node id; a node
+    the pass reaches has v0 or an earlier reached node as its parent, so
+    it only reads what this call wrote, and the call costs what it visits.
     """
     aut = compile_path(path)
     delta, accept, step = aut.delta, aut.accept, aut.step
     tags, parents, ends = tree.tags, tree.parents, tree.ends
     out = [v0] if accept[aut.start] else []
     last = ends[v0]
-    states = [0] * (last - v0 + 1)  # by offset from v0
-    states[0] = aut.start
+    states = tree.scratch
+    states[v0] = aut.start
     v = v0 + 1
     while v <= last:
-        s = states[parents[v] - v0]
+        s = states[parents[v]]
         tag = tags[v]
         d = delta[s].get(tag)
         if d is None:
             d = step(s, tag)
         if d:
-            states[v - v0] = d
+            states[v] = d
             if accept[d]:
                 out.append(v)
             v += 1
         else:
             v = ends[v] + 1
+    return out
+
+
+def holders(tree: DocTree, path: PathRegex, rng: Range, test) -> list[int]:
+    """In id order, the nodes x for which some node of
+    ``apply_range(subelem(tree, x, path), rng)`` passes test, in one pass.
+
+    A finite path language, whose longest word has L labels, takes one
+    top-down pass: every node carries the DFA runs still alive there, one
+    per context at most L above it, so each context gathers its hits in
+    document order in O(N·L); the range, which must be structured, then
+    selects per context.  Any other path needs the ``*`` range: one
+    bottom-up pass over the ids in descending order gives each node the
+    bitmask of NFA states from which its subtree completes a match at a
+    node passing test, ORed into its parent's through its own tag with
+    ``PathAutomaton.pre``, in O(N).  test runs at most once per node.
+    """
+    aut = compile_path(path)
+    tags, parents = tree.tags, tree.parents
+    n = len(tags)
+    if not is_finite(path):
+        if not isinstance(rng, StarRange):
+            raise ValueError("a ranged infinite path has no one-pass holders")
+        back, pre = aut.back, aut.pre
+        final, start_bit = aut.final_mask, aut.start_bit
+        masks = [0] * n
+        out = []
+        for v in range(n - 1, -1, -1):
+            m = masks[v]
+            if test(v):
+                m |= final
+            if m & start_bit:
+                out.append(v)
+            p = parents[v]
+            if m and p is not None:
+                tag = tags[v]
+                b = back[tag].get(m)
+                masks[p] |= pre(tag, m) if b is None else b
+        out.reverse()
+        return out
+
+    delta, accept, step, start = aut.delta, aut.accept, aut.step, aut.start
+    hits: defaultdict = defaultdict(list)  # context -> its hits in order
+    if accept[start]:
+        for x in range(n):
+            hits[x].append(x)
+    # per node: (context, state) of the runs alive there, besides the one
+    # that starts at the node itself
+    runs: list = [()] * n
+    first = delta[start]
+    for v in range(1, n):
+        p, tag = parents[v], tags[v]
+        d = first.get(tag)
+        if d is None:
+            d = step(start, tag)
+        prev = runs[p]
+        if not (d or prev):
+            continue
+        live = [(p, d)] if d else []
+        if d and accept[d]:
+            hits[p].append(v)
+        for x, s in prev:
+            d = delta[s].get(tag)
+            if d is None:
+                d = step(s, tag)
+            if d:
+                live.append((x, d))
+                if accept[d]:
+                    hits[x].append(v)
+        if live:
+            runs[v] = live
+    out, passed = [], {}
+    for x in sorted(hits):
+        seq = hits[x]
+        for i in _positions(rng, len(seq)):
+            y = seq[i]
+            ok = passed.get(y)
+            if ok is None:
+                ok = passed[y] = test(y)
+            if ok:
+                out.append(x)
+                break
     return out

@@ -430,7 +430,7 @@ def typecheck(stmt) -> ob.Type:
 
 def _cond_holds(tree: DocTree, v: int, cond) -> bool:
     if isinstance(cond, TxtEq):
-        return tree.txt(v) == cond.s
+        return tree.txt_equals(v, cond.s)
     pa = cond.patom
     hits = apply_range(subelem(tree, v, pa.path), pa.range)
     return any(

@@ -15,8 +15,7 @@ parsers; this keeps the generator usable without importing them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from .doctree import ROOT_TAG, TEXT_TAG, DocTree
 
@@ -580,6 +579,21 @@ class TreeGenSpec:
     text_alphabet: str = "xy"
     max_fanout: int = 4
     max_depth: int = 5
+    chain: bool = False  # one element per level, each over a text leaf
+
+    @classmethod
+    def profile(cls, name: str, seed: int, max_nodes: int = 30) -> TreeGenSpec:
+        """A named document shape: "default"; "deep", a chain of elements
+        with text at each level; "one_tag", one tag and one text letter,
+        under which paths and conditions match almost everywhere."""
+        return cls(seed=seed, max_nodes=max_nodes, **TREE_PROFILES[name])
+
+
+TREE_PROFILES = {
+    "default": {},
+    "deep": {"chain": True},
+    "one_tag": {"tags": ("a",), "text_alphabet": "x"},
+}
 
 
 def gen_tree(spec: TreeGenSpec) -> DocTree:
@@ -598,6 +612,17 @@ def gen_tree(spec: TreeGenSpec) -> DocTree:
         budget -= 1
         return len(tags) - 1
 
+    def a_text() -> str:
+        return "".join(rng.choice(spec.text_alphabet) for _ in range(rng.randint(1, 3)))
+
+    if spec.chain:
+        v = 0
+        while budget > 0:
+            v = add(rng.choice(spec.tags), v)
+            if budget > 0:
+                add(TEXT_TAG, v, a_text())
+        return DocTree.from_parents(tags, parents, texts)
+
     # one frame per element still growing: [node, depth, children, last
     # child was text]; a child element's frame runs before its parent's
     # next draw, so ids come out in preorder
@@ -610,9 +635,7 @@ def gen_tree(spec: TreeGenSpec) -> DocTree:
             continue
         frame[2] += 1
         if not last_was_text and depth >= 1 and rng.random() < 0.3:
-            length = rng.randint(1, 3)
-            text = "".join(rng.choice(spec.text_alphabet) for _ in range(length))
-            add(TEXT_TAG, v, text)
+            add(TEXT_TAG, v, a_text())
             frame[3] = True
         else:
             child = add(rng.choice(spec.tags), v)
@@ -869,38 +892,3 @@ def gen_path_text(seed: int, tags=("a", "b", "c"), max_depth: int = 4) -> str:
         return f"({inner})*" if len(inner) > 1 else inner + "*"
 
     return go(max_depth)
-
-
-# ---------------------------------------------------------------------------
-# corpus layout
-
-
-@dataclass(frozen=True)
-class CorpusCase:
-    name: str
-    doc: Path
-    wrappers: tuple  # of Path
-
-
-_WRAPPER_SUFFIXES = {".rpn", ".hel", ".vhel", ".elog"}
-
-
-def corpus_cases(corpus_dir) -> list[CorpusCase]:
-    """Cases are subdirectories holding one .doc plus wrapper files; a golden
-    for wrapper w.ext sits next to it as w.expected.json / w.expected.atoms."""
-    out = []
-    root = Path(corpus_dir)
-    for sub in sorted(p for p in root.iterdir() if p.is_dir()):
-        docs = sorted(sub.glob("*.doc"))
-        if len(docs) != 1:
-            raise ValueError(f"corpus case {sub.name} needs exactly one .doc")
-        wrappers = tuple(
-            sorted(p for p in sub.iterdir() if p.suffix in _WRAPPER_SUFFIXES)
-        )
-        out.append(CorpusCase(sub.name, docs[0], wrappers))
-    return out
-
-
-def golden_for(wrapper: Path, kind: str = "json", cut: bool = False) -> Path:
-    suffix = (".cut" if cut else "") + ".expected." + kind
-    return wrapper.with_name(wrapper.stem + suffix)

@@ -160,6 +160,36 @@ def test_run_statement_on_a_large_document(wrapctl, tmp_path, shape):
         assert rc == 0
 
 
+DEEP_CONDITIONS = {  # statement, document, value, and whether to run the
+    # .rpn too: evaluated directly, a descendant condition at every level
+    # still costs the depth per node
+    "own_text": ('(_*.a){txt = "t"}.txt', "<a>t" * BIG + "</a>" * BIG, ["t"], True),
+    "descendant": (
+        '(_*.a){(_*.b).txt = "x"}.b.txt',
+        "<a>" * BIG + "<b>x</b>" + "</a>" * BIG,
+        ["x"],
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_CONDITIONS)
+def test_run_condition_on_a_deep_document(wrapctl, tmp_path, case):
+    stmt, doc, expect, direct = DEEP_CONDITIONS[case]
+    d = tmp_path / "deep.doc"
+    d.write_text(doc)
+    w = tmp_path / "s.rpn"
+    w.write_text(stmt)
+    rc, program, _ = wrapctl("translate", w, "--to", "elog")
+    assert rc == 0
+    p = tmp_path / "s.elog"
+    p.write_text(program)
+    for wrapper, out_flags in [(p, ["--out", "json"])] + [(w, [])] * direct:
+        rc, out, err = wrapctl("run", wrapper, d, *out_flags)
+        assert (rc, err) == (0, "")
+        assert json.loads(out) == expect
+
+
 @pytest.mark.parametrize("shape", ["deep", "wide"])
 def test_run_sibling_program_on_a_large_document(wrapctl, tmp_path, shape):
     d = tmp_path / f"{shape}.doc"

@@ -382,6 +382,20 @@ def test_dom_rule_inside_a_recursive_component(doc1):
     assert elog.unary_query(store, "q") == first_children
 
 
+def test_contains_dom_rule_inside_a_recursive_component(doc1):
+    # c is derived node by node, so each q atom brings its parent back
+    prog = elog.parse_elog(
+        "c(X0, X) :- dom(X0, X), contains[_][*](X, Y), q(_, Y).\n"
+        "q(X0, X) :- root(_, X0), subelem[_*][*](X0, X), "
+        'contains_s(X, "item"), label(X, td).\n'
+        "q(X0, X) :- root(_, X0), subelem[_*][*](X0, X), c(_, X).\n"
+    )
+    store = elog.eval_fixpoint(prog, doc1)
+    item_rows_and_above = frozenset({0, 1, 2, 3, 4, 14})
+    assert store.unary["c"] == item_rows_and_above
+    assert elog.unary_query(store, "q") == item_rows_and_above | {5, 15}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_strict_descent_for_epsilon_free_paths(seed):
@@ -428,6 +442,16 @@ def test_fixpoint_matches_naive_oracle_on_a_large_tree():
     tree = testkit.gen_tree(spec)
     assert len(tree) == 465
     for seed in range(40):
+        program = elog.parse_elog(testkit.gen_program(seed))
+        expected = _oracle_outcome(program, tree)
+        assert _fixpoint_outcome(program, tree) == expected, program.to_text()
+
+
+@pytest.mark.parametrize("profile", ["deep", "one_tag"])
+def test_fixpoint_matches_naive_oracle_on_shaped_trees(profile):
+    for seed in range(300):
+        spec = testkit.TreeGenSpec.profile(profile, seed, max_nodes=120)
+        tree = testkit.gen_tree(spec)
         program = elog.parse_elog(testkit.gen_program(seed))
         expected = _oracle_outcome(program, tree)
         assert _fixpoint_outcome(program, tree) == expected, program.to_text()

@@ -164,7 +164,7 @@ def test_generated_vf_statements_round_trip(seed):
 
 def test_binding_paths_include_the_witness():
     s = hel.parse_hel(ITEMS_HEL)
-    assert hel.cc_paths(s) == (
+    assert tuple(hel.steps_to_text(p) + ".txt" for p in hel.cc_step_paths(s.cc)) == (
         "html.body.table.tr[0].td[0].txt",
         "html.body.table.tr[i:*].td[1].txt",
     )

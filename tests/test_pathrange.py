@@ -2,6 +2,7 @@
 the brute-force oracles."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from wraplab import pathrange as pr
 from wraplab import rpn
 from wraplab import testkit as tk
-from wraplab.doctree import parse_document
+from wraplab.doctree import DocTree, parse_document
 
 DOC1 = parse_document(tk.DOC1)
 
@@ -141,6 +142,51 @@ def test_subelem_matches_naive_on_large_shapes(shape):
         p = pr.parse_path(text)
         for v0 in starts:
             assert pr.subelem(t, v0, p) == tk.naive_subelem(t, v0, p)
+
+
+def test_child_step_from_the_top_of_a_deep_chain_allocates_little():
+    # a child step visits two nodes, however deep the subtree below them
+    n = 100_000
+    t = DocTree.from_parents(["#doc"] + ["a"] * n, [None, *range(n)], [""] * (n + 1))
+    p = pr.parse_path("a")
+    assert pr.subelem(t, 1, p) == [2]
+    tracemalloc.start()
+    try:
+        pr.subelem(t, 1, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def _naive_holders(t, p, rng, test) -> list:
+    return [
+        x for x in t.nodes()
+        if any(test(y) for y in tk.naive_select(tk.naive_subelem(t, x, p), rng))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(tk.TREE_PROFILES)),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(["*", "0", "1", "1-2", "0,2", "last"]),
+)
+def test_holders_match_per_node_selection(profile, tree_seed, path_seed, rng_text):
+    t = tk.gen_tree(tk.TreeGenSpec.profile(profile, tree_seed, max_nodes=40))
+    p = pr.parse_path(tk.gen_path_text(path_seed, max_depth=3))
+    rng = pr.parse_range(rng_text if pr.is_finite(p) else "*")
+    for test in (lambda y: True, lambda y: t.tags[y] in ("a", "#text")):
+        assert pr.holders(t, p, rng, test) == _naive_holders(t, p, rng, test)
+
+
+def test_holders_call_the_test_once_per_node():
+    t = tk.gen_tree(tk.TreeGenSpec.profile("one_tag", 5, max_nodes=60))
+    for text in ("_|_._|()", "_*"):
+        seen = []
+        pr.holders(t, pr.parse_path(text), pr.StarRange(), lambda y: seen.append(y) or False)
+        assert len(seen) == len(set(seen)) == len(t)
 
 
 def _rows(n: int) -> str:

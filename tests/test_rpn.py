@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wraplab import elog
+from wraplab import elog, hel
 from wraplab import objects as ob
+from wraplab import pathrange as pr
 from wraplab import rpn
 from wraplab.doctree import parse_document
 from wraplab.pathrange import Atom, Index
@@ -18,6 +19,7 @@ from wraplab.testkit import (
     gen_stmt,
     gen_tree,
     has_eps_link,
+    naive_helvf,
     naive_rpn,
 )
 
@@ -420,3 +422,67 @@ def test_translation_matches_direct_evaluation(seed):
     prog, _, _ = rpn.translate_rpn(w)
     _, val = elog.run_pipeline(prog, tree)
     assert val == rpn.eval_rpn(w, tree)
+
+
+class _CountedList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_translated_descendant_condition_reads_linearly_many_tags():
+    # c1 holds at every a, each over the one b: derived per node, every a
+    # would walk the whole chain below it
+    w = rpn.parse_rpn('(_*.a){(_*.b).txt = "x"}.b.txt')
+    prog, _, _ = rpn.translate_rpn(w)
+    counts = []
+    for n in (1000, 4000):
+        tree = parse_document("<a>" * n + "<b>x</b>" + "</a>" * n)
+        tree.tags = tags = _CountedList(tree.tags)
+        store = elog.eval_fixpoint(prog, tree)
+        assert elog.unary_query(store, "p2") == {n + 1}
+        assert len(store.unary["c1"]) == n + 1  # the root and every a
+        counts.append(tags.reads)
+    assert counts[1] / counts[0] <= 4.5, counts
+
+
+@pytest.fixture
+def one_pass(monkeypatch):
+    """Counts the dom rules whose image one holders pass derived non-empty,
+    by the regime of the pass: a finite path or a star one."""
+    counts = {"finite": 0, "star": 0}
+    holders = elog.holders
+
+    def counted(tree, path, rng, test):
+        out = holders(tree, path, rng, test)
+        if out:
+            counts["finite" if pr.is_finite(path) else "star"] += 1
+        return out
+
+    monkeypatch.setattr(elog, "holders", counted)
+    return counts
+
+
+@pytest.mark.parametrize("profile", ["deep", "one_tag"])
+def test_translations_match_the_naive_oracles_on_shaped_trees(profile, one_pass):
+    dialects = (
+        ("rpn", rpn.parse_rpn, rpn.translate_rpn, naive_rpn),
+        ("helvf", hel.parse_vhel, hel.translate_vf, naive_helvf),
+    )
+    for seed in range(300):
+        spec = TreeGenSpec.profile(profile, seed, max_nodes=80)
+        tree = gen_tree(spec)
+        for language, parse, translate, naive in dialects:
+            w = parse(gen_stmt(StmtGenSpec(
+                seed=seed, language=language, tags=spec.tags, condition_probability=0.8
+            )))
+            if has_eps_link(w):
+                continue
+            prog, _, _ = translate(w)
+            _, val = elog.run_pipeline(prog, tree)
+            assert plain(val) == naive(tree, w), (language, seed)
+    assert one_pass["finite"] >= 100 and one_pass["star"] >= 50, one_pass
