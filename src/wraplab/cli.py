@@ -96,7 +96,9 @@ class Wrapper:
             raise WrapperError(f"{path}: {e}") from None
 
     def evaluate(self, tree: DocTree, strict: bool = True, cut: bool = False):
-        """Returns (store-or-None, value-or-None)."""
+        """Returns (store-or-None, value-or-None).  An rpn condition
+        recurses once per link, so a very long one fails with
+        RecursionError."""
         try:
             if self.lang == "rpn":
                 return None, rpn.eval_rpn(self.ast, tree)
@@ -104,7 +106,9 @@ class Wrapper:
                 fn = hel.eval_cut if cut else hel.eval_vf
                 return None, fn(self.ast, tree, strict=strict)
             return elog.run_pipeline(self.ast, tree)
-        except (elog.ElogError, hel.HelError, RangeError, ValueError) as e:
+        except (
+            elog.ElogError, hel.HelError, RangeError, ValueError, RecursionError
+        ) as e:
             raise WrapperError(f"{self.path}: {e}") from None
 
     def value(self, tree: DocTree, strict: bool = True, cut: bool = False):
@@ -157,9 +161,9 @@ def cmd_translate(args) -> int:
         return 0
     if args.to == "elog":
         translate = rpn.translate_rpn if w.lang == "rpn" else hel.translate_vf
-        try:
+        try:  # each condition link is a rule, made recursively
             prog, _, _ = translate(w.ast)
-        except (ValueError, elog.ElogError) as e:
+        except (ValueError, elog.ElogError, RecursionError) as e:
             raise WrapperError(f"{w.path}: {e}") from None
         sys.stdout.write(elog.serialize_elog(prog))
         return 0

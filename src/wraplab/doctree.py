@@ -183,7 +183,8 @@ def parse_document(source: str) -> DocTree:
     Whitespace-only text outside the top element is ignored.
     """
     tags, parents, texts, ends = [ROOT_TAG], [None], [""], [0]
-    stack = [0]  # open elements, root at bottom
+    stack = [0]  # open elements, root at bottom: no element is open at 0
+    count = 1  # nodes so far
     i = 0
     n = len(source)
     open_tag, close_tag = _OPEN_TAG.match, _CLOSE_TAG.match
@@ -194,24 +195,27 @@ def parse_document(source: str) -> DocTree:
             if j < 0:
                 j = n
             run = source[i:j]
-            if len(stack) == 1:
+            parent = stack[-1]
+            if not parent:
                 if run.strip():
                     raise MalformedInput("text outside the top-level element", i)
             else:
-                nid = len(tags)
                 tags.append(TEXT_TAG)
-                parents.append(stack[-1])
+                parents.append(parent)
                 texts.append(run)
-                ends.append(nid)
+                ends.append(count)
+                count += 1
             i = j
             continue
         m = open_tag(source, i)
         if m is not None:
-            if len(stack) == 1 and len(tags) > 1:
+            parent = stack[-1]
+            if not parent and count > 1:
                 raise MalformedInput("more than one top-level element", i)
-            nid = len(tags)
+            nid = count
+            count += 1
             tags.append(m[1].lower())
-            parents.append(stack[-1])
+            parents.append(parent)
             texts.append("")
             ends.append(nid)
             if not m[2]:
@@ -221,15 +225,15 @@ def parse_document(source: str) -> DocTree:
         m = close_tag(source, i)
         if m is not None:
             tag = m[1].lower()
-            if len(stack) == 1:
-                raise MalformedInput(f"unmatched close tag </{tag}>", i)
             v = stack[-1]
+            if not v:
+                raise MalformedInput(f"unmatched close tag </{tag}>", i)
             if tags[v] != tag:
                 raise MalformedInput(
                     f"close tag </{tag}> does not match open <{tags[v]}>", i
                 )
             stack.pop()
-            ends[v] = len(tags) - 1
+            ends[v] = count - 1
             i = m.end()
             continue
         if source.startswith("<!--", i):
@@ -247,9 +251,9 @@ def parse_document(source: str) -> DocTree:
 
     if len(stack) > 1:
         raise MalformedInput(f"unclosed element <{tags[stack[-1]]}>", n)
-    if len(tags) == 1:
+    if count == 1:
         raise MalformedInput("empty document", 0)
-    ends[0] = len(tags) - 1
+    ends[0] = count - 1
     return DocTree(tags, parents, texts, ends)
 
 

@@ -247,7 +247,8 @@ def _dep_edges(program: ElogProgram):
 
 
 def _sccs(nodes, edges) -> list:
-    """Tarjan; returns components in reverse topological order."""
+    """Tarjan, with an explicit stack in place of recursion; returns
+    components in reverse topological order."""
     adj: dict = {n: [] for n in nodes}
     for a, b in edges:
         adj[a].append(b)
@@ -256,32 +257,40 @@ def _sccs(nodes, edges) -> list:
     on: set = set()
     stack: list = []
     comps: list = []
-    counter = [0]
+    work: list = []  # (node, its unvisited successors), the call stack
 
-    def visit(v):
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
+    def push(v):
+        index[v] = low[v] = len(index)
         stack.append(v)
         on.add(v)
-        for w in adj[v]:
-            if w not in index:
-                visit(w)
-                low[v] = min(low[v], low[w])
-            elif w in on:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            comps.append(frozenset(comp))
+        work.append((v, iter(adj[v])))
 
     for n in nodes:
-        if n not in index:
-            visit(n)
+        if n in index:
+            continue
+        push(n)
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    push(w)
+                    break
+                if w in on:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(frozenset(comp))
     return comps
 
 
@@ -1158,16 +1167,14 @@ def monadic_collapse(program: ElogProgram) -> ElogProgram:
     return ElogProgram(tuple(rules), aux, program.record_order, None)
 
 
-def eliminate_aux(store: AtomStore, aux=None) -> AtomStore:
+def eliminate_aux(store: AtomStore) -> AtomStore:
     """Splice auxiliary atoms out of the parent chain.
 
     Every non-aux atom s(b, c) is re-anchored at each node that reaches b
     along aux atoms (b itself included), except at orphaned nodes: aux
     targets that no non-aux atom reaches.  Aux atoms are then dropped.
     Raises AuxCycle when aux atoms form a cycle or a self-loop."""
-    if aux is None:
-        aux = store.aux
-    aux = frozenset(aux)
+    aux = store.aux
     parents: dict[int, list] = {}  # aux target -> its aux sources
     for p, pairs in store.pairs.items():
         if p in aux:
@@ -1276,9 +1283,7 @@ def to_dot(graph: OutputGraph, tree: DocTree) -> str:
 # complex-object rendering
 
 
-def to_complex_object(
-    store: AtomStore, schema, tree: DocTree, emit: str = "text"
-):
+def to_complex_object(store: AtomStore, schema, tree: DocTree):
     """Read the canonical complex object off the atom store, top down from
     the document root.  Every materialized atom must belong to a schema
     predicate; run eliminate_aux first."""
@@ -1295,14 +1300,9 @@ def to_complex_object(
     for k in index:
         index[k].sort()
 
-    def leaf(anchor: int):
-        if emit == "text":
-            return ob.StrVal(tree.txt(anchor))
-        return ob.NodeVal(anchor)
-
     def render(anchor: int, node):
         if isinstance(node, ob.StrSchema):
-            return leaf(anchor)
+            return ob.StrVal(tree.txt(anchor))
         if isinstance(node, ob.RecordSchema):
             return ob.RecordVal(tuple(render(anchor, e) for e in node.entries))
         if isinstance(node, ob.SetSchema):
@@ -1315,12 +1315,12 @@ def to_complex_object(
     return render(tree.root(), schema)
 
 
-def run_pipeline(program: ElogProgram, tree: DocTree, emit: str = "text"):
+def run_pipeline(program: ElogProgram, tree: DocTree):
     """Evaluate, eliminate auxiliaries, and render if a schema is attached.
     Returns (store, value-or-None)."""
     store = eval_fixpoint(program, tree)
     if store.aux:
         store = eliminate_aux(store)
     if program.schema is not None:
-        return store, to_complex_object(store, program.schema, tree, emit)
+        return store, to_complex_object(store, program.schema, tree)
     return store, None

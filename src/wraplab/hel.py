@@ -10,8 +10,9 @@ The result is a variable-free statement in the condition-chain dialect
 (the rpn module's AST), where conditions filter nodes BEFORE the range
 selects among them.
 
-The variable-free form evaluates through the rpn module's walker, with
-conditions first and the range second.  ``eval_vf`` keeps every navigated
+The variable-free form evaluates through the rpn module's walker,
+``_follow``, with conditions first and the range second; a condition's
+targets come from the same walker.  ``eval_vf`` keeps every navigated
 node whose conditions hold.  ``eval_cut`` additionally treats
 ``!``-marked conditions as scan stoppers: once a navigated node violates
 a marked condition, no later sibling match survives.  Condition paths are
@@ -24,19 +25,11 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 from . import rpn
 from .doctree import DocTree
 from .objects import SetVal
-from .pathrange import (
-    Range,
-    StarRange,
-    apply_range,
-    parse_range,
-    range_to_text,
-    subelem,
-)
+from .pathrange import Range, StarRange, parse_range, range_to_text
 
 
 class HelError(Exception):
@@ -382,44 +375,36 @@ def desugar(stmt: HelStatement):
 # evaluation of the variable-free form
 
 
-def _cond_target_txts(tree: DocTree, v: int, cond) -> tuple[list, str]:
-    anchors = [v]
-    while isinstance(cond, rpn.CondChain):
-        pa = cond.patom
-        anchors = list(dict.fromkeys(  # first-seen order, without repeats
-            u for x in anchors
-            for u in apply_range(subelem(tree, x, pa.path), pa.range)
-        ))
-        cond = cond.rest
-    return anchors, cond.s
+def _vf_holds(strict: bool):
+    """The condition semantics of the variable-free form: the condition's
+    chain should reach at most one node, whose text must equal the string."""
 
+    def holds(tree: DocTree, v: int, cond) -> bool:
+        targets, end = rpn._follow(cond, tree, [v], holds, False, False)
+        if len(targets) > 1:
+            detail = (
+                f"condition path reaches {len(targets)} nodes under node {v}; "
+                "it should reach at most one"
+            )
+            if strict:
+                raise SingleValueViolation(detail)
+            warnings.warn(detail, SingleValueWarning, stacklevel=3)
+            return any(tree.txt_equals(u, end.s) for u in targets)
+        return bool(targets) and tree.txt_equals(targets[0], end.s)
 
-def _vf_cond_holds(tree: DocTree, v: int, cond, strict: bool) -> bool:
-    targets, s = _cond_target_txts(tree, v, cond)
-    if len(targets) > 1:
-        detail = (
-            f"condition path reaches {len(targets)} nodes under node {v}; "
-            "it should reach at most one"
-        )
-        if strict:
-            raise SingleValueViolation(detail)
-        warnings.warn(detail, SingleValueWarning, stacklevel=3)
-        return any(tree.txt_equals(u, s) for u in targets)
-    return bool(targets) and tree.txt_equals(targets[0], s)
+    return holds
 
 
 def eval_vf(stmt, tree: DocTree, v: int | None = None, strict: bool = True) -> SetVal:
     """Conditions filter the navigated nodes first, the range selects among
     the survivors.  Cut marks are ignored here."""
-    holds = partial(_vf_cond_holds, strict=strict)
-    return rpn._evaluate(stmt, tree, v, holds, range_first=False, cut=False)
+    return rpn._evaluate(stmt, tree, v, _vf_holds(strict), range_first=False, cut=False)
 
 
 def eval_cut(stmt, tree: DocTree, v: int | None = None, strict: bool = True) -> SetVal:
     """Like eval_vf, but a node violating a '!'-marked condition stops the
     scan: no later navigated node survives, whatever its own conditions."""
-    holds = partial(_vf_cond_holds, strict=strict)
-    return rpn._evaluate(stmt, tree, v, holds, range_first=False, cut=True)
+    return rpn._evaluate(stmt, tree, v, _vf_holds(strict), range_first=False, cut=True)
 
 
 def has_cut(stmt) -> bool:

@@ -20,11 +20,6 @@ class StrVal:
 
 
 @dataclass(frozen=True)
-class NodeVal:
-    node: int
-
-
-@dataclass(frozen=True)
 class RecordVal:
     entries: tuple
 
@@ -81,14 +76,12 @@ class SetVal:
 
 _first = itemgetter(0)
 
-Value = object  # StrVal | NodeVal | RecordVal | SetVal
+Value = object  # StrVal | RecordVal | SetVal
 
 
 def to_jsonable(value: Value):
     if isinstance(value, StrVal):
         return value.s
-    if isinstance(value, NodeVal):
-        return value.node
     if isinstance(value, RecordVal):
         return [to_jsonable(e) for e in value.entries]
     if isinstance(value, SetVal):

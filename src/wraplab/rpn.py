@@ -9,10 +9,14 @@ restricts paths to ``t``/``->t`` steps, forbids nesting conditions inside
 conditions, applies conditions before ranges, and may mark conditions with
 a leading ``!``.
 
-Both dialects evaluate through one walker, ``_walk``: it takes the
-condition semantics, the order (range then filter, or filter then range)
-and whether cut marks stop the filter scan.  ``eval_rpn`` here and the hel
-module's ``eval_vf`` and ``eval_cut`` only choose those three.
+A statement and each of its conditions are one kind of chain, told apart
+by its end: ``txt`` or a record, or a text test.  One parse loop, one
+renderer and one walker, ``_follow``, serve both.  The walker carries the
+set of reached nodes from step to step, so a step navigates from each node
+once; it takes the condition semantics, the order (range then filter, or
+filter then range) and whether cut marks stop the filter scan.
+``eval_rpn`` here and the hel module's ``eval_vf`` and ``eval_cut`` only
+choose those three.
 
 Statements translate to datalog programs whose derived atoms reproduce the
 evaluator's output; the last predicate of every chain carries a schema
@@ -23,7 +27,8 @@ universal dom-rules.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 from . import elog
 from . import objects as ob
@@ -199,21 +204,24 @@ class _StmtParser:
     # -- grammar --------------------------------------------------------------
 
     def statement(self):
-        node = self._statement_inner()
+        node = self._chain(cond=False)
         self.ws()
         if self.pos != len(self.text):
             self.error("trailing input")
         return node
 
-    def _statement_inner(self):
+    def _chain(self, cond: bool):
+        """A statement, or with cond a condition: path atoms up to 'txt',
+        which a condition follows with '= "..."', or up to a record, which
+        only a statement may end in.  A condition's '!' marks its first
+        link."""
+        cut = cond and self.peek() == "!"
+        if cut:
+            if not self.vf:
+                self.error("cut marks belong to the condition-chain dialect")
+            self.pos += 1
         patoms = []
-        while True:
-            self.ws()
-            if self.at_word("txt"):
-                self.pos += 3
-                return self._fold(patoms, Txt())
-            if self.peek() == "(" and self._group_is_record():
-                return self._fold(patoms, self._record())
+        while (end := self._end(cond)) is None:
             axis = "child"
             if self.peek(2) == "->":
                 if not self.vf:
@@ -222,20 +230,30 @@ class _StmtParser:
                 axis = "descendant"
             elif patoms:
                 self.eat(".")
-                if self.at_word("txt"):
-                    self.pos += 3
-                    return self._fold(patoms, Txt())
-                if self.peek() == "(" and self._group_is_record():
-                    return self._fold(patoms, self._record())
+                if (end := self._end(cond)) is not None:
+                    break
                 if self.peek(2) == "->":
                     self.error("write '->' in place of '.', not after it")
-            patoms.append(self._patom(axis))
-
-    def _fold(self, patoms, terminal):
-        node = terminal
+            pa = self._patom(axis)
+            if cond and self.vf and pa.conds:
+                self.error("conditions may not nest inside conditions here")
+            patoms.append(pa)
+        node = end
         for pa in reversed(patoms):
-            node = Chain(pa, node)
-        return node
+            node = CondChain(pa, node) if cond else Chain(pa, node)
+        return replace(node, cut=True) if cut else node
+
+    def _end(self, cond: bool):
+        """The chain's end if the cursor is on one, else None."""
+        if self.at_word("txt"):
+            self.pos += 3
+            if not cond:
+                return Txt()
+            self.eat("=")
+            return TxtEq(self.string())
+        if not cond and self.peek() == "(" and self._group_is_record():
+            return self._record()
+        return None
 
     def _group_is_record(self) -> bool:
         """A parenthesized group is a record iff it has a separating '#'
@@ -280,57 +298,15 @@ class _StmtParser:
         inside = self.balanced("{", "}")
         dialect = "vhel" if self.vf else "rpn"
         sub = _StmtParser(inside, dialect)
-        conds = [sub._cond()]
+        conds = [sub._chain(cond=True)]
         sub.ws()
         while sub.pos < len(sub.text):
             if not sub.at_word("and"):
                 sub.error("expected 'and' between conditions")
             sub.pos += 3
-            conds.append(sub._cond())
+            conds.append(sub._chain(cond=True))
             sub.ws()
         return tuple(conds)
-
-    def _cond(self):
-        cut = False
-        if self.peek() == "!":
-            if not self.vf:
-                self.error("cut marks belong to the condition-chain dialect")
-            self.eat("!")
-            cut = True
-        patoms = []
-
-        def fold():
-            self.eat("=")
-            node = TxtEq(self.string(), cut and not patoms)
-            for k, pa in enumerate(reversed(patoms)):
-                node = CondChain(pa, node, cut and k == len(patoms) - 1)
-            return node
-
-        while True:
-            self.ws()
-            if self.at_word("txt"):
-                self.pos += 3
-                return fold()
-            axis = "child"
-            if self.peek(2) == "->":
-                if not self.vf:
-                    self.error("'->' steps belong to the condition-chain dialect")
-                self.eat("->")
-                axis = "descendant"
-            elif patoms:
-                self.eat(".")
-                if self.at_word("txt"):
-                    self.pos += 3
-                    return fold()
-                if self.peek(2) == "->":
-                    self.error("write '->' in place of '.', not after it")
-            patoms.append(self._patom_cond(axis))
-
-    def _patom_cond(self, axis: str) -> Patom:
-        pa = self._patom(axis)
-        if self.vf and pa.conds:
-            self.error("conditions may not nest inside conditions here")
-        return pa
 
 
 def split_entries(inside: str) -> list[str]:
@@ -351,7 +327,8 @@ def parse_rpn(text: str):
     return parse_statement(text, "rpn")
 
 
-def _patom_text(pa: Patom, vf: bool, axis_prefix: bool) -> str:
+def _patom_text(pa: Patom, dialect: str, axis_prefix: bool) -> str:
+    vf = dialect == "vhel"
     if isinstance(pa.path, (Atom, Wildcard)):
         s = pa.path.tag if isinstance(pa.path, Atom) else "_"
         sep = "." if axis_prefix else ""
@@ -364,49 +341,38 @@ def _patom_text(pa: Patom, vf: bool, axis_prefix: bool) -> str:
         sep = "." if axis_prefix else ""
     else:
         raise ValueError(f"path {pa.path!r} has no condition-chain syntax")
-    if not axis_prefix and sep == ".":
-        sep = ""
     out = sep + s
     if pa.range != StarRange():
         out += f"[{range_to_text(pa.range)}]"
     elif vf and pa.conds:
         out += "[*]"  # the condition-chain dialect spells out filtered stars
     if pa.conds:
-        out += "{" + " and ".join(_cond_text(c, vf) for c in pa.conds) + "}"
+        out += "{" + " and ".join(statement_to_text(c, dialect) for c in pa.conds) + "}"
     return out
 
 
-def _cond_text(c, vf: bool) -> str:
-    parts = []
-    cut = getattr(c, "cut", False)
-    first = True
-    while isinstance(c, CondChain):
-        parts.append(_patom_text(c.patom, vf, axis_prefix=not first))
-        first = False
-        c = c.rest
-    sep = "" if first else "."
-    parts.append(f"{sep}txt = {json.dumps(c.s, ensure_ascii=False)}")
-    return ("!" if cut else "") + "".join(parts)
-
-
 def statement_to_text(stmt, dialect: str = "rpn") -> str:
-    vf = dialect == "vhel"
+    """The text of a statement, or of a condition: both are chains of path
+    atoms, one ending in txt or a record and the other in a text test."""
+    cut = getattr(stmt, "cut", False)
     parts = []
     first = True
-    while isinstance(stmt, Chain):
-        parts.append(_patom_text(stmt.patom, vf, axis_prefix=not first))
+    while isinstance(stmt, (Chain, CondChain)):
+        parts.append(_patom_text(stmt.patom, dialect, axis_prefix=not first))
         first = False
         stmt = stmt.rest
     sep = "" if first else "."
     if isinstance(stmt, Txt):
         parts.append(sep + "txt")
+    elif isinstance(stmt, TxtEq):
+        parts.append(f"{sep}txt = {json.dumps(stmt.s, ensure_ascii=False)}")
     elif isinstance(stmt, Record):
         inner = " # ".join(statement_to_text(e, dialect) for e in stmt.entries)
         # record parens attach directly to the last patom in vf syntax
-        parts.append(("" if vf else sep) + "(" + inner + ")")
+        parts.append(("" if dialect == "vhel" else sep) + "(" + inner + ")")
     else:
         raise TypeError(f"not a statement: {stmt!r}")
-    return "".join(parts)
+    return ("!" if cut else "") + "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -428,76 +394,90 @@ def typecheck(stmt) -> ob.Type:
 # evaluation
 
 
-def _cond_holds(tree: DocTree, v: int, cond) -> bool:
+def _cond_holds(tree: DocTree, v: int, cond, memo: dict) -> bool:
+    """Whether some node that cond's first link keeps at v passes that
+    link's own conditions and the rest of cond.  The search stops at the
+    first such witness; memo keeps each link's answer per node for one
+    evaluation."""
     if isinstance(cond, TxtEq):
         return tree.txt_equals(v, cond.s)
-    pa = cond.patom
-    hits = apply_range(subelem(tree, v, pa.path), pa.range)
-    return any(
-        all(_cond_holds(tree, w, c) for c in pa.conds)
-        and _cond_holds(tree, w, cond.rest)
-        for w in hits
-    )
+    key = (id(cond), v)
+    held = memo.get(key)
+    if held is None:
+        pa = cond.patom
+        held = memo[key] = any(
+            all(_cond_holds(tree, w, c, memo) for c in pa.conds)
+            and _cond_holds(tree, w, cond.rest, memo)
+            for w in apply_range(subelem(tree, v, pa.path), pa.range)
+        )
+    return held
 
 
 def eval_rpn(stmt, tree: DocTree, v: int | None = None):
     """The range selects among the path matches first; conditions filter
     the selected nodes afterwards."""
-    return _evaluate(stmt, tree, v, _cond_holds, range_first=True, cut=False)
+    holds = partial(_cond_holds, memo={})
+    return _evaluate(stmt, tree, v, holds, range_first=True, cut=False)
 
 
 def _evaluate(
     stmt, tree: DocTree, v: int | None, holds, range_first: bool, cut: bool
 ):
     """The value of stmt at v (default: the root) under the given order
-    and condition semantics; every evaluator entry point lands here."""
-    best: dict = {}
-    _walk(stmt, tree, tree.root() if v is None else v, holds, range_first, cut, best)
-    return ob.SetVal([(key, value) for value, key in best.items()])
+    and condition semantics; every evaluator entry point lands here.  A
+    record evaluates its entries at each node its chain ends on."""
+    start = tree.root() if v is None else v
+    nodes, end = _follow(stmt, tree, [start], holds, range_first, cut)
+    if isinstance(end, Txt):
+        return ob.SetVal([(w, ob.StrVal(tree.txt(w))) for w in nodes])
+    if isinstance(end, Record):
+        return ob.SetVal([
+            (w, ob.RecordVal(tuple(
+                _evaluate(e, tree, w, holds, range_first, cut) for e in end.entries
+            )))
+            for w in nodes
+        ])
+    raise TypeError(f"not a statement: {end!r}")
 
 
-def _walk(stmt, tree: DocTree, v: int, holds, range_first: bool, cut: bool, best: dict):
-    """Put each value stmt yields at v into best, under its smallest key.
+def _follow(chain, tree: DocTree, nodes: list, holds, range_first: bool, cut: bool):
+    """The nodes a statement's or a condition's chain reaches from nodes,
+    and the chain's end (Txt, Record or TxtEq).
 
-    range_first applies a chain step's range to the navigated nodes and
+    Each step maps the node list, which has no repeats and is in document
+    order, to the nodes its patom keeps from any of them, so a step
+    navigates from each node once however many paths reach it.
+    range_first applies the patom's range to a node's navigated nodes and
     then checks holds(tree, w, cond) on the selected ones; otherwise the
     conditions filter first and the range selects among the survivors.
-    With cut, a node failing a '!'-marked condition ends the filter scan.
-    A record opens one output set per entry."""
-    if isinstance(stmt, Chain):
-        pa = stmt.patom
-        hits = subelem(tree, v, pa.path)
-        if range_first:
-            kept = (
-                w for w in apply_range(hits, pa.range)
-                if all(holds(tree, w, c) for c in pa.conds)
-            )
-        else:
-            keep = []
-            for w in hits:
-                if cut:  # all run: a marked one may fail after another did
-                    held = [holds(tree, w, c) for c in pa.conds]
-                    if all(held):
+    With cut, a node failing a '!'-marked condition ends the filter scan."""
+    while isinstance(chain, (Chain, CondChain)):
+        pa = chain.patom
+        reached = []
+        for v in nodes:
+            hits = subelem(tree, v, pa.path)
+            if not pa.conds:  # either order keeps the same nodes
+                reached += apply_range(hits, pa.range)
+            elif range_first:
+                reached += (
+                    w for w in apply_range(hits, pa.range)
+                    if all(holds(tree, w, c) for c in pa.conds)
+                )
+            else:
+                keep = []
+                for w in hits:
+                    if cut:  # all run: a marked one may fail after another did
+                        held = [holds(tree, w, c) for c in pa.conds]
+                        if all(held):
+                            keep.append(w)
+                        if not all(ok for ok, c in zip(held, pa.conds) if c.cut):
+                            break
+                    elif all(holds(tree, w, c) for c in pa.conds):
                         keep.append(w)
-                    if not all(ok for ok, c in zip(held, pa.conds) if c.cut):
-                        break
-                elif all(holds(tree, w, c) for c in pa.conds):
-                    keep.append(w)
-            kept = apply_range(keep, pa.range)
-        for w in kept:
-            _walk(stmt.rest, tree, w, holds, range_first, cut, best)
-        return
-    if isinstance(stmt, Txt):
-        value = ob.StrVal(tree.txt(v))
-    elif isinstance(stmt, Record):
-        value = ob.RecordVal(tuple(
-            _evaluate(e, tree, v, holds, range_first, cut) for e in stmt.entries
-        ))
-    else:
-        raise TypeError(f"not a statement: {stmt!r}")
-    old = best.get(value)
-    if old is None or v < old:
-        best[value] = v
+                reached += apply_range(keep, pa.range)
+        nodes = reached if len(nodes) == 1 else sorted(set(reached))
+        chain = chain.rest
+    return nodes, chain
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,46 @@ def test_run_rejects_wrappers_nested_too_deep(wrapctl, tmp_path, name):
     assert "recursion" in err and "Traceback" not in err
 
 
+LONG = 3000  # steps in a chain, rules in a program, levels in a document
+
+
+@pytest.mark.parametrize("name", ["steps.rpn", "steps.vhel"])
+def test_run_long_statement_on_a_deep_document(wrapctl, tmp_path, name):
+    d = tmp_path / "deep.doc"
+    d.write_text("<a>" * LONG + "<b>x</b>" + "</a>" * LONG)
+    w = tmp_path / name
+    w.write_text("a." * LONG + "b.txt" + (";" if name.endswith(".vhel") else ""))
+    rc, out, err = wrapctl("run", w, d)
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == ["x"]
+
+
+def test_run_long_program_listed_dependents_first(wrapctl, tmp_path):
+    w = tmp_path / "chain.elog"
+    w.write_text("".join(
+        f"p{i}(X0, X) :- p{i - 1}(_, X0), subelem[_][*](X0, X).\n"
+        for i in range(LONG, 1, -1)
+    ) + "p1(X0, X) :- root(_, X0), subelem[a][*](X0, X).\n")
+    d = tmp_path / "deep.doc"
+    d.write_text("<a>" * LONG + "</a>" * LONG)
+    rc, out, err = wrapctl("run", w, d)
+    assert (rc, err) == (0, "")
+    assert f"p{LONG}({LONG - 1},{LONG})" in out.split()
+
+
+def test_long_rpn_condition_fails_on_one_line(wrapctl, tmp_path):
+    # conditions are searched and translated one recursive call per link
+    w = tmp_path / "cond.rpn"
+    w.write_text("a{" + "b." * LONG + 'txt = "x"}.txt')
+    d = tmp_path / "deep.doc"
+    d.write_text("<a>" + "<b>" * LONG + "x" + "</b>" * LONG + "</a>")
+    for argv in (("run", w, d), ("translate", w, "--to", "elog")):
+        rc, out, err = wrapctl(*argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("wrapctl: ") and err.count("\n") == 1
+        assert "recursion" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # translate
 

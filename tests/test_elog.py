@@ -664,14 +664,6 @@ def test_empty_sets_are_kept(doc1):
     assert ob.to_jsonable(value) == [[["x"], []]]
 
 
-def test_node_emission(doc1):
-    store = _store({"p": {(0, 5), (0, 15)}})
-    value = elog.to_complex_object(
-        store, ob.parse_schema("set(p, str)"), doc1, emit="nodes"
-    )
-    assert ob.to_jsonable(value) == [5, 15]
-
-
 def test_schema_mismatch_detected(doc1):
     store = _store({"p": {(0, 5)}, "stray": {(0, 7)}})
     with pytest.raises(elog.SchemaMismatch):

@@ -11,7 +11,7 @@ from wraplab import elog, hel
 from wraplab import objects as ob
 from wraplab import rpn
 from wraplab.doctree import parse_document
-from wraplab.pathrange import Atom, Index, Interval, StarRange
+from wraplab.pathrange import Atom, Index, Interval, RangeSyntaxError, StarRange
 from wraplab.testkit import (
     DOC1,
     StmtGenSpec,
@@ -113,10 +113,9 @@ def test_multiple_conditions():
     ],
 )
 def test_rejected_statements(text):
-    with pytest.raises(Exception) as e:
+    with pytest.raises((hel.HelSyntaxError, RangeSyntaxError)):
         s = hel.parse_hel(text)
         raise AssertionError(f"parsed: {s!r}")
-    assert isinstance(e.value, (hel.HelSyntaxError, Exception))
 
 
 def test_vhel_accepts_cut_marks_and_semicolon():
@@ -128,6 +127,21 @@ def test_vhel_accepts_cut_marks_and_semicolon():
 def test_vhel_rejects_regex_paths():
     with pytest.raises(hel.HelSyntaxError):
         hel.parse_vhel("(a|b).txt;")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('a{b{c.txt = "x"}.txt = "y"}.txt;', "at 14: conditions may not nest"),
+        ('a{b(c.txt # d.txt)}.txt;', "at 1: expected '.'"),  # no record
+        ('a{(c.txt # d.txt)}.txt;', "at 0: regex paths belong"),
+        ('a{!!b.txt = "x"}.txt;', "at 1: expected a tag"),
+    ],
+)
+def test_vhel_conditions_are_chains_without_records_or_nesting(text, message):
+    with pytest.raises(hel.HelSyntaxError) as e:
+        hel.parse_vhel(text)
+    assert str(e.value).startswith(message)
 
 
 def test_vhel_round_trip():

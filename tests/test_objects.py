@@ -51,10 +51,6 @@ def test_jsonable_nesting():
     assert ob.json_text(outer) == '[[["a"], []]]'
 
 
-def test_node_values_render_as_ids():
-    assert ob.to_jsonable(sv((0, ob.NodeVal(7)))) == [7]
-
-
 def test_contained_in():
     small = sv((0, ob.StrVal("x")))
     big = sv((0, ob.StrVal("x")), (1, ob.StrVal("y")))

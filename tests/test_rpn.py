@@ -1,6 +1,8 @@
 """Path-expression statements: syntax, typing, evaluation, translation."""
 
 import dataclasses
+import warnings
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +21,7 @@ from wraplab.testkit import (
     gen_stmt,
     gen_tree,
     has_eps_link,
+    naive_cut,
     naive_helvf,
     naive_rpn,
 )
@@ -141,10 +144,11 @@ def test_string_escapes():
         'a{!b.txt = "x"}.txt',  # cut marks are not part of this dialect
         'a{b = "x"}.txt',  # conditions compare text, not nodes
         "a[2-1].txt",  # empty interval
+        'a{(b.txt # c.txt)}.txt',  # a record cannot end a condition
     ],
 )
 def test_rejected_statements(text):
-    with pytest.raises((rpn.RpnSyntaxError, Exception)):
+    with pytest.raises((rpn.RpnSyntaxError, pr.PathSyntaxError, pr.RangeSyntaxError)):
         w = rpn.parse_statement(text, "rpn")
         raise AssertionError(f"parsed: {w!r}")
 
@@ -448,6 +452,64 @@ def test_translated_descendant_condition_reads_linearly_many_tags():
         assert len(store.unary["c1"]) == n + 1  # the root and every a
         counts.append(tags.reads)
     assert counts[1] / counts[0] <= 4.5, counts
+
+
+def _nested_a(n: int, inner: str):
+    tree = parse_document("<a>" * n + inner + "</a>" * n)
+    tree.tags = _CountedList(tree.tags)
+    return tree
+
+
+@pytest.mark.parametrize("dialect", ["rpn", "vhel"])
+def test_chain_steps_walk_each_reached_node_once(dialect):
+    # every a is reached by as many paths as there are a's above it; a step
+    # navigates from it once all the same
+    if dialect == "rpn":
+        w, run = rpn.parse_rpn("(_*.a).(_*.a).(_*.a).(_*.b).txt"), rpn.eval_rpn
+    else:
+        w, run = hel.parse_vhel("->a->a->a->b.txt;"), hel.eval_vf
+    counts = []
+    for n in (100, 200):
+        tree = _nested_a(n, "<b>x</b>")
+        assert ob.to_jsonable(run(w, tree)) == ["x"]
+        counts.append(tree.tags.reads)
+    assert counts[1] / counts[0] <= 4.5, counts
+
+
+def test_condition_links_are_decided_once_per_node():
+    # the condition fails at every a, so each search runs to its end; a
+    # link's answer at a node is then reused by every search reaching it
+    w = rpn.parse_rpn('(_*.a){(_*.a).(_*.a).(_*.b).txt = "x"}.txt')
+    counts = []
+    for n in (40, 80):
+        tree = _nested_a(n, "<b>y</b>")
+        assert ob.to_jsonable(rpn.eval_rpn(w, tree)) == []
+        counts.append(tree.tags.reads)
+    assert counts[1] / counts[0] <= 4.5, counts
+
+
+@pytest.mark.parametrize("profile", ["deep", "one_tag"])
+def test_direct_evaluators_match_the_naive_oracles_on_shaped_trees(profile):
+    nonempty = 0
+    for seed in range(150):
+        spec = TreeGenSpec.profile(profile, seed, max_nodes=60)
+        tree = gen_tree(spec)
+        gen = partial(
+            StmtGenSpec, seed=seed, tags=spec.tags, max_chain=2, condition_probability=0.3
+        )
+        w = rpn.parse_rpn(gen_stmt(gen(language="rpn")))
+        vf = hel.parse_vhel(gen_stmt(gen(language="helvf", cut_probability=0.5)))
+        for v in range(len(tree)):
+            got = plain(rpn.eval_rpn(w, tree, v))
+            assert got == naive_rpn(tree, w, v), (seed, v)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", hel.SingleValueWarning)
+                full = plain(hel.eval_vf(vf, tree, v, strict=False))
+                cut = plain(hel.eval_cut(vf, tree, v, strict=False))
+            assert full == naive_helvf(tree, vf, v), (seed, v)
+            assert cut == naive_cut(tree, vf, v), (seed, v)
+            nonempty += bool(got) + bool(full) + bool(cut)
+    assert nonempty >= 400, nonempty
 
 
 @pytest.fixture
