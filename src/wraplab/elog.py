@@ -16,15 +16,20 @@ pairs.  The copy rule ``p'(_, X) :- p(_, X).`` projects another predicate
 onto a fixed dummy parent; the monadic collapse transformation emits these.
 
 Evaluation is a least fixpoint, run component by component over the
-predicate dependency graph, dependencies first.  Each rule body is planned
-once per evaluation: the order its atoms are solved in depends only on
-which variables the rule's shape binds, so it is fixed when the program is
-loaded (a body with no such order is rejected then), and conditions on the
-parent alone are checked once per parent rather than at every target.
-Each rule is applied once per parent, when the parent is derived; a target
-whose body fails waits on the reference atoms it found false and is tried
-again only when one of them is derived, as in Dowling and Gallier's linear
-Horn-SAT.  A nonrecursive component is thus a single pass.
+predicate dependency graph, dependencies first.  A program is analysed once
+per program object: its rules by head, its components, and the order each
+rule body's atoms are solved in, which depends only on which variables the
+rule's shape binds (a body with no such order is rejected at load time).
+Each rule body is planned once per evaluation, and a chain rule checks the
+conditions on the parent alone once per parent, before navigating from it,
+rather than at every target; only a ``regex:`` step or rule range, which
+can raise whatever the parent, navigates from every parent and leaves them
+in the body.  Each rule is applied once per parent, when the parent is
+derived, and derives its satisfied targets as one set: the pairs go into
+the head's relation and the new targets into its image in one pass.  A
+target whose body fails waits on the reference atoms it found false and is
+tried again only when one of them is derived, as in Dowling and Gallier's
+linear Horn-SAT.  A nonrecursive component is thus a single pass.
 A trailing rule range ``[rho]`` selects among each parent's derived targets
 in document order and forces the whole program to be nonrecursive.
 
@@ -43,6 +48,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 from . import objects as ob
 from .doctree import DocTree
@@ -198,8 +205,19 @@ class CopyRule:
     src: str
     xvar: str = "X"
 
+    rule_range = None  # a copy rule never has one
 
-Rule = object
+
+class _Analysis(NamedTuple):
+    """What validation and evaluation need of a program, derived once:
+    each head's (rule, orientation) pairs in program order (a copy rule's
+    orientation is None), the heads in order of first definition, and the
+    dependency graph's components, dependencies first, as (preds,
+    recursive) pairs."""
+
+    rules: dict
+    heads: tuple
+    components: tuple
 
 
 @dataclass(frozen=True)
@@ -209,35 +227,28 @@ class ElogProgram:
     record_order: tuple = ()
     schema: object = None
 
-    def head_preds(self) -> list[str]:
-        seen = []
-        for r in self.rules:
-            if r.head not in seen:
-                seen.append(r.head)
-        return seen
+    @cached_property
+    def _analysis(self) -> _Analysis:
+        return _analyse(self)
 
-    def rules_for(self, pred: str) -> list:
-        return [r for r in self.rules if r.head == pred]
+    def head_preds(self) -> list[str]:
+        return list(self._analysis.heads)
 
     def universal_preds(self) -> frozenset:
-        out = set()
-        for p in self.head_preds():
-            rs = self.rules_for(p)
-            if rs and all(isinstance(r, DomRule) for r in rs):
-                out.add(p)
-        return frozenset(out)
+        return frozenset(
+            p for p, rs in self._analysis.rules.items()
+            if all(isinstance(r, DomRule) for r, _ in rs)
+        )
 
     def has_rule_ranges(self) -> bool:
-        return any(
-            getattr(r, "rule_range", None) is not None for r in self.rules
-        )
+        return any(r.rule_range is not None for r in self.rules)
 
     def to_text(self) -> str:
         return serialize_elog(self)
 
 
-def _dep_edges(program: ElogProgram):
-    for r in program.rules:
+def _dep_edges(rules):
+    for r in rules:
         if isinstance(r, ChainRule) and r.parent not in BUILTINS:
             yield r.head, r.parent
         if isinstance(r, CopyRule):
@@ -343,93 +354,97 @@ def _orient(rule) -> list:
 
 
 def validate_program(program: ElogProgram) -> None:
-    heads = set(program.head_preds())
-    for r in program.rules:
-        where = f"rule for {r.head!r}"
-        if r.head in BUILTINS:
-            raise UnsafeRule(f"{where}: builtin predicates cannot be defined")
-        if isinstance(r, CopyRule):
-            if r.src not in heads:
-                raise UnknownPredicate(f"{where}: no rules for {r.src!r}")
-            continue
-        if isinstance(r, ChainRule):
-            if r.parent not in BUILTINS and r.parent not in heads:
-                raise UnknownPredicate(f"{where}: no rules for parent {r.parent!r}")
-        for ref in r.refs:
-            if ref.pred in BUILTINS:
-                raise UnknownPredicate(
-                    f"{where}: builtin {ref.pred!r} cannot be referenced"
-                )
-            if ref.pred not in heads:
-                raise UnknownPredicate(f"{where}: no rules for {ref.pred!r}")
-        if isinstance(r, DomRule):
-            if r.v0var in {v for c in r.conds + r.refs for v in _cond_vars(c)}:
-                raise UnsafeRule(
-                    f"{where}: the first argument of a dom rule is free and "
-                    "cannot appear in conditions"
-                )
-        # every variable must be linked to the head variables
-        seeds = {r.xvar} if isinstance(r, DomRule) else {r.v0var, r.xvar}
-        linked = set(seeds)
-        pending = list(r.conds)
-        while True:
-            rest = []
-            grew = False
-            for c in pending:
-                vs = set(_cond_vars(c))
-                if vs & linked:
-                    linked |= vs
-                    grew = True
-                else:
-                    rest.append(c)
-            if not grew:
-                break
-            pending = rest
-        stray = {v for c in r.conds + r.refs for v in _cond_vars(c)} - linked
-        if stray:
-            raise UnsafeRule(
-                f"{where}: variable {sorted(stray)[0]!r} is not connected to "
-                "the head variables"
-            )
-        _orient(r)
+    """Raise the program's first fault, if it has one.  The analysis that
+    finds it is computed once per program object and kept for evaluation."""
+    program._analysis
+
+
+def _analyse(program: ElogProgram) -> _Analysis:
+    heads = dict.fromkeys(r.head for r in program.rules)  # in definition order
+    oriented = [(r, _check_rule(r, heads)) for r in program.rules]
+    index: dict = {}
+    for r, order in oriented:
+        index.setdefault(r.head, []).append((r, order))
     # one predicate, one shape: dom rules do not mix with chain rules
-    for p in heads:
-        rs = program.rules_for(p)
-        if any(isinstance(r, DomRule) for r in rs) and not all(
-            isinstance(r, DomRule) for r in rs
-        ):
+    for p, rs in index.items():
+        if len({isinstance(r, DomRule) for r, _ in rs}) > 1:
             raise UnsafeRule(
                 f"predicate {p!r} mixes dom rules with other rule shapes"
             )
-    # groundedness: some rule must bottom out in a builtin parent
-    if program.rules:
-        grounded: set = set()
-        changed = True
-        while changed:
-            changed = False
-            for r in program.rules:
-                if r.head in grounded:
-                    continue
-                ok = (
-                    isinstance(r, DomRule)
-                    or (isinstance(r, ChainRule) and r.parent in BUILTINS)
-                    or (isinstance(r, ChainRule) and r.parent in grounded)
-                    or (isinstance(r, CopyRule) and r.src in grounded)
-                )
-                if ok:
-                    grounded.add(r.head)
-                    changed = True
-        if not grounded:
-            raise UngroundedProgram("no rule is grounded in root or dom")
-    if program.has_rule_ranges():
-        comps = _sccs(program.head_preds(), list(_dep_edges(program)))
-        looped = {a for a, b in _dep_edges(program) if a == b}
-        for comp in comps:
-            if len(comp) > 1 or comp & looped:
+    # groundedness: some rule must bottom out in a builtin parent; every
+    # other rule is grounded through another's head, so one such is enough
+    if oriented and not any(
+        isinstance(r, DomRule) or (isinstance(r, ChainRule) and r.parent in BUILTINS)
+        for r, _ in oriented
+    ):
+        raise UngroundedProgram("no rule is grounded in root or dom")
+    edges = list(_dep_edges(r for r, _ in oriented))
+    looped = {a for a, b in edges if a == b}
+    components = tuple(
+        (comp, len(comp) > 1 or bool(comp & looped))
+        for comp in _sccs(list(heads), edges)
+    )
+    if any(r.rule_range is not None for r, _ in oriented):
+        for comp, recursive in components:
+            if recursive:
                 raise NotStratified(
                     "rule ranges require a nonrecursive program; cycle "
                     f"through {sorted(comp)}"
                 )
+    return _Analysis(
+        {p: tuple(rs) for p, rs in index.items()}, tuple(heads), components
+    )
+
+
+def _check_rule(r, heads) -> list | None:
+    """Raise the rule's first fault, given the program's head predicates;
+    else return its orientation (None for a copy rule)."""
+    where = f"rule for {r.head!r}"
+    if r.head in BUILTINS:
+        raise UnsafeRule(f"{where}: builtin predicates cannot be defined")
+    if isinstance(r, CopyRule):
+        if r.src not in heads:
+            raise UnknownPredicate(f"{where}: no rules for {r.src!r}")
+        return None
+    if isinstance(r, ChainRule):
+        if r.parent not in BUILTINS and r.parent not in heads:
+            raise UnknownPredicate(f"{where}: no rules for parent {r.parent!r}")
+    for ref in r.refs:
+        if ref.pred in BUILTINS:
+            raise UnknownPredicate(
+                f"{where}: builtin {ref.pred!r} cannot be referenced"
+            )
+        if ref.pred not in heads:
+            raise UnknownPredicate(f"{where}: no rules for {ref.pred!r}")
+    if isinstance(r, DomRule):
+        if r.v0var in {v for c in r.conds + r.refs for v in _cond_vars(c)}:
+            raise UnsafeRule(
+                f"{where}: the first argument of a dom rule is free and "
+                "cannot appear in conditions"
+            )
+    # every variable must be linked to the head variables
+    linked = {r.xvar} if isinstance(r, DomRule) else {r.v0var, r.xvar}
+    pending = list(r.conds)
+    while True:
+        rest = []
+        grew = False
+        for c in pending:
+            vs = set(_cond_vars(c))
+            if vs & linked:
+                linked |= vs
+                grew = True
+            else:
+                rest.append(c)
+        if not grew:
+            break
+        pending = rest
+    stray = {v for c in r.conds + r.refs for v in _cond_vars(c)} - linked
+    if stray:
+        raise UnsafeRule(
+            f"{where}: variable {sorted(stray)[0]!r} is not connected to "
+            "the head variables"
+        )
+    return _orient(r)
 
 
 # ---------------------------------------------------------------------------
@@ -754,19 +769,6 @@ class AtomStore:
         self.aux = frozenset(aux)
         self.schema = schema
 
-    def add(self, pred: str, v0: int, v: int) -> bool:
-        bucket = self.pairs.get(pred)
-        if bucket is None:
-            bucket = self.pairs[pred] = set()
-        before = len(bucket)
-        bucket.add((v0, v))
-        return len(bucket) != before
-
-    def atoms(self):
-        for pred in sorted(self.pairs):
-            for v0, v in sorted(self.pairs[pred]):
-                yield pred, v0, v
-
 
 def unary_query(store: AtomStore, pred: str) -> frozenset:
     if pred in store.unary:
@@ -788,11 +790,13 @@ class _Plan:
     """One rule compiled for one evaluation.
 
     ``aut`` is a chain rule's navigation automaton.  ``parent`` checks the
-    conditions on the parent alone, once per parent; ``body`` runs the rest
-    of the rule's orientation at one target.  Both take a list of variable
-    slots: the target in slot 0, the parent in slot 1, then the body's own
-    variables (``pad`` holds their initial values).  Either is None when it
-    has nothing to check.  ``targets`` gives a dom rule's targets: every
+    conditions on the parent alone, once per parent and before navigating
+    from it (None, with the conditions left in ``body``, when a regex range
+    must see every parent's targets); ``body`` runs the rest of the rule's
+    orientation at one target.  Both take a list of variable slots: the
+    target in slot 0, the parent in slot 1, then the body's own variables
+    (``pad`` holds their initial values).  Either is None when it has
+    nothing to check.  ``targets`` gives a dom rule's targets: every
     node, or, when the rule's contains condition is derived in one pass,
     the nodes that hold it, with ``body`` left to check the rest.
     """
@@ -812,28 +816,30 @@ class _Plan:
 class _Eval:
     """Least fixpoint in the manner of Dowling and Gallier's linear Horn-SAT.
 
-    Components of the predicate dependency graph run dependencies first.
-    Each rule is planned once, when its component starts: its body becomes
-    a fixed chain of checks and enumerations (see ``_orient``), and the
-    conditions on the parent alone are checked once per parent.  Each
-    (rule, parent) pair is expanded once, when the parent enters the image
-    of the rule's parent predicate.  A target whose body fails is filed
-    under what its body found false among the component's own predicates:
-    a reference atom p(_, v), or the whole of p where a reference
-    enumerated p's image.  It is tried again only when one of those
-    becomes true.  A nonrecursive component files nothing, so its
-    evaluation is the single pass over its rules' parents.
+    Components of the predicate dependency graph run dependencies first,
+    as the program's analysis lists them.  Each rule is planned once, when
+    its component starts: its body becomes a fixed chain of checks and
+    enumerations (see ``_orient``), and the conditions on the parent alone
+    are checked once per parent, before navigating, unless a step or rule
+    range is a regex.  Each (rule, parent) pair is expanded once, when the
+    parent enters the image of the rule's parent predicate, and derives
+    the targets its body holds at as one set (``_fire``).  A target whose
+    body fails is filed under what its body found false among the
+    component's own predicates: a reference atom p(_, v), or the whole of
+    p where a reference enumerated p's image.  It is tried again only when
+    one of those becomes true.  A nonrecursive component files nothing, so
+    its evaluation is the single pass over its rules' parents.
     """
 
     def __init__(self, program: ElogProgram, tree: DocTree):
-        self.program = program
+        self.analysis = program._analysis
         self.tree = tree
         self.universal = program.universal_preds()
         self.store = AtomStore(program.aux, program.schema)
         self._sub: dict = {}
         # second-argument projection of each predicate; a dom-rule
         # predicate's node set itself
-        self._image: dict[str, set] = {p: set() for p in program.head_preds()}
+        self._image: dict[str, set] = {p: set() for p in self.analysis.heads}
         self._live: frozenset = frozenset()  # the running recursive component
         self._watches: set = set()  # what the last body found false in it
         self._waiting: dict = {}  # watch -> [(plan, v0, v)] to try again
@@ -841,12 +847,12 @@ class _Eval:
 
     # -- relation access ----------------------------------------------------
 
-    def subelem_hits(self, v0: int, aut: PathAutomaton) -> tuple:
+    def subelem_hits(self, v0: int, aut: PathAutomaton) -> list[int]:
+        """subelem's list, kept for the evaluation; no caller mutates it."""
         key = (v0, aut)
         hits = self._sub.get(key)
         if hits is None:
-            hits = tuple(subelem(self.tree, v0, aut))
-            self._sub[key] = hits
+            hits = self._sub[key] = subelem(self.tree, v0, aut)
         return hits
 
     def parents_of(self, rule) -> list[int]:
@@ -859,10 +865,10 @@ class _Eval:
 
     # -- planning -------------------------------------------------------------
 
-    def _plan(self, rule) -> _Plan:
+    def _plan(self, rule, order: list | None) -> _Plan:
+        """Compile the rule, given its orientation (None for a copy rule)."""
         if isinstance(rule, CopyRule):
             return _Plan(rule)
-        order = _orient(rule)
         slot = {rule.v0var: 1, rule.xvar: 0}  # in p(X, X), X is the target
         for c, _ in order:
             for v in _cond_vars(c):
@@ -871,8 +877,15 @@ class _Eval:
         # starts with, before any reference, so failing once per parent
         # fails every target the same way, with no watch filed.  A contains
         # check ahead of one may raise a range error first: stop there.
+        # A regex step or rule range may raise on any parent's targets, so
+        # with one every parent is navigated and the checks stay in the body.
         on_parent = []
-        if isinstance(rule, ChainRule) and rule.v0var != rule.xvar:
+        if (
+            isinstance(rule, ChainRule)
+            and rule.v0var != rule.xvar
+            and not isinstance(rule.rng, RawRegex)
+            and not isinstance(rule.rule_range, RawRegex)
+        ):
             for c, var in order:
                 if var is not None or isinstance(c, (Contains, Ref)):
                     break
@@ -1039,22 +1052,11 @@ class _Eval:
 
     # -- rule application ---------------------------------------------------
 
-    def _add(self, head: str, v0, v: int) -> None:
-        """Derive head(v0, v); v0 is None for a dom-rule predicate."""
-        image = self._image[head]
-        if v0 is None:
-            if v in image:
-                return
-        elif not self.store.add(head, v0, v) or v in image:
-            return
-        image.add(v)
-        if self._live:
-            self._work.append((head, v))
-
     def _fire(self, plan: _Plan, v0, targets) -> None:
         """Derive the head at the targets where the body holds, selected by
-        the rule range if there is one; file the others under the watches
-        their body recorded."""
+        the rule range if there is one, as one set; file the others under
+        the watches their body recorded.  v0 is None for a dom rule, whose
+        predicate keeps only its node set."""
         if plan.body is None:
             sat = targets
         else:
@@ -1069,27 +1071,41 @@ class _Eval:
         rule = plan.rule
         if rule.rule_range is not None:
             sat = apply_range(sat, rule.rule_range)
-        for v in sat:
-            self._add(rule.head, v0, v)
+        if not sat:
+            return
+        head = rule.head
+        if v0 is not None:
+            # a bucket appears with its first atom: the order of the pairs
+            # decides which predicate a schema mismatch names
+            bucket = self.store.pairs.get(head)
+            if bucket is None:
+                bucket = self.store.pairs[head] = set()
+            bucket.update([(v0, v) for v in sat])
+        image = self._image[head]
+        if self._live:
+            work = self._work
+            for v in sat:
+                if v not in image:
+                    image.add(v)
+                    work.append((head, v))
+        else:
+            image.update(sat)
 
     def _expand(self, plan: _Plan, v0) -> None:
-        """Apply the rule at one parent; v0 is None for a dom rule."""
+        """Apply the rule at one parent; v0 is None for a dom rule.  A chain
+        rule checks the conditions on the parent alone before navigating."""
         rule = plan.rule
         if isinstance(rule, CopyRule):
-            self._add(rule.head, self.tree.root(), v0)
+            self._fire(plan, self.tree.root(), (v0,))
         elif v0 is None:
             self._fire(plan, None, plan.targets())
-        else:
-            # the step range applies before the parent check, so its range
-            # errors surface whatever the parent
+        elif plan.parent is None or plan.parent([None, v0]):
             targets = apply_range(self.subelem_hits(v0, plan.aut), rule.rng)
-            if plan.parent is not None and not plan.parent([None, v0]):
-                targets = ()
             self._fire(plan, v0, targets)
 
     def _component(self, comp: frozenset) -> None:
-        rules = [r for p in sorted(comp) for r in self.program.rules_for(p)]
-        plans = [self._plan(r) for r in rules]
+        rules = self.analysis.rules
+        plans = [self._plan(r, order) for p in sorted(comp) for r, order in rules[p]]
         triggered: dict[str, list] = {}  # pred -> plans it is the parent of
         for plan in plans:
             r = plan.rule
@@ -1113,14 +1129,10 @@ class _Eval:
         self._waiting.clear()
 
     def run(self) -> AtomStore:
-        heads = self.program.head_preds()
-        edges = list(_dep_edges(self.program))
-        self_loop = {a for a, b in edges if a == b}
-        for comp in _sccs(heads, edges):  # dependencies first
-            recursive = len(comp) > 1 or bool(comp & self_loop)
+        for comp, recursive in self.analysis.components:
             self._live = comp if recursive else frozenset()
             self._component(comp)
-        for pred in heads:
+        for pred in self.analysis.heads:
             if pred in self.universal:
                 self.store.unary[pred] = frozenset(self._image[pred])
             else:

@@ -635,9 +635,12 @@ def _positions(rng: Range, k: int) -> list[int]:
 def apply_range(seq: list, rng: Range) -> list:
     """Select positions of a duplicate-free document-ordered sequence.
 
-    Structured ranges never raise; raw regexes raise NoWordOfLength /
-    MultipleWords on density violations.
+    The ``*`` range returns seq itself, not a copy, so callers must not
+    mutate the result.  Structured ranges never raise; raw regexes raise
+    NoWordOfLength / MultipleWords on density violations.
     """
+    if isinstance(rng, StarRange):
+        return seq
     return [seq[i] for i in _positions(rng, len(seq))]
 
 

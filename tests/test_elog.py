@@ -324,6 +324,89 @@ def test_quadratic_body_runs_at_most_once_per_parent(quadratic, body_runs):
     assert body_runs[0] <= len(t) == 71, body_runs[0]
 
 
+def test_quadratic_navigates_from_each_b_alone(quadratic, monkeypatch):
+    # label(X0, b) is checked before navigating, so no other node of the
+    # dom parent's image is navigated from
+    calls = [0]
+    subelem = elog.subelem
+
+    def counted(*args):
+        calls[0] += 1
+        return subelem(*args)
+
+    monkeypatch.setattr(elog, "subelem", counted)
+    for m, n in ((1, 5), (20, 50)):
+        calls[0] = 0
+        store = elog.eval_fixpoint(quadratic, parse_document(bchain_doc(m, n)))
+        assert len(store.pairs["p"]) == m * n
+        assert calls[0] == m
+
+
+@pytest.mark.parametrize("rule", [
+    "p(X0, X) :- dom(_, X0), subelem[_][regex:11*](X0, X), label(X0, tr).",
+    "p(X0, X) :- dom(_, X0), subelem[_][*](X0, X), label(X0, tr) [regex:11*].",
+], ids=["step_range", "rule_range"])
+def test_regex_ranges_raise_where_the_parent_check_fails(doc1, rule):
+    # 11* has no word of length 0; label(X0, tr) holds only at the rows,
+    # which have cells, and fails at the leaves, which have no hits
+    with pytest.raises(pr.NoWordOfLength):
+        elog.eval_fixpoint(elog.parse_elog(rule), doc1)
+    rows_only = "c(X0, X) :- dom(X0, X), label(X, tr).\n" + rule.replace(
+        "dom(_, X0)", "c(_, X0)"
+    )
+    store = elog.eval_fixpoint(elog.parse_elog(rows_only), doc1)
+    assert store.pairs["p"] == {
+        (4, 5), (4, 7), (9, 10), (9, 12), (14, 15), (14, 17)
+    }
+
+
+def test_each_rule_is_oriented_once_per_program(monkeypatch):
+    calls = [0]
+    orient = elog._orient
+
+    def counted(rule):
+        calls[0] += 1
+        return orient(rule)
+
+    monkeypatch.setattr(elog, "_orient", counted)
+    prog = elog.parse_elog(asset("parity.elog"))
+    elog.run_pipeline(prog, parse_document(items_doc(6)))
+    assert calls[0] == len(prog.rules) == 5
+
+
+class _CountedRules(tuple):
+    """A tuple that counts the items read from it."""
+
+    reads = 0
+
+    def __iter__(self):
+        for r in super().__iter__():
+            self.reads += 1
+            yield r
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_program_analysis_reads_the_rules_linearly_often():
+    # on a chain listed dependents first, grounding one more rule per pass
+    # over the rules, or scanning every rule per head, reads quadratically
+    tree = parse_document("<a><a></a></a>")
+    reads = []
+    for n in (1500, 3000):
+        text = "".join(
+            f"p{i}(X0, X) :- p{i - 1}(_, X0), subelem[a][*](X0, X).\n"
+            for i in range(n, 1, -1)
+        ) + "p1(X0, X) :- root(_, X0), subelem[a][*](X0, X).\n"
+        prog = elog.ElogProgram(_CountedRules(elog.parse_elog(text).rules))
+        elog.validate_program(prog)
+        store = elog.eval_fixpoint(prog, tree)
+        assert store.pairs["p2"] == {(1, 2)} and store.pairs[f"p{n}"] == set()
+        reads.append(prog.rules.reads)
+    assert reads[1] / reads[0] <= 2.25, reads
+
+
 def test_recursive_reference_that_enumerates_its_image(doc1):
     # q(_, Y) binds Y by enumerating q's own image, so a failed target waits
     # on the whole predicate rather than on one atom
