@@ -56,6 +56,8 @@ def _read(path: str, err) -> str:
             return f.read()
     except OSError as e:
         raise err(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise err(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
 def load_document(path: str) -> DocTree:

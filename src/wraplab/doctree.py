@@ -13,13 +13,20 @@ that still lies inside the parent's interval.
 Two tag names are reserved: the synthetic root is labeled ``#doc`` and text
 is stored in leaf nodes labeled ``#text``.  Text content is kept verbatim;
 no whitespace trimming or entity decoding happens anywhere.
+
+Parsing is one pass over the tokens of one compiled alternation,
+``_TOKEN``, whose matches cover the whole source: a text run, a text-only
+element ``<td>x</td>`` (both its nodes at once), an open tag, a close tag,
+a comment or declaration, or a '<' that starts none of these.  Tokens carry
+no offsets; an error's offset is found only when raising, by matching the
+pattern again up to the failing token.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from itertools import compress
+from itertools import compress, islice
 
 ROOT_TAG = "#doc"
 TEXT_TAG = "#text"
@@ -168,9 +175,30 @@ class DocTree:
 
 _NAME = r"[A-Za-z][A-Za-z0-9-]*"
 _ATTRS = r"""(?:[^>"']|"[^"]*"|'[^']*')*"""  # quoted values skip as a whole
-# a tag name must end at whitespace, '/', '>' or the end of the input
-_OPEN_TAG = re.compile(rf"<({_NAME})(?![^\s/>]){_ATTRS}?(/?)>")
-_CLOSE_TAG = re.compile(rf"</({_NAME})\s*>")
+_TAG = rf"<({_NAME})(?![^\s/>])"  # a name ends at space, '/', '>' or the end
+# One token per match; the tokens cover the whole source, so findall yields
+# them in order.  Groups: (1) a text run; (2, 3) a text-only element's name
+# and text, its close tag naming it in any case and its open tag not ending
+# in '/'; (4, 5) an open tag and its self-closing '/'; (6) a close tag's
+# name; none for a comment or a declaration; (7) a '<' that starts none of
+# these.  That '<' is an error, so its token takes the rest of the source
+# with it: nothing after the first bad '<' is scanned.
+_TOKEN = re.compile(
+    r"([^<]+)"
+    rf"|{_TAG}{_ATTRS}(?<!/)>([^<]+)</(?i:\2)\s*>"
+    rf"|{_TAG}{_ATTRS}?(/?)>"
+    rf"|</({_NAME})\s*>"
+    r"|<!--[\s\S]*?-->|<!(?!--)[^>]*>"
+    r"|(<)[\s\S]*"
+)
+
+
+class _Lowered(dict):
+    """Tag names folded to lower case, each folded once."""
+
+    def __missing__(self, name: str) -> str:
+        tag = self[name] = name.lower()
+        return tag
 
 
 def parse_document(source: str) -> DocTree:
@@ -179,82 +207,89 @@ def parse_document(source: str) -> DocTree:
     Supported surface: nested ``<tag ...>``/``</tag>`` pairs, self-closing
     ``<tag/>``, attributes (parsed and discarded), ``<!-- -->`` comments and
     ``<!...>`` declarations (skipped).  Tags are case-normalized to lower
-    case.  Text runs between tags become #text leaves, kept verbatim.
-    Whitespace-only text outside the top element is ignored.
+    case, and a close tag matches its open tag's name in any case.  Text
+    runs between tags become #text leaves, kept verbatim.  Whitespace-only
+    text outside the top element is ignored.
+
+    One pass over ``_TOKEN.findall(source)``, linear in the length of the
+    source.  A text-only element ``<td>x</td>`` is one token and adds both
+    its nodes at once.  When the close tag after the text names another
+    element, the three come as separate tokens and the mismatch is
+    reported at the close tag.  An error's offset is found only when
+    raising, by matching the pattern again up to the failing token.
     """
     tags, parents, texts, ends = [ROOT_TAG], [None], [""], [0]
-    stack = [0]  # open elements, root at bottom: no element is open at 0
+    stack = []  # the parents of the open elements
+    parent = 0  # the innermost open element; 0 while none is open
     count = 1  # nodes so far
-    i = 0
-    n = len(source)
-    open_tag, close_tag = _OPEN_TAG.match, _CLOSE_TAG.match
-
-    while i < n:
-        if source[i] != "<":
-            j = source.find("<", i)
-            if j < 0:
-                j = n
-            run = source[i:j]
-            parent = stack[-1]
-            if not parent:
-                if run.strip():
-                    raise MalformedInput("text outside the top-level element", i)
-            else:
+    lowered = _Lowered()
+    tokens = _TOKEN.findall(source)
+    for token in tokens:
+        run, name, inner, open_name, slash, close_name, lone = token
+        if run:
+            if parent:
                 tags.append(TEXT_TAG)
                 parents.append(parent)
                 texts.append(run)
                 ends.append(count)
                 count += 1
-            i = j
-            continue
-        m = open_tag(source, i)
-        if m is not None:
-            parent = stack[-1]
+            elif run.strip():
+                i = _offset(source, tokens, token)
+                raise MalformedInput("text outside the top-level element", i)
+        elif name:
             if not parent and count > 1:
+                i = _offset(source, tokens, token)
                 raise MalformedInput("more than one top-level element", i)
-            nid = count
-            count += 1
-            tags.append(m[1].lower())
+            tags += (lowered[name], TEXT_TAG)
+            parents += (parent, count)
+            texts += ("", inner)
+            count += 2
+            ends += (count - 1, count - 1)
+        elif open_name:
+            if not parent and count > 1:
+                i = _offset(source, tokens, token)
+                raise MalformedInput("more than one top-level element", i)
+            tags.append(lowered[open_name])
             parents.append(parent)
             texts.append("")
-            ends.append(nid)
-            if not m[2]:
-                stack.append(nid)
-            i = m.end()
-            continue
-        m = close_tag(source, i)
-        if m is not None:
-            tag = m[1].lower()
-            v = stack[-1]
-            if not v:
+            ends.append(count)
+            if not slash:
+                stack.append(parent)
+                parent = count
+            count += 1
+        elif close_name:
+            tag = lowered[close_name]
+            if not parent:
+                i = _offset(source, tokens, token)
                 raise MalformedInput(f"unmatched close tag </{tag}>", i)
-            if tags[v] != tag:
+            if tags[parent] != tag:
+                i = _offset(source, tokens, token)
                 raise MalformedInput(
-                    f"close tag </{tag}> does not match open <{tags[v]}>", i
+                    f"close tag </{tag}> does not match open <{tags[parent]}>", i
                 )
-            stack.pop()
-            ends[v] = count - 1
-            i = m.end()
-            continue
-        if source.startswith("<!--", i):
-            end = source.find("-->", i + 4)
-            if end < 0:
+            ends[parent] = count - 1
+            parent = stack.pop()
+        elif lone:
+            i = _offset(source, tokens, token)
+            if source.startswith("<!--", i):
                 raise MalformedInput("unterminated comment", i)
-            i = end + 3
-        elif source.startswith("<!", i):
-            end = source.find(">", i)
-            if end < 0:
+            if source.startswith("<!", i):
                 raise MalformedInput("unterminated declaration", i)
-            i = end + 1
-        else:
             _reject_tag(source, i)
 
-    if len(stack) > 1:
-        raise MalformedInput(f"unclosed element <{tags[stack[-1]]}>", n)
+    if parent:
+        raise MalformedInput(f"unclosed element <{tags[parent]}>", len(source))
     if count == 1:
         raise MalformedInput("empty document", 0)
     ends[0] = count - 1
     return DocTree(tags, parents, texts, ends)
+
+
+def _offset(source: str, tokens: list, token: tuple) -> int:
+    """Where ``token``, an item of ``_TOKEN.findall(source)``, starts: the
+    pattern is matched again up to the token's index."""
+    k = next(k for k, t in enumerate(tokens) if t is token)
+    return next(islice(_TOKEN.finditer(source), k, None)).start()
 
 
 def _reject_tag(s: str, i: int) -> None:

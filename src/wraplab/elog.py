@@ -243,9 +243,6 @@ class ElogProgram:
     def has_rule_ranges(self) -> bool:
         return any(r.rule_range is not None for r in self.rules)
 
-    def to_text(self) -> str:
-        return serialize_elog(self)
-
 
 def _dep_edges(rules):
     for r in rules:

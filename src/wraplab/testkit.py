@@ -15,9 +15,12 @@ parsers; this keeps the generator usable without importing them.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
-from .doctree import ROOT_TAG, TEXT_TAG, DocTree
+from .doctree import (
+    _ATTRS, _NAME, ROOT_TAG, TEXT_TAG, DocTree, MalformedInput, _reject_tag,
+)
 
 DOC1 = (
     "<html><body><table>"
@@ -42,6 +45,107 @@ def bchain_doc(m: int, n: int) -> str:
 def items_doc(k: int) -> str:
     """A list element with k text-carrying item children."""
     return "<list>" + "".join(f"<i>t{j}</i>" for j in range(k)) + "</list>"
+
+
+# ---------------------------------------------------------------------------
+# document parsing one tag at a time (own loop and tag matchers; the name and
+# attribute syntax and the bad-tag errors are doctree's)
+
+_OPEN_TAG = re.compile(rf"<({_NAME})(?![^\s/>]){_ATTRS}?(/?)>")
+_CLOSE_TAG = re.compile(rf"</({_NAME})\s*>")
+
+
+def naive_parse_document(source: str) -> DocTree:
+    """parse_document's oracle: at each offset, a text run, an open tag, a
+    close tag, a comment or a declaration is matched on its own."""
+    tags, parents, texts, ends = [ROOT_TAG], [None], [""], [0]
+    stack = [0]  # open elements, root at bottom: no element is open at 0
+    count = 1  # nodes so far
+    i = 0
+    n = len(source)
+    open_tag, close_tag = _OPEN_TAG.match, _CLOSE_TAG.match
+
+    while i < n:
+        if source[i] != "<":
+            j = source.find("<", i)
+            if j < 0:
+                j = n
+            run = source[i:j]
+            parent = stack[-1]
+            if not parent:
+                if run.strip():
+                    raise MalformedInput("text outside the top-level element", i)
+            else:
+                tags.append(TEXT_TAG)
+                parents.append(parent)
+                texts.append(run)
+                ends.append(count)
+                count += 1
+            i = j
+            continue
+        m = open_tag(source, i)
+        if m is not None:
+            parent = stack[-1]
+            if not parent and count > 1:
+                raise MalformedInput("more than one top-level element", i)
+            nid = count
+            count += 1
+            tags.append(m[1].lower())
+            parents.append(parent)
+            texts.append("")
+            ends.append(nid)
+            if not m[2]:
+                stack.append(nid)
+            i = m.end()
+            continue
+        m = close_tag(source, i)
+        if m is not None:
+            tag = m[1].lower()
+            v = stack[-1]
+            if not v:
+                raise MalformedInput(f"unmatched close tag </{tag}>", i)
+            if tags[v] != tag:
+                raise MalformedInput(
+                    f"close tag </{tag}> does not match open <{tags[v]}>", i
+                )
+            stack.pop()
+            ends[v] = count - 1
+            i = m.end()
+            continue
+        if source.startswith("<!--", i):
+            end = source.find("-->", i + 4)
+            if end < 0:
+                raise MalformedInput("unterminated comment", i)
+            i = end + 3
+        elif source.startswith("<!", i):
+            end = source.find(">", i)
+            if end < 0:
+                raise MalformedInput("unterminated declaration", i)
+            i = end + 1
+        else:
+            _reject_tag(source, i)
+
+    if len(stack) > 1:
+        raise MalformedInput(f"unclosed element <{tags[stack[-1]]}>", n)
+    if count == 1:
+        raise MalformedInput("empty document", 0)
+    ends[0] = count - 1
+    return DocTree(tags, parents, texts, ends)
+
+
+def edit_doc(source: str, rng: random.Random) -> str:
+    """source after one or two seeded edits: an insert of a character that
+    matters to the tag syntax, a delete, or a truncation."""
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randint(0, len(source))
+        op = rng.random()
+        if op < 0.45:
+            source = source[:i] + rng.choice("<>/!-\"'= aAbB1\n") + source[i:]
+        elif op < 0.9:
+            source = source[:i] + source[i + 1:]
+        else:
+            source = source[:i]
+    return source
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 
 from wraplab import elog
 from wraplab.cli import detect_language, main, _styled
-from wraplab.doctree import parse_document
+from wraplab.doctree import MalformedInput, parse_document
 from wraplab.hel import SingleValueWarning
+from wraplab.testkit import edit_doc, naive_parse_document
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 
@@ -112,6 +114,37 @@ def test_run_exit_codes_for_bad_inputs(wrapctl, tmp_path):
     assert rc == 2
     rc, _, err = wrapctl("run", good_w, bad_doc)
     assert rc == 2 and "top-level element" in err
+
+
+def oracle_offset(source: str) -> int | None:
+    try:
+        naive_parse_document(source)
+    except MalformedInput as e:
+        return e.offset
+    return None
+
+
+def test_run_reports_malformed_documents_on_one_line(wrapctl, tmp_path):
+    page = pathlib.Path(corpus("items_table", "page.doc")).read_text()
+    rng = random.Random(3)
+    sources = [page[:k] for k in range(len(page))]  # every truncation
+    sources += [edit_doc(page, rng) for _ in range(300)]
+    malformed = [(s, k) for s in sources if (k := oracle_offset(s)) is not None]
+    assert len(malformed) >= 300
+    d = tmp_path / "page.doc"
+    for source, offset in malformed:
+        d.write_text(source)
+        rc, out, err = wrapctl("run", corpus("items_table", "second_cols.rpn"), d)
+        assert (rc, out) == (2, ""), source
+        assert err.startswith("wrapctl: ") and err.count("\n") == 1, err
+        assert err.endswith(f"(offset {offset})\n"), (source, err)
+    d.write_bytes(page.encode()[:20] + b"\xff" + page.encode()[20:])
+    assert wrapctl("run", corpus("items_table", "second_cols.rpn"), d) == (
+        2, "", f"wrapctl: {d}: not UTF-8 text (byte 20)\n"
+    )
+    rc, out, err = wrapctl("run", corpus("items_table", "second_cols.rpn"), tmp_path)
+    assert (rc, out) == (2, "")
+    assert err.startswith("wrapctl: ") and err.count("\n") == 1, err
 
 
 def test_run_reports_range_errors_on_one_line(wrapctl, tmp_path):

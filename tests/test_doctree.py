@@ -1,10 +1,14 @@
 """Document model: parsing, node order, text, serialization."""
 
+import pathlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wraplab.doctree import (
+    _TOKEN,
     ROOT_TAG,
     TEXT_TAG,
     DocTree,
@@ -13,7 +17,17 @@ from wraplab.doctree import (
     parse_document,
     serialize,
 )
-from wraplab.testkit import DOC1, TreeGenSpec, gen_tree
+from wraplab.testkit import (
+    DOC1,
+    TreeGenSpec,
+    bchain_doc,
+    edit_doc,
+    gen_tree,
+    items_doc,
+    naive_parse_document,
+)
+
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 
 
 @pytest.fixture
@@ -151,6 +165,56 @@ def test_tag_name_must_end_at_space_slash_or_gt(source, offset):
     with pytest.raises(MalformedInput, match="after tag name") as info:
         parse_document(source)
     assert info.value.offset == offset
+
+
+def parse_outcome(parse, source):
+    try:
+        t = parse(source)
+    except MalformedInput as e:
+        return "rejected", str(e), e.offset
+    return "accepted", t.tags, t.parents, t.texts, t.ends
+
+
+# each fails one way of getting the one-token element wrong: a self-closing
+# open tag, a close tag in another case, a quoted or unquoted '/', a '>'
+# inside an unterminated comment, a close tag naming another element
+ORACLE_CASES = [
+    "<p/>x</p>",
+    "<TR><Td>x</tD></tr>",
+    "<a x=/>t</a>",
+    '<a x="/">t</a>',
+    "<!-- c > <a/>",
+    "<a><b>x</c></a>",
+]
+
+
+def test_parser_matches_the_tag_at_a_time_oracle():
+    bases = [p.read_text() for p in sorted(CORPUS.glob("*/*.doc"))]
+    bases += [bchain_doc(3, 2), items_doc(4)]
+    rng = random.Random(11)
+    sources = ORACLE_CASES + [edit_doc(b, rng) for b in bases for _ in range(1000)]
+    seen = {"accepted": 0, "rejected": 0}
+    for source in sources:
+        got = parse_outcome(parse_document, source)
+        assert got == parse_outcome(naive_parse_document, source), source
+        seen[got[0]] += 1
+    assert seen["accepted"] >= 1200 and seen["rejected"] >= 7500, seen
+
+
+def test_text_only_elements_are_one_token_in_any_case():
+    source = '<TR><Td>x</tD><td a="/" b=\'>\'>y</TD><td/>z<td>w</td ><td>v</b></tr>'
+    fused = [(t[1], t[2]) for t in _TOKEN.findall(source) if t[1]]
+    assert fused == [("Td", "x"), ("td", "y"), ("td", "w")]
+
+
+def test_nothing_after_the_first_bad_tag_is_scanned():
+    # were the rest tokenized, each '<a "' would scan to the end of the
+    # source for its closing quote: quadratic time
+    source = "<r>" + '<a "' * 1000
+    with pytest.raises(MalformedInput, match="unterminated tag") as info:
+        parse_document(source)
+    assert info.value.offset == len(source)
+    assert len(_TOKEN.findall(source)) == 2
 
 
 def test_deep_document_round_trips():

@@ -84,7 +84,7 @@ def test_percent_inside_string_is_not_a_comment():
 
 def test_serialize_parse_round_trip(quadratic, parity):
     for prog in (quadratic, parity):
-        assert elog.parse_elog(prog.to_text()) == prog
+        assert elog.parse_elog(elog.serialize_elog(prog)) == prog
     rich = elog.parse_elog(
         "@aux p1\n"
         "@schema set(p2, str)\n"
@@ -94,14 +94,14 @@ def test_serialize_parse_round_trip(quadratic, parity):
         "p2(X0,X) :- p1(_,X0), subelem[_][*](X0,X), firstchild(X0, X), "
         "nextsibling(X, Y), lastsibling(Y), p1(_, Y).\n"
     )
-    assert elog.parse_elog(rich.to_text()) == rich
+    assert elog.parse_elog(elog.serialize_elog(rich)) == rich
 
 
 def test_copy_rule_round_trip():
     text = "p(X0,X) :- root(_,X0), subelem[a][*](X0,X).\np'(_, X) :- p(_, X).\n"
     prog = elog.parse_elog(text)
     assert isinstance(prog.rules[1], elog.CopyRule)
-    assert elog.parse_elog(prog.to_text()) == prog
+    assert elog.parse_elog(elog.serialize_elog(prog)) == prog
 
 
 @pytest.mark.parametrize(
@@ -527,7 +527,8 @@ def test_fixpoint_matches_naive_oracle_on_a_large_tree():
     for seed in range(40):
         program = elog.parse_elog(testkit.gen_program(seed))
         expected = _oracle_outcome(program, tree)
-        assert _fixpoint_outcome(program, tree) == expected, program.to_text()
+        outcome = _fixpoint_outcome(program, tree)
+        assert outcome == expected, elog.serialize_elog(program)
 
 
 @pytest.mark.parametrize("profile", ["deep", "one_tag"])
@@ -537,7 +538,8 @@ def test_fixpoint_matches_naive_oracle_on_shaped_trees(profile):
         tree = testkit.gen_tree(spec)
         program = elog.parse_elog(testkit.gen_program(seed))
         expected = _oracle_outcome(program, tree)
-        assert _fixpoint_outcome(program, tree) == expected, program.to_text()
+        outcome = _fixpoint_outcome(program, tree)
+        assert outcome == expected, elog.serialize_elog(program)
 
 
 # ---------------------------------------------------------------------------
