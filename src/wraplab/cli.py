@@ -90,8 +90,7 @@ class Wrapper:
             elif self.lang == "vhel":
                 self.ast = hel.parse_vhel(text)
             elif self.lang == "hel":
-                self.hel_ast = hel.parse_hel(text.strip())
-                self.ast = hel.desugar(self.hel_ast)
+                self.ast = hel.desugar(hel.parse_hel(text.strip()))
             else:
                 self.ast = elog.parse_elog(text)
         except _PARSE_ERRORS as e:

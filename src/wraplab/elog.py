@@ -209,15 +209,17 @@ class CopyRule:
 
 
 class _Analysis(NamedTuple):
-    """What validation and evaluation need of a program, derived once:
-    each head's (rule, orientation) pairs in program order (a copy rule's
-    orientation is None), the heads in order of first definition, and the
-    dependency graph's components, dependencies first, as (preds,
-    recursive) pairs."""
+    """What validation, evaluation and aux elimination need of a program,
+    derived once: each head's (rule, orientation) pairs in program order
+    (a copy rule's orientation is None), the heads in order of first
+    definition, the dependency graph's components, dependencies first, as
+    (preds, recursive) pairs, and each head's parent predicates (see
+    AtomStore)."""
 
     rules: dict
     heads: tuple
     components: tuple
+    parents: dict
 
 
 @dataclass(frozen=True)
@@ -388,9 +390,21 @@ def _analyse(program: ElogProgram) -> _Analysis:
                     "rule ranges require a nonrecursive program; cycle "
                     f"through {sorted(comp)}"
                 )
+    parents = {
+        p: tuple(dict.fromkeys(_parent_of(r) for r, _ in rs))
+        for p, rs in index.items()
+    }
     return _Analysis(
-        {p: tuple(rs) for p, rs in index.items()}, tuple(heads), components
+        {p: tuple(rs) for p, rs in index.items()}, tuple(heads), components, parents
     )
+
+
+def _parent_of(rule) -> str:
+    """The predicate a rule's atoms hang from: a copy rule's hang from the
+    root, a dom rule's from any node."""
+    if isinstance(rule, ChainRule):
+        return rule.parent
+    return "root" if isinstance(rule, CopyRule) else "dom"
 
 
 def _check_rule(r, heads) -> list | None:
@@ -758,13 +772,16 @@ def serialize_elog(program: ElogProgram) -> str:
 
 class AtomStore:
     """Derived atoms: pair sets per materialized predicate, node sets per
-    universal (dom-rule) predicate."""
+    universal (dom-rule) predicate.  parents maps each head to the parent
+    predicates of its rules (a builtin for a rule anchored at root or dom),
+    which is what eliminate_aux follows."""
 
-    def __init__(self, aux: frozenset, schema=None):
+    def __init__(self, aux: frozenset, schema=None, parents=None):
         self.pairs: dict[str, set] = {}
         self.unary: dict[str, frozenset] = {}
         self.aux = frozenset(aux)
         self.schema = schema
+        self.parents: dict = parents or {}
 
 
 def unary_query(store: AtomStore, pred: str) -> frozenset:
@@ -832,7 +849,7 @@ class _Eval:
         self.analysis = program._analysis
         self.tree = tree
         self.universal = program.universal_preds()
-        self.store = AtomStore(program.aux, program.schema)
+        self.store = AtomStore(program.aux, program.schema, self.analysis.parents)
         self._sub: dict = {}
         # second-argument projection of each predicate; a dom-rule
         # predicate's node set itself
@@ -1179,68 +1196,100 @@ def monadic_collapse(program: ElogProgram) -> ElogProgram:
 def eliminate_aux(store: AtomStore) -> AtomStore:
     """Splice auxiliary atoms out of the parent chain.
 
-    Every non-aux atom s(b, c) is re-anchored at each node that reaches b
-    along aux atoms (b itself included), except at orphaned nodes: aux
-    targets that no non-aux atom reaches.  Aux atoms are then dropped.
-    Raises AuxCycle when aux atoms form a cycle or a self-loop."""
+    An atom p(b, c) hangs from the aux instance (q, b), the atoms q(_, b),
+    of each aux parent predicate q of p (store.parents) that has one, and
+    moves to that instance's anchors: following each q(a, b) up, a itself
+    if q(a, b) stays at a, else the anchors of what q(a, b) hangs from.
+    An atom stays where it is when a non-aux parent predicate holds at b
+    (a builtin always does), or when it hangs from nothing.  Aux atoms are
+    then dropped.  Raises AuxCycle at an aux atom q(a, a) or a cycle of
+    instances.  Iterative, and linear in atoms and instances apart from
+    the anchor sets."""
     aux = store.aux
-    parents: dict[int, list] = {}  # aux target -> its aux sources
-    for p, pairs in store.pairs.items():
-        if p in aux:
-            for a, b in pairs:
+    ups = {p: [q for q in ps if q in aux] for p, ps in store.parents.items()}
+    others = {p: [r for r in ps if r not in aux] for p, ps in store.parents.items()}
+    anchors: dict = {q: {} for q in aux}  # q -> {b: the anchors of (q, b)}
+    images: dict = {}
+
+    def holds(r: str, b: int) -> bool:
+        if r in BUILTINS:
+            return True
+        if r not in images:
+            images[r] = store.unary.get(r) or {v for _, v in store.pairs.get(r, ())}
+        return b in images[r]
+
+    def home(p: str, b: int) -> frozenset:
+        """Where p's atoms at parent node b go, once the aux instances they
+        hang from have their anchors."""
+        qs, rs = ups.get(p, ()), others.get(p, ())
+        if len(qs) == 1 and not rs:  # the translations' shape
+            return anchors[qs[0]].get(b) or frozenset((b,))
+        homes = [anchors[q][b] for q in qs if b in anchors[q]]
+        if not homes or any(holds(r, b) for r in rs):
+            homes.append(frozenset((b,)))
+        return homes[0] if len(homes) == 1 else frozenset().union(*homes)
+
+    # aux predicates parents first; only a recursive component's instances
+    # need an order of their own
+    for comp in _sccs(sorted(aux), [(q, r) for q in aux for r in ups.get(q, ())]):
+        sources: dict = {}  # instance (q, b) -> the nodes a of its q(a, b)
+        for q in sorted(comp):
+            for a, b in store.pairs.get(q, ()):
                 if a == b:
                     raise AuxCycle(f"auxiliary atom loops at node {a}")
-                parents.setdefault(b, []).append(a)
-    kept_targets = {
-        b for p, pairs in store.pairs.items() if p not in aux for _, b in pairs
-    }
-    sources = _surviving_sources(parents, kept_targets)
+                sources.setdefault((q, b), []).append(a)
+        q = min(comp)
+        if len(comp) > 1 or q in ups.get(q, ()):
+            sources = _walk_order(comp, sources, ups)
+        for (q, b), srcs in sources.items():
+            homes = [home(q, a) for a in srcs]
+            anchors[q][b] = homes[0] if len(homes) == 1 else frozenset().union(*homes)
 
-    out = AtomStore(frozenset(), store.schema)
+    out = AtomStore(frozenset(), store.schema, store.parents)
     out.unary = dict(store.unary)
     for p, pairs in store.pairs.items():
         if p in aux:
             continue
+        if not ups.get(p):
+            out.pairs[p] = set(pairs)
+            continue
         kept = out.pairs[p] = set()
+        moves: dict = {}  # parent node b -> where p's atoms at b go
         for b, c in pairs:
-            srcs = sources.get(b)
-            if srcs is None:
-                kept.add((b, c))
-            else:
-                kept.update((x, c) for x in srcs)
+            xs = moves.get(b)
+            if xs is None:
+                xs = moves[b] = home(p, b)
+            kept.update((x, c) for x in xs)
     return out
 
 
-def _surviving_sources(parents: dict, kept_targets: set) -> dict:
-    """Node of the aux graph -> the non-orphaned nodes reaching it along aux
-    edges, itself included; one pass in topological order (Kahn)."""
-    children: dict[int, list] = {}
-    for b, ps in parents.items():
-        for a in ps:
-            children.setdefault(a, []).append(b)
-    pending = {b: len(ps) for b, ps in parents.items()}
-    ready = [a for a in children if a not in parents]
-    sources: dict[int, frozenset] = {a: frozenset((a,)) for a in ready}
-    while ready:
-        for b in children.get(ready.pop(), ()):
-            pending[b] -= 1
-            if pending[b]:
+def _walk_order(comp, sources: dict, ups: dict) -> dict:
+    """sources, ordered so that each instance of a recursive component of
+    aux predicates comes after the instances it hangs from: an iterative
+    depth-first walk, which raises AuxCycle at a cycle of instances."""
+    done: dict = {}
+    entered: set = set()  # instances on the walk's path
+    for top in sources:
+        stack = [top]
+        while stack:
+            inst = stack[-1]
+            if inst in done:
+                stack.pop()
                 continue
-            ps = parents[b]
-            if b not in kept_targets and len(ps) == 1:
-                sources[b] = sources[ps[0]]  # orphaned: shares its parent's
+            todo = [
+                (r, a) for r in ups[inst[0]] if r in comp for a in sources[inst]
+                if (r, a) in sources and (r, a) not in done
+            ]
+            if not todo:
+                done[inst] = sources[inst]
+                entered.discard(inst)
+                stack.pop()
+            elif any(i in entered for i in todo):
+                raise AuxCycle(f"auxiliary atoms form a cycle through node {inst[1]}")
             else:
-                srcs = set() if b not in kept_targets else {b}
-                for a in ps:
-                    srcs.update(sources[a])
-                sources[b] = frozenset(srcs)
-            ready.append(b)
-    stuck = [b for b, n in pending.items() if n]
-    if stuck:
-        raise AuxCycle(
-            f"auxiliary atoms form a cycle that reaches node {min(stuck)}"
-        )
-    return sources
+                entered.add(inst)
+                stack.extend(todo)
+    return done
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 A statement names the nodes to extract with a construction chain whose
 brackets may bind index variables, and restricts those bindings in a
-trailing ``where`` clause.  Conditions repeat the chain's navigation up to
-the variable they constrain, which is what makes them erasable: desugaring
-deletes each condition's prefix through its rightmost variable, nests the
-remainder at the patom that binds that variable, and drops the variables.
-The result is a variable-free statement in the condition-chain dialect
-(the rpn module's AST), where conditions filter nodes BEFORE the range
-selects among them.
+trailing ``where`` clause.  The rpn module's statement parser reads both,
+in its variable dialect, into the shared AST: the chain is an ``rpn.Chain``
+and each condition an ``rpn.CondChain``, whose patoms carry the variables.
+Conditions repeat the chain's navigation up to the variable they
+constrain, which is what makes them erasable: desugaring deletes each
+condition's prefix through its rightmost variable, nests the remainder at
+the patom that binds that variable, and drops the variables.  The result
+is a variable-free statement in the condition-chain dialect, where
+conditions filter nodes BEFORE the range selects among them.
 
 The variable-free form evaluates through the rpn module's walker,
 ``_follow``, with conditions first and the range second; a condition's
@@ -22,14 +24,12 @@ lenient mode it degrades to an existential check and a warning.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import rpn
 from .doctree import DocTree
 from .objects import SetVal
-from .pathrange import Range, StarRange, parse_range, range_to_text
 
 
 class HelError(Exception):
@@ -64,161 +64,31 @@ class SingleValueWarning(UserWarning):
     pass
 
 
-_RESERVED = {"txt", "where", "and", "last", "regex"}
-
-
-# ---------------------------------------------------------------------------
-# AST: only statements with variables live here; desugaring and the .vhel
-# parser both produce the rpn module's Chain/Txt/Record shape.
-
-
-@dataclass(frozen=True)
-class HelPatom:
-    tag: str
-    var: str | None = None
-    rng: Range | None = None  # None: written without a range
-
-
-@dataclass(frozen=True)
-class HelStep:
-    axis: str  # "child" | "descendant"
-    patom: HelPatom
-
-
-@dataclass(frozen=True)
-class PseqTxt:
-    steps: tuple  # of HelStep, nonempty
-
-
-@dataclass(frozen=True)
-class PseqRecord:
-    steps: tuple  # of HelStep, nonempty
-    entries: tuple  # of PseqTxt | PseqRecord, n >= 2
-
-
-@dataclass(frozen=True)
-class HelCond:
-    steps: tuple  # of HelStep, nonempty
-    rhs: str
-
-
 @dataclass(frozen=True)
 class HelStatement:
-    cc: object  # PseqTxt | PseqRecord
-    where: tuple = ()  # of HelCond
-
-
-# ---------------------------------------------------------------------------
-# concrete syntax
-
-
-class _HelParser(rpn._StmtParser):
-    """Borrows the low-level cursor helpers; the grammar is its own."""
-
-    def __init__(self, text: str):
-        super().__init__(text, "vhel")
-
-    def statement(self) -> HelStatement:
-        cc = self.cc()
-        where: tuple = ()
-        if self.at_word("where"):
-            self.pos += 5
-            conds = [self.cond()]
-            while self.at_word("and"):
-                self.pos += 3
-                conds.append(self.cond())
-            where = tuple(conds)
-        self.eat(";")
-        self.ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return HelStatement(cc, where)
-
-    def cc(self):
-        steps = self.steps(in_condition=False)
-        if self.peek() == "(":
-            inside = self.balanced("(", ")")
-            entries = tuple(
-                _HelParser(part).cc_entry() for part in rpn.split_entries(inside)
-            )
-            if len(entries) < 2:
-                self.error("a record needs at least two '#'-separated entries")
-            return PseqRecord(steps, entries)
-        self.eat(".")
-        if not self.at_word("txt"):
-            self.error("expected 'txt'")
-        self.pos += 3
-        return PseqTxt(steps)
-
-    def cc_entry(self):
-        node = self.cc()
-        self.ws()
-        if self.pos != len(self.text):
-            self.error("trailing input in record entry")
-        return node
-
-    def cond(self) -> HelCond:
-        steps = self.steps(in_condition=True)
-        self.eat(".")
-        if not self.at_word("txt"):
-            self.error("expected 'txt'")
-        self.pos += 3
-        self.eat("=")
-        return HelCond(steps, self.string())
-
-    def steps(self, in_condition: bool) -> tuple:
-        out = []
-        while True:
-            axis = "child"
-            if self.peek(2) == "->":
-                self.eat("->")
-                axis = "descendant"
-            elif out:
-                break
-            out.append(HelStep(axis, self.patom()))
-            while self.peek() == ".":
-                save = self.pos
-                self.eat(".")
-                if self.at_word("txt"):
-                    self.pos = save
-                    return tuple(out)
-                out.append(HelStep("child", self.patom()))
-            if self.peek() == "(" and in_condition:
-                self.error("records may not appear in conditions")
-        return tuple(out)
-
-    def patom(self) -> HelPatom:
-        tag = self.tag()
-        if tag in _RESERVED:
-            self.error(f"{tag!r} is reserved")
-        var = None
-        rng = None
-        if self.peek() == "[":
-            inside = self.balanced("[", "]").strip()
-            head, sep, tail = inside.partition(":")
-            head = head.strip()
-            if sep and head != "regex":
-                if not _is_var(head):
-                    self.error(f"bad index variable {head!r}")
-                var, rng = head, parse_range(tail.strip())
-            elif _is_var(inside):
-                var = inside
-            else:
-                rng = parse_range(inside)
-        return HelPatom(tag, var, rng)
-
-
-def _is_var(s: str) -> bool:
-    return s.isidentifier() and s not in _RESERVED
+    chain: object  # rpn.Chain whose patoms may bind index variables
+    where: tuple = ()  # of rpn.CondChain, each binding some variable
 
 
 def parse_hel(text: str) -> HelStatement:
+    """A statement of the variable dialect: a chain, then optionally
+    'where' and conditions joined by 'and', then ';'."""
     if not text.strip():
         raise HelSyntaxError("empty statement")
+    p = rpn._StmtParser(text, "hel")
     try:
-        return _HelParser(text).statement()
+        chain = p._chain(cond=False)
+        where: tuple = ()
+        if p.at_word("where"):
+            p.pos += 5
+            where = p.conditions()
+        p.eat(";")
+        p.ws()
+        if p.pos != len(text):
+            p.error("trailing input")
     except rpn.RpnSyntaxError as e:
         raise HelSyntaxError(str(e)) from None
+    return HelStatement(chain, where)
 
 
 def parse_vhel(text: str):
@@ -233,41 +103,6 @@ def parse_vhel(text: str):
         raise HelSyntaxError(str(e)) from None
 
 
-def _patom_text(p: HelPatom) -> str:
-    out = p.tag
-    if p.var is not None and p.rng is not None:
-        out += f"[{p.var}:{range_to_text(p.rng)}]"
-    elif p.var is not None:
-        out += f"[{p.var}]"
-    elif p.rng is not None:
-        out += f"[{range_to_text(p.rng)}]"
-    return out
-
-
-def steps_to_text(steps) -> str:
-    parts = []
-    for k, st in enumerate(steps):
-        sep = "->" if st.axis == "descendant" else ("." if k else "")
-        parts.append(sep + _patom_text(st.patom))
-    return "".join(parts)
-
-
-def hel_to_text(stmt: HelStatement) -> str:
-    def cc_text(cc) -> str:
-        if isinstance(cc, PseqTxt):
-            return steps_to_text(cc.steps) + ".txt"
-        inner = " # ".join(cc_text(e) for e in cc.entries)
-        return steps_to_text(cc.steps) + "(" + inner + ")"
-
-    out = cc_text(stmt.cc)
-    if stmt.where:
-        out += " where " + " and ".join(
-            steps_to_text(c.steps) + ".txt = " + json.dumps(c.rhs, ensure_ascii=False)
-            for c in stmt.where
-        )
-    return out + ";"
-
-
 def vhel_to_text(stmt) -> str:
     return rpn.statement_to_text(stmt, "vhel") + ";"
 
@@ -276,99 +111,94 @@ def vhel_to_text(stmt) -> str:
 # variables: binding paths, validation, desugaring
 
 
-def cc_step_paths(cc) -> list[tuple]:
-    """Every root-to-leaf concatenation of steps, one record entry each."""
-    if isinstance(cc, PseqTxt):
-        return [cc.steps]
-    out = []
-    for e in cc.entries:
-        out.extend(cc.steps + p for p in cc_step_paths(e))
-    return out
+def _patoms(chain):
+    """The patoms of a statement, record entries included, or of a
+    condition, in text order."""
+    while isinstance(chain, (rpn.Chain, rpn.CondChain)):
+        yield chain.patom
+        chain = chain.rest
+    if isinstance(chain, rpn.Record):
+        for e in chain.entries:
+            yield from _patoms(e)
 
 
-def _cc_vars(cc) -> list[str]:
-    if isinstance(cc, PseqTxt):
-        return [s.patom.var for s in cc.steps if s.patom.var]
-    out = [s.patom.var for s in cc.steps if s.patom.var]
-    for e in cc.entries:
-        out.extend(_cc_vars(e))
-    return out
+def binding_paths(chain) -> list[tuple]:
+    """Every root-to-leaf sequence of patoms, one per record entry."""
+    head = []
+    while isinstance(chain, rpn.Chain):
+        head.append(chain.patom)
+        chain = chain.rest
+    if isinstance(chain, rpn.Record):
+        return [tuple(head) + p for e in chain.entries for p in binding_paths(e)]
+    return [tuple(head)]
 
 
 def validate_vars(stmt: HelStatement) -> None:
     seen = set()
-    for v in _cc_vars(stmt.cc):
-        if v in seen:
-            raise VarUsedTwice(f"index variable {v!r} is bound twice")
-        seen.add(v)
-    paths = cc_step_paths(stmt.cc)
+    for pa in _patoms(stmt.chain):
+        if pa.var is None:
+            continue
+        if pa.var in seen:
+            raise VarUsedTwice(f"index variable {pa.var!r} is bound twice")
+        seen.add(pa.var)
+    paths = binding_paths(stmt.chain)
     for cond in stmt.where:
-        var_positions = [
-            j for j, st in enumerate(cond.steps) if st.patom.var is not None
-        ]
+        links = list(_patoms(cond))
+        var_positions = [j for j, pa in enumerate(links) if pa.var is not None]
         if not var_positions:
-            raise PrefixMismatch(
-                f"condition {steps_to_text(cond.steps)!r} binds no index variable"
-            )
+            raise PrefixMismatch(f"condition {_cond_text(cond)!r} binds no index variable")
         for j in var_positions:
-            v = cond.steps[j].patom.var
-            if v not in seen:
-                raise VarUnbound(f"index variable {v!r} is not bound in the chain")
-        k = max(var_positions)
-        prefix = cond.steps[: k + 1]
+            if links[j].var not in seen:
+                raise VarUnbound(
+                    f"index variable {links[j].var!r} is not bound in the chain"
+                )
+        prefix = links[: max(var_positions) + 1]
         if not any(_prefix_matches(prefix, p) for p in paths):
             raise PrefixMismatch(
-                f"condition prefix {steps_to_text(prefix)!r} repeats no "
-                "chain path up to its rightmost variable"
+                f"condition {_cond_text(cond)!r} repeats no chain path up to its "
+                "rightmost variable"
             )
 
 
-def _prefix_matches(prefix: tuple, path: tuple) -> bool:
+def _cond_text(cond) -> str:
+    return rpn.statement_to_text(cond, "vhel")
+
+
+def _prefix_matches(prefix: list, path: tuple) -> bool:
     """Tags, axes and variable positions (with names) must coincide;
     plain ranges are navigation detail and stay out of the comparison."""
     if len(path) < len(prefix):
         return False
-    return all(
-        a.axis == b.axis
-        and a.patom.tag == b.patom.tag
-        and a.patom.var == b.patom.var
-        for a, b in zip(prefix, path)
-    )
-
-
-def _step_to_rpn(st: HelStep, conds: tuple = ()) -> rpn.Patom:
-    path = rpn.tag_path(st.patom.tag)
-    if st.axis == "descendant":
-        path = rpn._descendant(st.patom.tag)
-    return rpn.Patom(path, st.patom.rng or StarRange(), conds)
+    return all(a.path == b.path and a.var == b.var for a, b in zip(prefix, path))
 
 
 def desugar(stmt: HelStatement):
-    """Erase the variables: each condition becomes a nested condition chain
-    at the patom binding its rightmost variable."""
+    """Erase the variables: each condition's remainder after its rightmost
+    variable becomes a condition of the patom binding that variable."""
     validate_vars(stmt)
     pending: dict = {}
-    for cond in stmt.where:
-        k = max(j for j, st in enumerate(cond.steps) if st.patom.var is not None)
-        node: object = rpn.TxtEq(cond.rhs)
-        for st in reversed(cond.steps[k + 1 :]):
-            node = rpn.CondChain(_step_to_rpn(st), node)
-        pending.setdefault(cond.steps[k].patom.var, []).append(node)
+    for cond in stmt.where:  # each binds a variable: validate_vars checked
+        rest = cond
+        while isinstance(rest, rpn.CondChain):
+            if rest.patom.var is not None:
+                remainder, var = rest.rest, rest.patom.var
+            rest = rest.rest
+        pending.setdefault(var, []).append(remainder)
 
-    def convert_steps(steps, terminal):
-        node = terminal
-        for st in reversed(steps):
-            conds = tuple(pending.pop(st.patom.var, ())) if st.patom.var else ()
-            node = rpn.Chain(_step_to_rpn(st, conds), node)
-        return node
+    def erase(chain):
+        patoms = []
+        while isinstance(chain, rpn.Chain):
+            patoms.append(chain.patom)
+            chain = chain.rest
+        if isinstance(chain, rpn.Record):
+            chain = rpn.Record(tuple(erase(e) for e in chain.entries))
+        for pa in reversed(patoms):
+            if pa.var is not None:
+                pa = replace(pa, var=None, conds=tuple(pending.pop(pa.var, ())))
+            chain = rpn.Chain(pa, chain)
+        return chain
 
-    def convert(cc):
-        if isinstance(cc, PseqTxt):
-            return convert_steps(cc.steps, rpn.Txt())
-        entries = tuple(convert(e) for e in cc.entries)
-        return convert_steps(cc.steps, rpn.Record(entries))
-
-    return convert(stmt.cc)
+    return erase(stmt.chain)
 
 
 # ---------------------------------------------------------------------------

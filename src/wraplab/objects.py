@@ -93,18 +93,6 @@ def json_text(value: Value) -> str:
     return json.dumps(to_jsonable(value), ensure_ascii=False)
 
 
-def contained_in(a: Value, b: Value) -> bool:
-    """Recursive containment: sets by element-wise coverage, records
-    entry-wise, leaves by equality."""
-    if isinstance(a, SetVal) and isinstance(b, SetVal):
-        return all(any(contained_in(x, y) for y in b) for x in a)
-    if isinstance(a, RecordVal) and isinstance(b, RecordVal):
-        return len(a.entries) == len(b.entries) and all(
-            contained_in(x, y) for x, y in zip(a.entries, b.entries)
-        )
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # value types
 
@@ -157,16 +145,6 @@ class RecordSchema:
 
 
 ObjectSchema = object  # SetSchema at the top level
-
-
-def schema_type(schema) -> RpnType:
-    if isinstance(schema, StrSchema):
-        return TStr()
-    if isinstance(schema, SetSchema):
-        return TSet(schema_type(schema.elem))
-    if isinstance(schema, RecordSchema):
-        return TRecord(tuple(schema_type(e) for e in schema.entries))
-    raise TypeError(f"not a schema: {schema!r}")
 
 
 def schema_predicates(schema) -> list[str]:

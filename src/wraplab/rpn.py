@@ -1,17 +1,20 @@
 """Path-expression wrapper statements.
 
-A statement is a chain of path atoms ending in ``txt`` or in a record of
+A statement is a chain of path atoms ending in ``.txt`` or in a record of
 further statements.  Each path atom navigates with a regular path, selects
 positions with a range, and filters with conditions; crucially the range is
 applied to the navigation result BEFORE the conditions are checked.  The
-condition-chain dialect (vf) shares this AST and concrete syntax but
-restricts paths to ``t``/``->t`` steps, forbids nesting conditions inside
-conditions, applies conditions before ranges, and may mark conditions with
-a leading ``!``.
+condition-chain dialect (vf, ``.vhel``) shares this AST and concrete syntax
+but restricts paths to ``t``/``->t`` steps, forbids nesting conditions
+inside conditions, applies conditions before ranges, and may mark
+conditions with a leading ``!``.  The variable dialect (``.hel``) has the
+vf steps, no condition blocks and no cut marks; its brackets may bind an
+index variable (``[i]``, ``[i:range]``), which the hel module erases.
 
 A statement and each of its conditions are one kind of chain, told apart
-by its end: ``txt`` or a record, or a text test.  One parse loop, one
-renderer and one walker, ``_follow``, serve both.  The walker carries the
+by its end: ``txt`` or a record, or a text test.  One parse loop serves
+all three dialects, and one renderer and one walker, ``_follow``, serve
+statements and conditions alike.  The walker carries the
 set of reached nodes from step to step, so a step navigates from each node
 once; it takes the condition semantics, the order (range then filter, or
 filter then range) and whether cut marks stop the filter scan.
@@ -81,6 +84,7 @@ class Patom:
     path: object
     range: Range = StarRange()
     conds: tuple = ()
+    var: str | None = None  # an index variable, in the variable dialect only
 
 
 @dataclass(frozen=True)
@@ -121,16 +125,21 @@ def is_descendant_path(path) -> bool:
 
 _TAG_START = set("abcdefghijklmnopqrstuvwxyz#_")
 _TAG_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789#_-")
+_RESERVED = {"txt", "where", "and", "last", "regex"}  # in the variable dialect
 
 
 class _StmtParser:
-    """Both dialects; "rpn" allows regex paths and nested conditions,
-    "vhel" allows ->steps and cut marks instead."""
+    """All three dialects; "rpn" allows regex paths and nested conditions,
+    "vhel" allows ->steps and cut marks instead, and "hel" allows ->steps
+    and index variables, with no condition blocks or cut marks, reserved
+    words that are not tags, and at least one path atom per chain."""
 
     def __init__(self, text: str, dialect: str):
         self.text = text
         self.pos = 0
-        self.vf = dialect == "vhel"
+        self.dialect = dialect
+        self.vf = dialect != "rpn"
+        self.hel = dialect == "hel"
 
     # -- low level ----------------------------------------------------------
 
@@ -211,17 +220,20 @@ class _StmtParser:
         return node
 
     def _chain(self, cond: bool):
-        """A statement, or with cond a condition: path atoms up to 'txt',
+        """A statement, or with cond a condition: path atoms up to '.txt',
         which a condition follows with '= "..."', or up to a record, which
-        only a statement may end in.  A condition's '!' marks its first
-        link."""
-        cut = cond and self.peek() == "!"
+        only a statement may end in.  A record follows the last path atom
+        directly, or outside the variable dialect also after a '.'; there
+        a chain of no path atoms, 'txt' or a record alone, is legal too.
+        A condition's '!' marks its first link."""
+        cut = cond and not self.hel and self.peek() == "!"
         if cut:
             if not self.vf:
                 self.error("cut marks belong to the condition-chain dialect")
             self.pos += 1
         patoms = []
-        while (end := self._end(cond)) is None:
+        end = None if self.hel else (self._txt_end(cond) or self._record_end(cond))
+        while end is None:
             axis = "child"
             if self.peek(2) == "->":
                 if not self.vf:
@@ -230,7 +242,10 @@ class _StmtParser:
                 axis = "descendant"
             elif patoms:
                 self.eat(".")
-                if (end := self._end(cond)) is not None:
+                end = self._txt_end(cond)
+                if end is None and not self.hel:
+                    end = self._record_end(cond)
+                if end is not None:
                     break
                 if self.peek(2) == "->":
                     self.error("write '->' in place of '.', not after it")
@@ -238,19 +253,24 @@ class _StmtParser:
             if cond and self.vf and pa.conds:
                 self.error("conditions may not nest inside conditions here")
             patoms.append(pa)
+            end = self._record_end(cond)
         node = end
         for pa in reversed(patoms):
             node = CondChain(pa, node) if cond else Chain(pa, node)
         return replace(node, cut=True) if cut else node
 
-    def _end(self, cond: bool):
-        """The chain's end if the cursor is on one, else None."""
-        if self.at_word("txt"):
-            self.pos += 3
-            if not cond:
-                return Txt()
-            self.eat("=")
-            return TxtEq(self.string())
+    def _txt_end(self, cond: bool):
+        """Txt, or with cond a text test, if the cursor is on 'txt'."""
+        if not self.at_word("txt"):
+            return None
+        self.pos += 3
+        if not cond:
+            return Txt()
+        self.eat("=")
+        return TxtEq(self.string())
+
+    def _record_end(self, cond: bool):
+        """A statement's record if the cursor is on one."""
         if not cond and self.peek() == "(" and self._group_is_record():
             return self._record()
         return None
@@ -271,42 +291,64 @@ class _StmtParser:
         entries = split_entries(self.balanced("(", ")"))
         if len(entries) < 2:
             self.error("a record needs at least two '#'-separated entries")
-        dialect = "vhel" if self.vf else "rpn"
         return Record(
-            tuple(_StmtParser(e, dialect).statement() for e in entries)
+            tuple(_StmtParser(e, self.dialect).statement() for e in entries)
         )
 
     def _patom(self, axis: str) -> Patom:
         self.ws()
-        if self.peek() == "(":
+        if self.peek() == "(" and not self.hel:
             if self.vf:
                 self.error("regex paths belong to the path-expression dialect")
             inside = self.balanced("(", ")")
             path = parse_path(inside)
         else:
             t = self.tag()
+            if self.hel and t in _RESERVED:
+                self.error(f"{t!r} is reserved")
             path = _descendant(t) if axis == "descendant" else tag_path(t)
+        var = None
         rng: Range = StarRange()
         if self.peek() == "[":
-            rng = parse_range(self.balanced("[", "]").strip())
+            inside = self.balanced("[", "]").strip()
+            if self.hel:
+                var, rng = self._var_range(inside)
+            else:
+                rng = parse_range(inside)
         conds: tuple = ()
-        if self.peek() == "{":
-            conds = self._conds()
-        return Patom(path, rng, conds)
-
-    def _conds(self) -> tuple:
-        inside = self.balanced("{", "}")
-        dialect = "vhel" if self.vf else "rpn"
-        sub = _StmtParser(inside, dialect)
-        conds = [sub._chain(cond=True)]
-        sub.ws()
-        while sub.pos < len(sub.text):
-            if not sub.at_word("and"):
-                sub.error("expected 'and' between conditions")
-            sub.pos += 3
-            conds.append(sub._chain(cond=True))
+        if not self.hel and self.peek() == "{":
+            sub = _StmtParser(self.balanced("{", "}"), self.dialect)
+            conds = sub.conditions()
             sub.ws()
+            if sub.pos != len(sub.text):
+                sub.error("expected 'and' between conditions")
+        return Patom(path, rng, conds, var)
+
+    def _var_range(self, inside: str) -> tuple:
+        """A variable dialect bracket: [i], [i:range] or [range], read as
+        (variable or None, range); 'regex:' starts a range."""
+        head, sep, tail = inside.partition(":")
+        head = head.strip()
+        if sep and head != "regex":
+            if not _is_var(head):
+                self.error(f"bad index variable {head!r}")
+            return head, parse_range(tail.strip())
+        if _is_var(inside):
+            return inside, StarRange()
+        return None, parse_range(inside)
+
+    def conditions(self) -> tuple:
+        """Conditions joined by 'and', as in a condition block or a where
+        clause."""
+        conds = [self._chain(cond=True)]
+        while self.at_word("and"):
+            self.pos += 3
+            conds.append(self._chain(cond=True))
         return tuple(conds)
+
+
+def _is_var(s: str) -> bool:
+    return s.isidentifier() and s not in _RESERVED
 
 
 def split_entries(inside: str) -> list[str]:
@@ -342,7 +384,10 @@ def _patom_text(pa: Patom, dialect: str, axis_prefix: bool) -> str:
     else:
         raise ValueError(f"path {pa.path!r} has no condition-chain syntax")
     out = sep + s
-    if pa.range != StarRange():
+    if pa.var is not None:
+        rng = "" if pa.range == StarRange() else ":" + range_to_text(pa.range)
+        out += f"[{pa.var}{rng}]"
+    elif pa.range != StarRange():
         out += f"[{range_to_text(pa.range)}]"
     elif vf and pa.conds:
         out += "[*]"  # the condition-chain dialect spells out filtered stars

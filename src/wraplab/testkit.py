@@ -443,67 +443,66 @@ class AuxCycle(Exception):
     """The oracle's counterpart of the engine's aux-cycle error."""
 
 
-def naive_eliminate_aux(pairs: dict, aux) -> dict:
-    """Close derivations across auxiliary atoms, then drop them along with
-    the atoms left hanging from parents that only auxiliary edges reached.
-    pairs maps each predicate to its (v0, v) set; returns the same shape."""
+def naive_eliminate_aux(pairs: dict, aux, parents: dict) -> dict:
+    """Close the hangs-from relation over aux instances, then move every
+    non-aux atom to the anchors of the instances it hangs from.
+
+    An instance (q, b) is an aux predicate q with a target node b.  An
+    atom of p at parent node b hangs from (q, b) for each aux parent
+    predicate q of p (parents maps heads to them) that has that instance;
+    it stays at b when a non-aux parent holds at b ('root' and 'dom'
+    always do) or when it hangs from nothing.  An instance's anchors are
+    the nodes a of its atoms q(a, b) that stay at a, and those of every
+    instance it reaches.  pairs maps each predicate to its (v0, v) set;
+    returns the same shape without the aux predicates."""
     aux = frozenset(aux)
     triples = {(p, a, b) for p in pairs for a, b in pairs[p]}
-
-    aux_edges = [(a, b) for p, a, b in triples if p in aux]
-    _reject_cycles(aux_edges)
-
-    by_source: dict[int, set] = {}
-    for t in triples:
-        by_source.setdefault(t[1], set()).add(t)
-    queue = [t for t in triples if t[0] in aux]
-    while queue:
-        q, a, b = queue.pop()
-        for t in list(by_source.get(b, ())):
-            s, _, c = t
-            new = (s, a, c)
-            if new not in triples:
-                triples.add(new)
-                by_source.setdefault(a, set()).add(new)
-                if s in aux:
-                    queue.append(new)
-                # a non-aux copy still composes with aux atoms ending at a
-                queue.extend(
-                    t2 for t2 in triples if t2[0] in aux and t2[2] == a
-                )
-
-    retained = {t for t in triples if t[0] not in aux}
-    aux_targets = {b for p, a, b in triples if p in aux}
-    kept_targets = {b for p, a, b in retained}
-    orphaned = aux_targets - kept_targets
-    retained = {(p, a, b) for p, a, b in retained if a not in orphaned}
-
-    out = {p: set() for p in pairs if p not in aux}
-    for p, a, b in retained:
-        out.setdefault(p, set()).add((a, b))
-    return out
-
-
-def _reject_cycles(edges: list) -> None:
-    adj: dict = {}
-    for a, b in edges:
-        if a == b:
+    for p, a, b in sorted(triples):
+        if p in aux and a == b:
             raise AuxCycle(f"auxiliary atom loops at node {a}")
-        adj.setdefault(a, []).append(b)
-    state: dict = {}
+    instances = {(p, b) for p, _, b in triples if p in aux}
+    targets = {(p, b) for p, _, b in triples}
 
-    def visit(v):
-        state[v] = 1
-        for w in adj.get(v, ()):
-            if state.get(w) == 1:
-                raise AuxCycle(f"auxiliary atoms form a cycle through node {w}")
-            if w not in state:
-                visit(w)
-        state[v] = 2
+    def hangs(p, b):
+        ps = parents.get(p, ())
+        up = {(q, b) for q in ps if (q, b) in instances}
+        stay = not up or any(
+            r not in aux and (r in ("root", "dom") or (r, b) in targets)
+            for r in ps
+        )
+        return stay, up
 
-    for v in list(adj):
-        if v not in state:
-            visit(v)
+    direct = {i: set() for i in instances}  # anchors at the instance itself
+    reach = {i: set() for i in instances}  # instances it hangs from, closed below
+    for q, a, b in triples:
+        if q in aux:
+            stay, up = hangs(q, a)
+            if stay:
+                direct[q, b].add(a)
+            reach[q, b] |= up
+    changed = True
+    while changed:
+        changed = False
+        for i in instances:
+            more = set().union(*(reach[j] for j in reach[i])) - reach[i]
+            if more:
+                reach[i] |= more
+                changed = True
+    for q, b in sorted(instances):
+        if (q, b) in reach[q, b]:
+            raise AuxCycle(f"auxiliary atoms form a cycle through node {b}")
+
+    out: dict = {p: set() for p in pairs if p not in aux}
+    for p, b, c in triples:
+        if p in aux:
+            continue
+        stay, up = hangs(p, b)
+        if stay:
+            out[p].add((b, c))
+        for i in up:
+            for j in reach[i] | {i}:
+                out[p].update((x, c) for x in direct[j])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -596,59 +596,83 @@ def test_collapse_avoids_name_collisions():
 # eliminate_aux
 
 
-def _store(pairs, aux=()):
-    s = elog.AtomStore(frozenset(aux))
+def _store(pairs, aux=(), parents=None):
+    s = elog.AtomStore(frozenset(aux), parents=parents)
     s.pairs = {p: set(v) for p, v in pairs.items()}
     return s
 
 
 def test_eliminate_single_gap():
-    out = elog.eliminate_aux(_store({"q": {(1, 2)}, "p": {(2, 3)}}, aux=["q"]))
+    out = elog.eliminate_aux(_store(
+        {"q": {(1, 2)}, "p": {(2, 3)}}, aux=["q"], parents={"q": ("root",), "p": ("q",)}
+    ))
     assert out.pairs == {"p": {(1, 3)}}
 
 
 def test_eliminate_chained_gaps():
-    out = elog.eliminate_aux(
-        _store({"q": {(1, 2)}, "r": {(2, 3)}, "p": {(3, 4)}}, aux=["q", "r"])
-    )
+    out = elog.eliminate_aux(_store(
+        {"q": {(1, 2)}, "r": {(2, 3)}, "p": {(3, 4)}},
+        aux=["q", "r"],
+        parents={"q": ("root",), "r": ("q",), "p": ("r",)},
+    ))
     assert out.pairs == {"p": {(1, 4)}}
 
 
 def test_eliminate_no_aux_atoms_is_identity():
-    out = elog.eliminate_aux(_store({"p": {(1, 2)}}))
+    out = elog.eliminate_aux(_store({"p": {(1, 2)}}, parents={"p": ("root",)}))
     assert out.pairs == {"p": {(1, 2)}}
 
 
 def test_eliminate_keeps_targets_with_retained_edges():
-    out = elog.eliminate_aux(
-        _store({"q": {(1, 2)}, "s": {(9, 2)}, "p": {(2, 3)}}, aux=["q"])
-    )
+    # p hangs from both q and s; s holds at 2, so p(2, 3) also stays
+    out = elog.eliminate_aux(_store(
+        {"q": {(1, 2)}, "s": {(9, 2)}, "p": {(2, 3)}},
+        aux=["q"],
+        parents={"q": ("root",), "s": ("root",), "p": ("q", "s")},
+    ))
     assert out.pairs == {"s": {(9, 2)}, "p": {(1, 3), (2, 3)}}
+
+
+def test_eliminate_moves_each_atom_along_its_own_parent():
+    # q and r both reach node 2 from different anchors; p hangs from q
+    # only, so r's anchor 5 must not become one of p's
+    out = elog.eliminate_aux(_store(
+        {"q": {(1, 2)}, "r": {(5, 2)}, "p": {(2, 3)}, "s": {(2, 4)}},
+        aux=["q", "r"],
+        parents={"q": ("root",), "r": ("root",), "p": ("q",), "s": ("r",)},
+    ))
+    assert out.pairs == {"p": {(1, 3)}, "s": {(5, 4)}}
 
 
 def test_eliminate_aux_cycle_rejected():
     with pytest.raises(elog.AuxCycle):
-        elog.eliminate_aux(_store({"q": {(1, 2), (2, 1)}}, aux=["q"]))
+        elog.eliminate_aux(
+            _store({"q": {(1, 2), (2, 1)}}, aux=["q"], parents={"q": ("q",)})
+        )
     with pytest.raises(elog.AuxCycle):
-        elog.eliminate_aux(_store({"q": {(1, 1)}}, aux=["q"]))
+        elog.eliminate_aux(_store({"q": {(1, 1)}}, aux=["q"], parents={"q": ("root",)}))
 
 
 def test_eliminate_aux_idempotent():
-    first = elog.eliminate_aux(
-        _store(
-            {"q": {(1, 2), (5, 6)}, "p": {(2, 3), (6, 7)}, "r": {(3, 9)}},
-            aux=["q"],
-        )
-    )
+    first = elog.eliminate_aux(_store(
+        {"q": {(1, 2), (5, 6)}, "p": {(2, 3), (6, 7)}, "r": {(3, 9)}},
+        aux=["q"],
+        parents={"q": ("root",), "p": ("q",), "r": ("p",)},
+    ))
     again = elog.eliminate_aux(first)
     assert again.pairs == first.pairs
 
 
 def test_eliminate_branching_aux():
-    out = elog.eliminate_aux(
-        _store({"q": {(1, 2), (1, 4)}, "p": {(2, 3), (4, 5)}}, aux=["q"])
-    )
+    out = elog.eliminate_aux(_store(
+        {"q": {(1, 2), (1, 4)}, "p": {(2, 3), (4, 5)}},
+        aux=["q"],
+        parents={"q": ("root",), "p": ("q",)},
+    ))
     assert out.pairs == {"p": {(1, 3), (1, 5)}}
+
+
+_PREDS = ("p0", "p1", "p2", "p3")
 
 
 @settings(max_examples=300, deadline=None)
@@ -658,25 +682,33 @@ def test_eliminate_branching_aux():
         max_size=14,
     ),
     st.sets(st.integers(0, 3)),
+    st.lists(
+        st.lists(st.sampled_from(("root", "dom") + _PREDS), min_size=1, max_size=2),
+        min_size=4,
+        max_size=4,
+    ),
 )
-def test_eliminate_aux_matches_naive_oracle(triples, aux_ids):
+def test_eliminate_aux_matches_naive_oracle(triples, aux_ids, parent_lists):
     pairs: dict = {}
     for p, a, b in triples:
         pairs.setdefault(f"p{p}", set()).add((a, b))
     aux = [f"p{p}" for p in aux_ids]
+    parents = {p: tuple(ps) for p, ps in zip(_PREDS, parent_lists)}
     try:
-        expected = testkit.naive_eliminate_aux(pairs, aux)
+        expected = testkit.naive_eliminate_aux(pairs, aux, parents)
     except testkit.AuxCycle:
         with pytest.raises(elog.AuxCycle):
-            elog.eliminate_aux(_store(pairs, aux))
+            elog.eliminate_aux(_store(pairs, aux, parents))
         return
-    assert elog.eliminate_aux(_store(pairs, aux)).pairs == expected
+    assert elog.eliminate_aux(_store(pairs, aux, parents)).pairs == expected
 
 
 def test_eliminate_deep_aux_chain():
-    n = 20_000
+    n = 100_000
     chain = {(i, i + 1) for i in range(n)}
-    out = elog.eliminate_aux(_store({"q": chain, "p": {(n, n + 1)}}, aux=["q"]))
+    out = elog.eliminate_aux(_store(
+        {"q": chain, "p": {(n, n + 1)}}, aux=["q"], parents={"q": ("q",), "p": ("q",)}
+    ))
     assert out.pairs == {"p": {(0, n + 1)}}
 
 
@@ -684,7 +716,9 @@ def test_eliminate_deep_aux_cycle_rejected():
     n = 20_000
     ring = {(i, (i + 1) % n) for i in range(n)}
     with pytest.raises(elog.AuxCycle):
-        elog.eliminate_aux(_store({"q": ring, "p": {(0, n)}}, aux=["q"]))
+        elog.eliminate_aux(_store(
+            {"q": ring, "p": {(0, n)}}, aux=["q"], parents={"q": ("q",), "p": ("q",)}
+        ))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,16 @@ from wraplab import elog, hel
 from wraplab import objects as ob
 from wraplab import rpn
 from wraplab.doctree import parse_document
-from wraplab.pathrange import Atom, Index, Interval, RangeSyntaxError, StarRange
+from wraplab.pathrange import (
+    Atom,
+    Concat,
+    Index,
+    Interval,
+    RangeSyntaxError,
+    Star,
+    StarRange,
+    Wildcard,
+)
 from wraplab.testkit import (
     DOC1,
     StmtGenSpec,
@@ -54,38 +63,49 @@ def quiet_eval(fn, stmt, tree):
 # parsing
 
 
-def test_listing_parses_and_round_trips():
+def _chain_patoms(chain) -> list:
+    out = []
+    while isinstance(chain, (rpn.Chain, rpn.CondChain)):
+        out.append(chain.patom)
+        chain = chain.rest
+    return out
+
+
+def test_listing_parses():
     s = hel.parse_hel(ITEMS_HEL)
-    assert hel.hel_to_text(s) == ITEMS_HEL
-    assert isinstance(s.cc, hel.PseqRecord)
-    assert len(s.cc.entries) == 2 and len(s.where) == 1
+    record = s.chain.rest.rest.rest
+    assert isinstance(record, rpn.Record)
+    assert len(record.entries) == 2 and len(s.where) == 1
+    assert isinstance(s.where[0], rpn.CondChain)
 
 
 def test_vrange_forms():
     s = hel.parse_hel("a[i].b[j:1-2].c[0].d[last].e.txt;")
-    patoms = [st.patom for st in s.cc.steps]
-    assert patoms[0] == hel.HelPatom("a", "i", None)
-    assert patoms[1] == hel.HelPatom("b", "j", Interval(1, 2))
-    assert patoms[2] == hel.HelPatom("c", None, Index(0))
-    assert patoms[3].rng is not None and patoms[4] == hel.HelPatom("e")
+    patoms = _chain_patoms(s.chain)
+    assert patoms[0] == rpn.Patom(Atom("a"), var="i")
+    assert patoms[1] == rpn.Patom(Atom("b"), Interval(1, 2), var="j")
+    assert patoms[2] == rpn.Patom(Atom("c"), Index(0))
+    assert patoms[3].range != StarRange() and patoms[3].var is None
+    assert patoms[4] == rpn.Patom(Atom("e"))
 
 
 def test_descendant_steps_parse():
     s = hel.parse_hel("a->b[i].txt where a->b[i].txt = \"x\";")
-    assert s.cc.steps[1].axis == "descendant"
-    assert hel.hel_to_text(s) == 'a->b[i].txt where a->b[i].txt = "x";'
+    descendant = Concat((Star(Wildcard()), Atom("b")))
+    assert _chain_patoms(s.chain)[1] == rpn.Patom(descendant, var="i")
+    assert _chain_patoms(s.where[0])[1] == rpn.Patom(descendant, var="i")
 
 
 def test_record_attaches_without_a_dot():
     s = hel.parse_hel("a.b(c.txt # d.txt);")
-    assert isinstance(s.cc, hel.PseqRecord)
-    assert [st.patom.tag for st in s.cc.steps] == ["a", "b"]
+    assert [pa.path for pa in _chain_patoms(s.chain)] == [Atom("a"), Atom("b")]
+    assert isinstance(s.chain.rest.rest, rpn.Record)
 
 
 def test_nested_records():
     s = hel.parse_hel("a(b.txt # c(d.txt # e.txt));")
-    outer = s.cc
-    assert isinstance(outer.entries[1], hel.PseqRecord)
+    outer = s.chain.rest
+    assert isinstance(outer.entries[1].rest, rpn.Record)
 
 
 def test_multiple_conditions():
@@ -116,6 +136,25 @@ def test_rejected_statements(text):
     with pytest.raises((hel.HelSyntaxError, RangeSyntaxError)):
         s = hel.parse_hel(text)
         raise AssertionError(f"parsed: {s!r}")
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (rpn.parse_rpn, "a txt"),
+        (rpn.parse_rpn, "a[0] txt"),
+        (rpn.parse_rpn, 'a{txt = "x"} txt'),
+        (rpn.parse_rpn, 'a{b txt = "x"}.txt'),
+        (hel.parse_vhel, "a txt;"),
+        (hel.parse_vhel, "->a txt;"),
+        (hel.parse_vhel, 'a{b txt = "x"}.txt;'),
+        (hel.parse_hel, "c[*] txt;"),
+        (hel.parse_hel, 'a[i].txt where a[i] txt = "x";'),
+    ],
+)
+def test_txt_always_follows_a_dot(parse, text):
+    with pytest.raises((rpn.RpnSyntaxError, hel.HelSyntaxError), match="expected '.'"):
+        parse(text)
 
 
 def test_vhel_accepts_cut_marks_and_semicolon():
@@ -178,10 +217,11 @@ def test_generated_vf_statements_round_trip(seed):
 
 def test_binding_paths_include_the_witness():
     s = hel.parse_hel(ITEMS_HEL)
-    assert tuple(hel.steps_to_text(p) + ".txt" for p in hel.cc_step_paths(s.cc)) == (
-        "html.body.table.tr[0].td[0].txt",
-        "html.body.table.tr[i:*].td[1].txt",
-    )
+    expected = [
+        tuple(_chain_patoms(hel.parse_hel(text).chain))
+        for text in ("html.body.table.tr[0].td[0].txt;", "html.body.table.tr[i].td[1].txt;")
+    ]
+    assert hel.binding_paths(s.chain) == expected
 
 
 def test_variable_bound_twice():
@@ -221,6 +261,12 @@ def test_condition_variable_unbound():
 def test_prefix_mismatches(text):
     with pytest.raises(hel.PrefixMismatch):
         hel.validate_vars(hel.parse_hel(text))
+
+
+def test_prefix_mismatch_names_the_condition():
+    s = hel.parse_hel('a.c[i].txt where a.b[i:1-2].txt = "x";')
+    with pytest.raises(hel.PrefixMismatch, match=r"'a\.b\[i:1-2\]\.txt = \"x\"'"):
+        hel.validate_vars(s)
 
 
 def test_plain_ranges_in_the_prefix_are_not_compared():
@@ -468,6 +514,20 @@ def test_divergent_statement_translates_divergently(doc1):
     rprog, _, _ = rpn.translate_rpn(w)
     _, rval = elog.run_pipeline(rprog, doc1)
     assert ob.to_jsonable(rval) == []
+
+
+def test_record_translation_matches_lenient_evaluation_on_one_tag():
+    # every node is an a, so the three entries' aux chains meet at shared
+    # nodes; each entry's atoms must still move along its own chain
+    tree = gen_tree(TreeGenSpec.profile("one_tag", 257, max_nodes=40))
+    w = hel.parse_vhel(
+        'a->a.(a.a{a[0-2].a.txt = "x"}.a[3]{a.a[3-4].txt = "x" and '
+        'a[3-5].txt = "x"}.txt # a.txt # a[*].a[1-1]{a.a.txt = "y"}.a[0]'
+        '{a[3-5].a.txt = "xy" and a.a[2,5].txt = "xx"}.txt);'
+    )
+    prog, _, _ = hel.translate_vf(w)
+    _, val = elog.run_pipeline(prog, tree)
+    assert val == quiet_eval(hel.eval_vf, w, tree)
 
 
 @given(st.integers(0, 10**6))

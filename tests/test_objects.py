@@ -51,16 +51,6 @@ def test_jsonable_nesting():
     assert ob.json_text(outer) == '[[["a"], []]]'
 
 
-def test_contained_in():
-    small = sv((0, ob.StrVal("x")))
-    big = sv((0, ob.StrVal("x")), (1, ob.StrVal("y")))
-    assert ob.contained_in(small, big)
-    assert not ob.contained_in(big, small)
-    r1 = ob.RecordVal((small, sv()))
-    r2 = ob.RecordVal((big, sv((3, ob.StrVal("z")))))
-    assert ob.contained_in(sv((0, r1)), sv((0, r2)))
-
-
 def test_type_rendering():
     t = ob.TSet(ob.TRecord((ob.TSet(ob.TStr()), ob.TSet(ob.TStr()))))
     assert ob.type_to_text(t) == "SetOf(RecordOf(SetOf(Str), SetOf(Str)))"
@@ -71,9 +61,6 @@ def test_schema_text_round_trip():
     schema = ob.parse_schema(text)
     assert ob.schema_to_text(schema) == text
     assert ob.schema_predicates(schema) == ["p1", "p2", "p3"]
-    assert ob.schema_type(schema) == ob.TSet(
-        ob.TRecord((ob.TSet(ob.TStr()), ob.TSet(ob.TStr())))
-    )
 
 
 def test_schema_anonymous_set():

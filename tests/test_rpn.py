@@ -5,7 +5,7 @@ import warnings
 from functools import partial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wraplab import elog, hel
@@ -416,7 +416,19 @@ def test_self_selecting_step_is_rejected_by_the_pipeline(doc1):
         elog.run_pipeline(prog, doc1)
 
 
+def test_record_entries_splice_their_own_aux_chains():
+    # the aux step c* reaches the inner c from the outer one; only the
+    # first entry's own aux atom c(c1, c2) may move its atoms up
+    t = parse_document("<b><c><c><a>y</a></c></c></b>")
+    w = rpn.parse_rpn("(b.c*).(c.c.txt # a.txt)")
+    prog, _, _ = rpn.translate_rpn(w)
+    _, val = elog.run_pipeline(prog, t)
+    assert ob.to_jsonable(val) == [[["y"], []], [[], []], [[], ["y"]]]
+    assert val == rpn.eval_rpn(w, t)
+
+
 @given(st.integers(0, 10**6))
+@example(2173)  # two record entries under one aux chain
 @settings(max_examples=150, deadline=None)
 def test_translation_matches_direct_evaluation(seed):
     tree = gen_tree(TreeGenSpec(seed=seed))
