@@ -86,11 +86,11 @@ class Wrapper:
         text = _read(path, WrapperError)
         try:
             if self.lang == "rpn":
-                self.ast = rpn.parse_rpn(text.strip())
+                self.ast = rpn.parse_rpn(text)
             elif self.lang == "vhel":
                 self.ast = hel.parse_vhel(text)
             elif self.lang == "hel":
-                self.ast = hel.desugar(hel.parse_hel(text.strip()))
+                self.ast = hel.desugar(hel.parse_hel(text))
             else:
                 self.ast = elog.parse_elog(text)
         except _PARSE_ERRORS as e:

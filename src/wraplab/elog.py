@@ -54,12 +54,14 @@ from typing import NamedTuple
 from . import objects as ob
 from .doctree import DocTree
 from .pathrange import (
+    TAG,
     PathAutomaton,
     RawRegex,
     Range,
     StarRange,
     apply_range,
     compile_path,
+    group_end,
     holders,
     is_finite,
     parse_path,
@@ -481,17 +483,17 @@ class _Atom:
 def _parse_atom(text: str, line: int) -> _Atom:
     text = text.strip()
     m = _IDENT.match(text)
-    if not m or (text[: m.end()] != text[: m.end()].lower()):
+    if not m:
         raise ElogSyntaxError(f"expected an atom, got {text!r}", line)
     name = m.group(0)
     i = m.end()
     brackets = []
     while i < len(text) and text[i] == "[":
-        j = text.index("]", i) if "]" in text[i:] else -1
+        j = group_end(text, i)
         if j < 0:
             raise ElogSyntaxError(f"unterminated '[' in {text!r}", line)
-        brackets.append(text[i + 1 : j])
-        i = j + 1
+        brackets.append(text[i + 1 : j - 1])
+        i = j
     if i >= len(text) or text[i] != "(":
         raise ElogSyntaxError(f"expected '(' in atom {text!r}", line)
     if not text.endswith(")"):
@@ -579,9 +581,9 @@ def _parse_cond(atom: _Atom, line: int):
         if argc != 2:
             raise ElogSyntaxError("label takes (x, tag)", line)
         tag = atom.args[1]
-        if not _IDENT.fullmatch(tag):
+        if not TAG.fullmatch(tag):
             raise ElogSyntaxError(f"label: bad tag {tag!r}", line)
-        return Label(_var_arg(atom, 0, line), tag)
+        return Label(_var_arg(atom, 0, line), tag.lower())
     if n == "root":
         if argc != 1:
             raise ElogSyntaxError("root condition takes (x)", line)
@@ -594,14 +596,9 @@ def _trailing_range(body: str, line: int):
     s = body.rstrip()
     if not s.endswith("]"):
         return body, None
-    depth = 0
-    for i in range(len(s) - 1, -1, -1):
-        if s[i] == "]":
-            depth += 1
-        elif s[i] == "[":
-            depth -= 1
-            if depth == 0:
-                return s[:i], parse_range(s[i + 1 : -1].strip())
+    for j in reversed([i for i, c, _ in scan(s) if c == "["]):
+        if group_end(s, j) == len(s):  # the '[' that the last ']' closes
+            return s[:j], parse_range(s[j + 1 : -1].strip())
     raise ElogSyntaxError("unbalanced rule range bracket", line)
 
 
@@ -776,11 +773,10 @@ class AtomStore:
     predicates of its rules (a builtin for a rule anchored at root or dom),
     which is what eliminate_aux follows."""
 
-    def __init__(self, aux: frozenset, schema=None, parents=None):
+    def __init__(self, aux: frozenset, parents=None):
         self.pairs: dict[str, set] = {}
         self.unary: dict[str, frozenset] = {}
         self.aux = frozenset(aux)
-        self.schema = schema
         self.parents: dict = parents or {}
 
 
@@ -849,7 +845,7 @@ class _Eval:
         self.analysis = program._analysis
         self.tree = tree
         self.universal = program.universal_preds()
-        self.store = AtomStore(program.aux, program.schema, self.analysis.parents)
+        self.store = AtomStore(program.aux, self.analysis.parents)
         self._sub: dict = {}
         # second-argument projection of each predicate; a dom-rule
         # predicate's node set itself
@@ -1202,13 +1198,19 @@ def eliminate_aux(store: AtomStore) -> AtomStore:
     if q(a, b) stays at a, else the anchors of what q(a, b) hangs from.
     An atom stays where it is when a non-aux parent predicate holds at b
     (a builtin always does), or when it hangs from nothing.  Aux atoms are
-    then dropped.  Raises AuxCycle at an aux atom q(a, a) or a cycle of
-    instances.  Iterative, and linear in atoms and instances apart from
-    the anchor sets."""
+    then dropped.  One iterative depth-first walk over the instances gives
+    each its anchors after those of the instances it hangs from, and
+    raises AuxCycle at an aux atom q(a, a) or a cycle of instances; it is
+    linear in atoms and instances apart from the anchor sets."""
     aux = store.aux
     ups = {p: [q for q in ps if q in aux] for p, ps in store.parents.items()}
     others = {p: [r for r in ps if r not in aux] for p, ps in store.parents.items()}
-    anchors: dict = {q: {} for q in aux}  # q -> {b: the anchors of (q, b)}
+    sources: dict = {}  # instance (q, b) -> the nodes a of its q(a, b)
+    for q in sorted(aux):
+        for a, b in store.pairs.get(q, ()):
+            if a == b:
+                raise AuxCycle(f"auxiliary atom loops at node {a}")
+            sources.setdefault((q, b), []).append(a)
     images: dict = {}
 
     def holds(r: str, b: int) -> bool:
@@ -1218,34 +1220,48 @@ def eliminate_aux(store: AtomStore) -> AtomStore:
             images[r] = store.unary.get(r) or {v for _, v in store.pairs.get(r, ())}
         return b in images[r]
 
-    def home(p: str, b: int) -> frozenset:
-        """Where p's atoms at parent node b go, once the aux instances they
-        hang from have their anchors."""
-        qs, rs = ups.get(p, ()), others.get(p, ())
-        if len(qs) == 1 and not rs:  # the translations' shape
-            return anchors[qs[0]].get(b) or frozenset((b,))
-        homes = [anchors[q][b] for q in qs if b in anchors[q]]
-        if not homes or any(holds(r, b) for r in rs):
-            homes.append(frozenset((b,)))
+    anchors: dict = {}  # instance -> its anchors, set after its parents' anchors
+
+    def home(p: str, bs) -> frozenset | None:
+        """Where p's atoms at the parent nodes bs go; None while an
+        instance they hang from has no anchors yet."""
+        qs, rs, homes = ups.get(p, ()), others.get(p, ()), []
+        for b in bs:
+            n = len(homes)
+            for q in qs:
+                h = anchors.get((q, b))
+                if h is not None:
+                    homes.append(h)
+                elif (q, b) in sources:
+                    return None
+            if len(homes) == n or rs and any(holds(r, b) for r in rs):
+                homes.append(frozenset((b,)))
         return homes[0] if len(homes) == 1 else frozenset().union(*homes)
 
-    # aux predicates parents first; only a recursive component's instances
-    # need an order of their own
-    for comp in _sccs(sorted(aux), [(q, r) for q in aux for r in ups.get(q, ())]):
-        sources: dict = {}  # instance (q, b) -> the nodes a of its q(a, b)
-        for q in sorted(comp):
-            for a, b in store.pairs.get(q, ()):
-                if a == b:
-                    raise AuxCycle(f"auxiliary atom loops at node {a}")
-                sources.setdefault((q, b), []).append(a)
-        q = min(comp)
-        if len(comp) > 1 or q in ups.get(q, ()):
-            sources = _walk_order(comp, sources, ups)
-        for (q, b), srcs in sources.items():
-            homes = [home(q, a) for a in srcs]
-            anchors[q][b] = homes[0] if len(homes) == 1 else frozenset().union(*homes)
+    entered: set = set()  # instances on the walk's path
+    for top in sources:
+        stack = [top]
+        while stack:
+            inst = stack[-1]
+            if inst in anchors:
+                stack.pop()
+                continue
+            xs = home(inst[0], sources[inst])
+            if xs is not None:
+                anchors[inst] = xs
+                entered.discard(inst)
+                stack.pop()
+                continue
+            todo = [
+                (r, a) for r in ups[inst[0]] for a in sources[inst]
+                if (r, a) in sources and (r, a) not in anchors
+            ]
+            if any(i in entered for i in todo):
+                raise AuxCycle(f"auxiliary atoms form a cycle through node {inst[1]}")
+            entered.add(inst)
+            stack.extend(todo)
 
-    out = AtomStore(frozenset(), store.schema, store.parents)
+    out = AtomStore(frozenset(), store.parents)
     out.unary = dict(store.unary)
     for p, pairs in store.pairs.items():
         if p in aux:
@@ -1258,38 +1274,9 @@ def eliminate_aux(store: AtomStore) -> AtomStore:
         for b, c in pairs:
             xs = moves.get(b)
             if xs is None:
-                xs = moves[b] = home(p, b)
+                xs = moves[b] = home(p, (b,))
             kept.update((x, c) for x in xs)
     return out
-
-
-def _walk_order(comp, sources: dict, ups: dict) -> dict:
-    """sources, ordered so that each instance of a recursive component of
-    aux predicates comes after the instances it hangs from: an iterative
-    depth-first walk, which raises AuxCycle at a cycle of instances."""
-    done: dict = {}
-    entered: set = set()  # instances on the walk's path
-    for top in sources:
-        stack = [top]
-        while stack:
-            inst = stack[-1]
-            if inst in done:
-                stack.pop()
-                continue
-            todo = [
-                (r, a) for r in ups[inst[0]] if r in comp for a in sources[inst]
-                if (r, a) in sources and (r, a) not in done
-            ]
-            if not todo:
-                done[inst] = sources[inst]
-                entered.discard(inst)
-                stack.pop()
-            elif any(i in entered for i in todo):
-                raise AuxCycle(f"auxiliary atoms form a cycle through node {inst[1]}")
-            else:
-                entered.add(inst)
-                stack.extend(todo)
-    return done
 
 
 # ---------------------------------------------------------------------------

@@ -94,11 +94,8 @@ def parse_hel(text: str) -> HelStatement:
 def parse_vhel(text: str):
     """Variable-free statements share the rpn AST; a trailing ';' is
     allowed, '!' cut marks and '->' steps are part of this dialect."""
-    stripped = text.strip()
-    if stripped.endswith(";"):
-        stripped = stripped[:-1]
     try:
-        return rpn.parse_statement(stripped, "vhel")
+        return rpn.parse_statement(text.rstrip().removesuffix(";"), "vhel")
     except rpn.RpnSyntaxError as e:
         raise HelSyntaxError(str(e)) from None
 

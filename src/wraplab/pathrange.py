@@ -12,6 +12,11 @@ select by direct indexing and never fail, and as raw regular expressions
 over {0,1} that must mark positions deterministically: at most one word per
 length (checked up to a probe bound at compile time).  The word for length
 k has a 1 at each selected position.
+
+The lexical rules that every wrapper parser shares live here too: ``TAG``,
+the document's tag-name rule, ``STRING``, the "..." literal, and ``scan``,
+the one quote- and bracket-aware loop.  ``read_path`` reads a path in place
+inside a longer text, so its error offsets count from that text's start.
 """
 
 from __future__ import annotations
@@ -113,21 +118,28 @@ def alt(*items) -> PathRegex:
 
 
 # ---------------------------------------------------------------------------
-# scanning wrapper text: the one quote- and bracket-aware loop that the
-# statement and program parsers share
+# the lexical rules of wrapper text, shared by the statement, path and
+# program parsers
 
 
-# a "..." literal (possibly unterminated), or one character the parsers
-# look for outside literals
-_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[()\[\]{}#,%]', re.S)
+# a tag: the document name rule (doctree's _NAME), in any case, or a
+# '#'-name such as '#text'; a '-' directly before '>' ends it, so that
+# 'a->b' is the tag 'a' and a descendant step.  '_', the wildcard, is no tag
+TAG = re.compile(r"#?[A-Za-z](?:[A-Za-z0-9]|-(?!>))*")
+
+# a "..." literal, where a backslash escapes the next character
+STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
+
+# a literal, possibly unterminated, or one character the parsers look for
+# outside literals
+_TOKEN = re.compile(STRING.pattern + r'?|[()\[\]{}#,%]', re.S)
 
 
 def scan(text: str, start: int = 0):
     """Yield (index, char, depth) for each bracket and each of the
     separators ``#``, ``,`` and ``%`` in text from start on that lies outside
-    a "..." literal, where a backslash escapes the next character.  depth
-    counts the brackets ( [ { open around the character; a bracket itself
-    is at the depth outside it."""
+    a "..." literal.  depth counts the brackets ( [ { open around the
+    character; a bracket itself is at the depth outside it."""
     depth = 0
     for m in _TOKEN.finditer(text, start):
         c = m.group()
@@ -140,12 +152,20 @@ def scan(text: str, start: int = 0):
             depth += 1
 
 
-def split_top(text: str, sep: str, glue=frozenset()) -> list[str]:
-    """Split text at each sep outside literals and brackets, unless a
-    character of glue follows it."""
+def group_end(text: str, i: int) -> int:
+    """The index just past the bracket that closes the one at text[i], or
+    -1 when none does or one of another kind does."""
+    for j, c, depth in scan(text, i):
+        if depth == 0 and j > i:
+            return j + 1 if text[i] + c in ("()", "[]", "{}") else -1
+    return -1
+
+
+def split_top(text: str, sep: str) -> list[str]:
+    """Split text at each sep outside literals and brackets."""
     parts, last = [], 0
     for i, c, depth in scan(text):
-        if c == sep and depth == 0 and text[i + 1 : i + 2] not in glue:
+        if c == sep and depth == 0:
             parts.append(text[last:i])
             last = i + 1
     parts.append(text[last:])
@@ -154,9 +174,6 @@ def split_top(text: str, sep: str, glue=frozenset()) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # textual syntax: tags, '.', '|', '*', '_', parentheses
-
-_TAG_START = set("abcdefghijklmnopqrstuvwxyz#")
-_TAG_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789-")
 
 
 class _PathParser:
@@ -232,13 +249,22 @@ class _PathParser:
             raise PathSyntaxError(
                 f"expected 0 or 1 at {self.pos} in range regex {self.text!r}"
             )
-        if c.lower() in _TAG_START:
-            start = self.pos
-            self.pos += 1
-            while self.pos < len(self.text) and self.text[self.pos].lower() in _TAG_CHARS:
-                self.pos += 1
-            return Atom(self.text[start : self.pos].lower())
+        m = TAG.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+            return Atom(m.group().lower())
         raise PathSyntaxError(f"unexpected {c!r} at {self.pos} in path {self.text!r}")
+
+
+def read_path(text: str, pos: int = 0) -> tuple:
+    """The path at text[pos], read in place up to the first character that
+    continues it in no way, and that character's index; a ')' at pos is
+    the empty path expression.  Error offsets count from text's start."""
+    p = _PathParser(text)
+    p.pos = pos
+    if p._peek() == ")":
+        raise PathSyntaxError("empty path expression")
+    return p._alt(), p.pos
 
 
 def parse_path(text: str) -> PathRegex:

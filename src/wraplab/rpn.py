@@ -13,8 +13,11 @@ index variable (``[i]``, ``[i:range]``), which the hel module erases.
 
 A statement and each of its conditions are one kind of chain, told apart
 by its end: ``txt`` or a record, or a text test.  One parse loop serves
-all three dialects, and one renderer and one walker, ``_follow``, serve
-statements and conditions alike.  The walker carries the
+all three dialects.  It reads record entries, condition blocks and regex
+path groups in place, so an error offset counts from the start of the
+statement, and it takes tags and keywords by ``pathrange.TAG``, in any
+case.  One renderer and one walker, ``_follow``, serve statements and
+conditions alike.  The walker carries the
 set of reached nodes from step to step, so a step navigates from each node
 once; it takes the condition semantics, the order (range then filter, or
 filter then range) and whether cut marks stop the filter scan.
@@ -37,19 +40,22 @@ from . import elog
 from . import objects as ob
 from .doctree import DocTree
 from .pathrange import (
+    STRING,
+    TAG,
     Atom,
     Concat,
     Range,
+    RawRegex,
     Star,
     StarRange,
     Wildcard,
     apply_range,
-    parse_path,
+    group_end,
     parse_range,
     path_to_text,
     range_to_text,
+    read_path,
     scan,
-    split_top,
     subelem,
 )
 
@@ -123,8 +129,6 @@ def is_descendant_path(path) -> bool:
 # ---------------------------------------------------------------------------
 # concrete syntax
 
-_TAG_START = set("abcdefghijklmnopqrstuvwxyz#_")
-_TAG_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789#_-")
 _RESERVED = {"txt", "where", "and", "last", "regex"}  # in the variable dialect
 
 
@@ -160,55 +164,33 @@ class _StmtParser:
         self.pos += len(s)
 
     def at_word(self, w: str) -> bool:
-        if self.peek(len(w)) != w:
-            return False
-        nxt = self.text[self.pos + len(w) : self.pos + len(w) + 1]
-        return nxt not in _TAG_CHARS
+        """Whether the next tag, in any case, is the keyword w."""
+        self.ws()
+        m = TAG.match(self.text, self.pos)
+        return m is not None and m.group().lower() == w
 
     def tag(self) -> str:
-        self.ws()
-        start = self.pos
-        if self.pos >= len(self.text) or self.text[self.pos] not in _TAG_START:
-            self.error("expected a tag")
-        self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos] in _TAG_CHARS:
-            if self.text[self.pos] == "-" and self.text[self.pos + 1 : self.pos + 2] == ">":
-                break  # an arrow step, not a hyphenated tag
+        if self.peek() == "_":
             self.pos += 1
-        return self.text[start : self.pos]
+            return "_"
+        m = TAG.match(self.text, self.pos)
+        if m is None:
+            self.error("expected a tag")
+        self.pos = m.end()
+        return m.group().lower()
 
     def string(self) -> str:
-        self.ws()
         if self.peek() != '"':
             self.error("expected a string")
-        start = self.pos
-        i = self.pos + 1
-        while i < len(self.text):
-            if self.text[i] == "\\":
-                i += 2
-                continue
-            if self.text[i] == '"':
-                raw = self.text[start : i + 1]
-                try:
-                    value = json.loads(raw)
-                except ValueError:
-                    self.error(f"bad string literal {raw}")
-                self.pos = i + 1
-                return value
-            i += 1
-        self.error("unterminated string")
-
-    def balanced(self, open_c: str, close_c: str) -> str:
-        """Consume a balanced group (cursor on open_c), return the inside."""
-        self.eat(open_c)
-        start = self.pos - 1
-        for i, c, depth in scan(self.text, start):
-            if depth == 0 and i > start:  # the bracket that closes the group
-                if c == close_c:
-                    self.pos = i + 1
-                    return self.text[start + 1 : i]
-                break
-        self.error(f"missing {close_c!r}")
+        m = STRING.match(self.text, self.pos)
+        if m is None:
+            self.error("unterminated string")
+        try:
+            value = json.loads(m.group())
+        except ValueError:
+            self.error(f"bad string literal {m.group()}")
+        self.pos = m.end()
+        return value
 
     # -- grammar --------------------------------------------------------------
 
@@ -270,38 +252,35 @@ class _StmtParser:
         return TxtEq(self.string())
 
     def _record_end(self, cond: bool):
-        """A statement's record if the cursor is on one."""
-        if not cond and self.peek() == "(" and self._group_is_record():
-            return self._record()
+        """A statement's record if the cursor is on one: a parenthesized
+        group with a separating '#' directly inside it, one that starts no
+        '#'-name."""
+        if cond or self.peek() != "(":
+            return None
+        for i, c, depth in scan(self.text, self.pos):
+            if depth == 0 and i > self.pos:
+                return None
+            if c == "#" and depth == 1 and TAG.match(self.text, i) is None:
+                return self._record()
         return None
 
-    def _group_is_record(self) -> bool:
-        """A parenthesized group is a record iff it has a separating '#'
-        directly inside it; '#' immediately followed by a tag character is
-        a tag."""
-        start = self.pos
-        for i, c, depth in scan(self.text, start):
-            if depth == 0 and i > start:
-                return False
-            if c == "#" and depth == 1 and self.text[i + 1 : i + 2] not in _TAG_CHARS:
-                return True
-        return False
-
     def _record(self):
-        entries = split_entries(self.balanced("(", ")"))
-        if len(entries) < 2:
-            self.error("a record needs at least two '#'-separated entries")
-        return Record(
-            tuple(_StmtParser(e, self.dialect).statement() for e in entries)
-        )
+        self.eat("(")
+        entries = [self._chain(cond=False)]
+        while self.peek() == "#" and TAG.match(self.text, self.pos) is None:
+            self.pos += 1
+            entries.append(self._chain(cond=False))
+        self.eat(")")
+        return Record(tuple(entries))
 
     def _patom(self, axis: str) -> Patom:
-        self.ws()
         if self.peek() == "(" and not self.hel:
             if self.vf:
                 self.error("regex paths belong to the path-expression dialect")
-            inside = self.balanced("(", ")")
-            path = parse_path(inside)
+            path, self.pos = read_path(self.text, self.pos + 1)
+            if self.text[self.pos : self.pos + 1] != ")":
+                self.error("expected ')'")
+            self.pos += 1
         else:
             t = self.tag()
             if self.hel and t in _RESERVED:
@@ -310,18 +289,20 @@ class _StmtParser:
         var = None
         rng: Range = StarRange()
         if self.peek() == "[":
-            inside = self.balanced("[", "]").strip()
+            end = group_end(self.text, self.pos)
+            if end < 0:
+                self.error("missing ']'")
+            inside = self.text[self.pos + 1 : end - 1].strip()
+            self.pos = end
             if self.hel:
                 var, rng = self._var_range(inside)
             else:
                 rng = parse_range(inside)
         conds: tuple = ()
         if not self.hel and self.peek() == "{":
-            sub = _StmtParser(self.balanced("{", "}"), self.dialect)
-            conds = sub.conditions()
-            sub.ws()
-            if sub.pos != len(sub.text):
-                sub.error("expected 'and' between conditions")
+            self.pos += 1
+            conds = self.conditions()
+            self.eat("}")
         return Patom(path, rng, conds, var)
 
     def _var_range(self, inside: str) -> tuple:
@@ -349,12 +330,6 @@ class _StmtParser:
 
 def _is_var(s: str) -> bool:
     return s.isidentifier() and s not in _RESERVED
-
-
-def split_entries(inside: str) -> list[str]:
-    """A record body's entries: '#' separates them outside brackets and
-    literals, unless a tag character follows ('#text' is a tag)."""
-    return split_top(inside, "#", _TAG_CHARS)
 
 
 def parse_statement(text: str, dialect: str = "rpn"):
@@ -574,6 +549,14 @@ class _Translator:
     def cond(self, cond) -> str:
         """One universal predicate whose image is the set of nodes
         satisfying the condition."""
+        if isinstance(cond, CondChain) and isinstance(cond.patom.range, RawRegex):
+            # a dom rule applies it at every node, where the walker applies
+            # it only at the nodes the statement reaches, and it can raise
+            text = statement_to_text(cond, "vhel" if self.lift else "rpn")
+            raise ValueError(
+                f"condition {text!r}: a regex range in a condition has no "
+                "datalog counterpart"
+            )
         pred = self.new_cond_pred()
         if isinstance(cond, TxtEq):
             conds: tuple = (elog.ContainsStr("X", cond.s),)

@@ -351,6 +351,39 @@ def test_translate_to_elog_output_reparses(wrapctl):
     assert "@schema set(p5, str)" in out
 
 
+@pytest.mark.parametrize("tag", ["A", "#text", "a-b", "x9"])
+def test_translate_to_elog_reparses_every_tag_form(wrapctl, tmp_path, tag):
+    w = tmp_path / "t.rpn"
+    w.write_text(f'r.{tag}{{{tag}.txt = "x"}}.({tag}|b).txt')
+    rc, out, err = wrapctl("translate", w, "--to", "elog")
+    assert rc == 0, err
+    assert elog.serialize_elog(elog.parse_elog(out)) == out
+    assert f"[{tag.lower()}]" in out
+
+
+@pytest.mark.parametrize("tag", ["a_b", "t#d"])
+def test_names_no_document_tag_can_have_are_refused(wrapctl, tmp_path, tag):
+    w = tmp_path / "t.rpn"
+    w.write_text(f"r.{tag}.txt")
+    rc, _, err = wrapctl("translate", w, "--to", "elog")
+    assert rc == 1
+    assert err.startswith("wrapctl: ") and err.count("\n") == 1, err
+
+
+def test_translate_refuses_a_regex_ranged_condition(wrapctl, tmp_path):
+    # the direct walker tests the condition at the reached a only; its dom
+    # rule would test every node, c too, where b[regex:1] has no word
+    d = tmp_path / "t.doc"
+    d.write_text("<r><a><b>x</b></a><c/></r>")
+    w = tmp_path / "t.rpn"
+    w.write_text('r.a{b[regex:1].txt = "x"}.b.txt')
+    assert wrapctl("run", w, d) == (0, '["x"]\n', "")
+    rc, out, err = wrapctl("translate", w, "--to", "elog")
+    assert (rc, out) == (1, "")
+    assert err.startswith("wrapctl: ") and err.count("\n") == 1, err
+    assert "b[regex:1]" in err
+
+
 def test_translate_trivial_statement(wrapctl, tmp_path):
     w = tmp_path / "t.rpn"
     w.write_text("txt")

@@ -97,6 +97,13 @@ def test_serialize_parse_round_trip(quadratic, parity):
     assert elog.parse_elog(elog.serialize_elog(rich)) == rich
 
 
+def test_label_tags_are_folded_to_lower_case():
+    prog = elog.parse_elog(
+        "p(X0, X) :- root(_, X0), subelem[_*][*](X0, X), label(X, TD), label(X0, #text)."
+    )
+    assert [c.tag for c in prog.rules[0].conds] == ["td", "#text"]
+
+
 def test_copy_rule_round_trip():
     text = "p(X0,X) :- root(_,X0), subelem[a][*](X0,X).\np'(_, X) :- p(_, X).\n"
     prog = elog.parse_elog(text)
@@ -118,6 +125,9 @@ def test_copy_rule_round_trip():
         ("p(X0,X) :- root(_,X0), subelem[a][*](X0,X), root(_, X).", elog.ElogSyntaxError),
         ("dom(X0,X) :- root(_,X0), subelem[a][*](X0,X).", elog.UnsafeRule),
         ("p(X0,X) :- dom(X0,X), label(X0, b).", elog.UnsafeRule),
+        ("p(X0,X) :- dom(X0,X), label(X, t#d).", elog.ElogSyntaxError),
+        ("p(X0,X) :- dom(X0,X), label(X, a_b).", elog.ElogSyntaxError),
+        ("p(X0,X) :- dom(X0,X), label(X, #).", elog.ElogSyntaxError),
     ],
 )
 def test_rejected_programs(text, err):

@@ -169,17 +169,22 @@ def test_vhel_rejects_regex_paths():
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text, message, parse",
     [
-        ('a{b{c.txt = "x"}.txt = "y"}.txt;', "at 14: conditions may not nest"),
-        ('a{b(c.txt # d.txt)}.txt;', "at 1: expected '.'"),  # no record
-        ('a{(c.txt # d.txt)}.txt;', "at 0: regex paths belong"),
-        ('a{!!b.txt = "x"}.txt;', "at 1: expected a tag"),
+        ('a{b{c.txt = "x"}.txt = "y"}.txt;', "at 16: conditions may not nest", hel.parse_vhel),
+        ('a{b(c.txt # d.txt)}.txt;', "at 3: expected '.'", hel.parse_vhel),  # no record
+        ('a{(c.txt # d.txt)}.txt;', "at 2: regex paths belong", hel.parse_vhel),
+        ('a{!!b.txt = "x"}.txt;', "at 3: expected a tag", hel.parse_vhel),
+        # offsets count from the start of the statement in every dialect,
+        # inside record entries and condition blocks too
+        ("a(b.txt # c txt);", "at 12: expected '.'", hel.parse_hel),
+        ('a{b txt = "x"}.txt', "at 4: expected '.'", rpn.parse_rpn),
+        ("a.(b.txt # c.d..txt)", "at 15: expected a tag", rpn.parse_rpn),
     ],
 )
-def test_vhel_conditions_are_chains_without_records_or_nesting(text, message):
-    with pytest.raises(hel.HelSyntaxError) as e:
-        hel.parse_vhel(text)
+def test_vhel_conditions_are_chains_without_records_or_nesting(text, message, parse):
+    with pytest.raises((hel.HelSyntaxError, rpn.RpnSyntaxError)) as e:
+        parse(text)
     assert str(e.value).startswith(message)
 
 
@@ -189,10 +194,11 @@ def test_vhel_round_trip():
         ITEMS_VHEL,
         "->a.txt;",
         "g._[0,2]->_.txt;",
+        "a.(b.txt # c.txt);",  # the dot before a record is optional
     ]
     for text in texts:
         w = hel.parse_vhel(text)
-        assert hel.vhel_to_text(w) == text
+        assert hel.vhel_to_text(w) == text.replace(".(", "(")
         assert hel.parse_vhel(hel.vhel_to_text(w)) == w
 
 

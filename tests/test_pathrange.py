@@ -2,12 +2,14 @@
 the brute-force oracles."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wraplab import doctree
 from wraplab import pathrange as pr
 from wraplab import rpn
 from wraplab import testkit as tk
@@ -36,11 +38,21 @@ def test_parse_precedence():
 
 
 @pytest.mark.parametrize(
-    "text", ["", "a..b", "a|", "(a", "a)", "*", "a.*", "1x", ".a"]
+    "text", ["", "a..b", "a|", "(a", "a)", "*", "a.*", "1x", ".a", "a_b", "t#d", "#"]
 )
 def test_bad_paths_rejected(text):
     with pytest.raises(pr.PathSyntaxError):
         pr.parse_path(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("aZ9-_#", max_size=6))
+def test_tag_rule_is_the_document_name_rule(name):
+    def doc_name(s):
+        return re.fullmatch(doctree._NAME, s) is not None
+
+    expected = doc_name(name) or (name[:1] == "#" and doc_name(name[1:]))
+    assert (pr.TAG.fullmatch(name) is not None) == expected
 
 
 @pytest.mark.parametrize(

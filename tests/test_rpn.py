@@ -145,12 +145,42 @@ def test_string_escapes():
         'a{b = "x"}.txt',  # conditions compare text, not nodes
         "a[2-1].txt",  # empty interval
         'a{(b.txt # c.txt)}.txt',  # a record cannot end a condition
+        # names no document tag can have
+        "a_b.txt",
+        "t#d.txt",
+        "(a_b).txt",
+        "a.#.txt",
+        "_a.txt",
     ],
 )
 def test_rejected_statements(text):
     with pytest.raises((rpn.RpnSyntaxError, pr.PathSyntaxError, pr.RangeSyntaxError)):
         w = rpn.parse_statement(text, "rpn")
         raise AssertionError(f"parsed: {w!r}")
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("A.TXT", "a.txt"),
+        ('Tr{TD[0].Txt = "x" AND txt = "y"}.(A|b).txt', 'tr{td[0].txt = "x" and txt = "y"}.(a|b).txt'),
+        ("X9.a-B.#TEXT.txt", "x9.a-b.#text.txt"),
+    ],
+)
+def test_tags_and_keywords_are_read_in_any_case(text, canonical):
+    assert rpn.statement_to_text(rpn.parse_rpn(text)) == canonical
+
+
+def test_keywords_end_before_an_underscore_or_an_arrow():
+    assert rpn.parse_rpn('a{txt = "x" and_.txt = "y"}.txt') == rpn.parse_rpn(
+        'a{txt = "x" and _.txt = "y"}.txt'
+    )
+    assert hel.parse_vhel('a{txt = "x" and->b.txt = "y"}.txt;') == hel.parse_vhel(
+        'a{txt = "x" and ->b.txt = "y"}.txt;'
+    )
+    assert hel.parse_hel('a[i].txt where->a[i].txt = "x";') == hel.parse_hel(
+        'a[i].txt where ->a[i].txt = "x";'
+    )
 
 
 def test_syntax_error_reports_position():
