@@ -25,11 +25,11 @@ conditions on the parent alone once per parent, before navigating from it,
 rather than at every target; only a ``regex:`` step or rule range, which
 can raise whatever the parent, navigates from every parent and leaves them
 in the body.  Each rule is applied once per parent, when the parent is
-derived, and derives its satisfied targets as one set: the pairs go into
-the head's relation and the new targets into its image in one pass.  A
-target whose body fails waits on the reference atoms it found false and is
-tried again only when one of them is derived, as in Dowling and Gallier's
-linear Horn-SAT.  A nonrecursive component is thus a single pass.
+derived, and derives its satisfied targets as one set: they go into the
+head's relation, which keeps each parent's targets as one set (Pairs),
+and the new ones into its image in one pass.  A target whose body fails
+waits on the reference atoms it found false and is tried again only when
+one of them is derived, as in Dowling and Gallier's linear Horn-SAT.  A nonrecursive component is thus a single pass.
 A trailing rule range ``[rho]`` selects among each parent's derived targets
 in document order and forces the whole program to be nonrecursive.
 
@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -55,7 +57,6 @@ from . import objects as ob
 from .doctree import DocTree
 from .pathrange import (
     TAG,
-    PathAutomaton,
     RawRegex,
     Range,
     StarRange,
@@ -679,25 +680,38 @@ def parse_elog(text: str) -> ElogProgram:
     aux: list[str] = []
     record_order: list[str] = []
     schema = None
+    named: list = []  # (name, line, directive) per predicate a directive names
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        if line.startswith("@aux"):
-            aux.extend(line[4:].split())
-            continue
-        if line.startswith("@record"):
-            record_order.extend(line[7:].split())
-            continue
-        if line.startswith("@schema"):
+        word = line.split(None, 1)[0]
+        rest = line[len(word) :]
+        if word == "@aux":
+            names = rest.split()
+            aux.extend(names)
+        elif word == "@record":
+            names = rest.split()
+            record_order.extend(names)
+        elif word == "@schema":
             try:
-                schema = ob.parse_schema(line[7:].strip())
+                schema = ob.parse_schema(rest.strip())
             except ob.SchemaSyntaxError as exc:
                 raise ElogSyntaxError(str(exc), lineno) from None
-            continue
-        if not line.endswith("."):
+            names = ob.schema_predicates(schema)
+        elif not line.endswith("."):
             raise ElogSyntaxError("rule must end with '.'", lineno)
-        rules.append(_parse_rule(line[:-1], lineno))
+        else:
+            rules.append(_parse_rule(line[:-1], lineno))
+            continue
+        for name in names:
+            if not _IDENT.fullmatch(name):
+                raise ElogSyntaxError(f"{word}: bad predicate name {name!r}", lineno)
+        named.extend((name, lineno, word) for name in names)
+    heads = {r.head for r in rules}
+    for name, lineno, word in named:
+        if name not in heads:
+            raise UnknownPredicate(f"line {lineno}: {word}: no rules for {name!r}")
     program = ElogProgram(
         tuple(rules), frozenset(aux), tuple(record_order), schema
     )
@@ -767,14 +781,65 @@ def serialize_elog(program: ElogProgram) -> str:
 # evaluation
 
 
+class Pairs(Set):
+    """One predicate's atoms p(v0, v) as a set of (v0, v) pairs, kept per
+    parent: by_parent maps each parent node v0 to the set of its targets,
+    never empty.  Evaluation, aux elimination, rendering and dump_atoms
+    handle a parent's targets as one set; iteration yields the pairs.  A
+    Pairs is equal to the plain set of the same pairs, and its len is its
+    atom count."""
+
+    __slots__ = ("by_parent",)
+
+    def __init__(self, pairs=()):
+        self.by_parent: dict[int, set] = {}
+        for v0, v in pairs:
+            self.update(v0, (v,))
+
+    def update(self, v0: int, targets) -> None:
+        """Add the atoms (v0, v) for every v of the non-empty targets."""
+        group = self.by_parent.get(v0)
+        if group is None:
+            self.by_parent[v0] = set(targets)
+        else:
+            group.update(targets)
+
+    def image(self) -> set:
+        """The second-argument projection: the union of the groups."""
+        return set().union(*self.by_parent.values())
+
+    def __len__(self) -> int:
+        return sum(map(len, self.by_parent.values()))
+
+    def __iter__(self):
+        for v0, targets in self.by_parent.items():
+            for v in targets:
+                yield v0, v
+
+    def __contains__(self, pair) -> bool:
+        try:
+            v0, v = pair
+        except (TypeError, ValueError):
+            return False
+        return v in self.by_parent.get(v0, ())
+
+    def __eq__(self, other):
+        if isinstance(other, Pairs):
+            return self.by_parent == other.by_parent
+        return Set.__eq__(self, other)
+
+    def __repr__(self) -> str:
+        return f"Pairs({sorted(self)})"
+
+
 class AtomStore:
-    """Derived atoms: pair sets per materialized predicate, node sets per
+    """Derived atoms: a Pairs per materialized predicate, a node set per
     universal (dom-rule) predicate.  parents maps each head to the parent
     predicates of its rules (a builtin for a rule anchored at root or dom),
     which is what eliminate_aux follows."""
 
     def __init__(self, aux: frozenset, parents=None):
-        self.pairs: dict[str, set] = {}
+        self.pairs: dict[str, Pairs] = {}
         self.unary: dict[str, frozenset] = {}
         self.aux = frozenset(aux)
         self.parents: dict = parents or {}
@@ -784,22 +849,35 @@ def unary_query(store: AtomStore, pred: str) -> frozenset:
     if pred in store.unary:
         return store.unary[pred]
     if pred in store.pairs:
-        return frozenset(v for _, v in store.pairs[pred])
+        return frozenset(store.pairs[pred].image())
     raise UnknownPredicate(f"no predicate {pred!r} in this store")
 
 
 def dump_atoms(store: AtomStore) -> str:
-    lines = sorted(
-        f"{p}({v0},{v})" for p in store.pairs for v0, v in store.pairs[p]
-    )
-    return "\n".join(lines)
+    """The atoms as p(v0,v) lines in plain string order, built one parent
+    at a time: a parent's lines, its targets in text order, make one block,
+    and the blocks are sorted as text.  That is the order of the lines,
+    since ',' and ')' sort below the digits and no line's 'p(v0,' prefix
+    is a prefix of another parent's."""
+    blocks = []
+    add = blocks.append
+    for p, rel in store.pairs.items():
+        for v0, targets in rel.by_parent.items():
+            if len(targets) == 1:
+                for v in targets:
+                    add(f"{p}({v0},{v})")
+            else:
+                head = f"{p}({v0},"
+                add(head + f")\n{head}".join(sorted(map(str, targets))) + ")")
+    blocks.sort()
+    return "\n".join(blocks)
 
 
 @dataclass(slots=True)
 class _Plan:
     """One rule compiled for one evaluation.
 
-    ``aut`` is a chain rule's navigation automaton.  ``parent`` checks the
+    ``nav`` is a chain rule's navigation from a parent.  ``parent`` checks the
     conditions on the parent alone, once per parent and before navigating
     from it (None, with the conditions left in ``body``, when a regex range
     must see every parent's targets); ``body`` runs the rest of the rule's
@@ -812,7 +890,7 @@ class _Plan:
     """
 
     rule: object
-    aut: PathAutomaton | None = None
+    nav: object = None
     parent: object = None
     body: object = None
     pad: tuple = ()
@@ -846,7 +924,11 @@ class _Eval:
         self.tree = tree
         self.universal = program.universal_preds()
         self.store = AtomStore(program.aux, self.analysis.parents)
-        self._sub: dict = {}
+        self._recursive = frozenset().union(
+            *(comp for comp, recursive in self.analysis.components if recursive)
+        )
+        # per shared automaton, each node's subelem list; no caller mutates one
+        self._sub: dict = {aut: {} for aut in self._shared_automata()}
         # second-argument projection of each predicate; a dom-rule
         # predicate's node set itself
         self._image: dict[str, set] = {p: set() for p in self.analysis.heads}
@@ -857,12 +939,44 @@ class _Eval:
 
     # -- relation access ----------------------------------------------------
 
-    def subelem_hits(self, v0: int, aut: PathAutomaton) -> list[int]:
-        """subelem's list, kept for the evaluation; no caller mutates it."""
-        key = (v0, aut)
-        hits = self._sub.get(key)
-        if hits is None:
-            hits = self._sub[key] = subelem(self.tree, v0, aut)
+    def _shared_automata(self) -> set:
+        """The automata a navigation may be asked for twice at one node, so
+        the only ones worth keeping subelem lists for: those that two or
+        more navigations of the program share.  A chain rule's step and a
+        dom rule's contains(X, Y), tried at each node, count once; any other
+        contains counts twice, since its first variable can take one node
+        at many targets.  A contains that holders derives in one pass does
+        not navigate per node and is not counted."""
+        uses: Counter = Counter()
+        for rs in self.analysis.rules.values():
+            for r, order in rs:
+                if isinstance(r, CopyRule):
+                    continue
+                one_pass = None
+                if isinstance(r, ChainRule):
+                    uses[compile_path(r.path)] += 1
+                elif (k := self._one_pass(r, order)) is not None:
+                    one_pass = order[k][0]
+                for c in r.conds:
+                    if isinstance(c, Contains) and c is not one_pass:
+                        once = isinstance(r, DomRule) and c.x == r.xvar
+                        uses[compile_path(c.path)] += 1 if once else 2
+        return {aut for aut, n in uses.items() if n > 1}
+
+    def _navigation(self, path):
+        """subelem from a node along path, its list kept per node when the
+        automaton is shared (see _shared_automata)."""
+        aut, tree = compile_path(path), self.tree
+        kept = self._sub.get(aut)
+        if kept is None:
+            return lambda v0: subelem(tree, v0, aut)
+
+        def hits(v0: int) -> list[int]:
+            found = kept.get(v0)
+            if found is None:
+                found = kept[v0] = subelem(tree, v0, aut)
+            return found
+
         return hits
 
     def parents_of(self, rule) -> list[int]:
@@ -906,7 +1020,7 @@ class _Eval:
         if isinstance(rule, ChainRule):
             return _Plan(
                 rule,
-                compile_path(rule.path),
+                self._navigation(rule.path),
                 self._chain([(c, None) for c in on_parent], slot),
                 self._chain(rest, slot),
                 pad,
@@ -941,7 +1055,7 @@ class _Eval:
         the nodes are tried in), the first atom to bind a variable is
         contains(X, Y) with a finite path or the * range, and no later atom
         mentions X."""
-        if rule.head in self._live or isinstance(rule.rule_range, RawRegex):
+        if rule.head in self._recursive or isinstance(rule.rule_range, RawRegex):
             return None
         if any(isinstance(c, Contains) and isinstance(c.rng, RawRegex)
                for c in rule.conds):
@@ -1039,9 +1153,8 @@ class _Eval:
             root = (t.root(),)
             return lambda env: root
         if isinstance(c, Contains):
-            hits, aut, rng = self.subelem_hits, compile_path(c.path), c.rng
-            x = slot[c.x]
-            return lambda env: apply_range(hits(env[x], aut), rng)
+            hits, rng, x = self._navigation(c.path), c.rng, slot[c.x]
+            return lambda env: apply_range(hits(env[x]), rng)
         # firstchild and nextsibling give at most one value either way
         if var == c.y:
             x = slot[c.x]
@@ -1085,12 +1198,12 @@ class _Eval:
             return
         head = rule.head
         if v0 is not None:
-            # a bucket appears with its first atom: the order of the pairs
-            # decides which predicate a schema mismatch names
-            bucket = self.store.pairs.get(head)
-            if bucket is None:
-                bucket = self.store.pairs[head] = set()
-            bucket.update([(v0, v) for v in sat])
+            # a relation appears with its first atom: the order of the
+            # relations decides which predicate a schema mismatch names
+            rel = self.store.pairs.get(head)
+            if rel is None:
+                rel = self.store.pairs[head] = Pairs()
+            rel.update(v0, sat)
         image = self._image[head]
         if self._live:
             work = self._work
@@ -1110,7 +1223,7 @@ class _Eval:
         elif v0 is None:
             self._fire(plan, None, plan.targets())
         elif plan.parent is None or plan.parent([None, v0]):
-            targets = apply_range(self.subelem_hits(v0, plan.aut), rule.rng)
+            targets = apply_range(plan.nav(v0), rule.rng)
             self._fire(plan, v0, targets)
 
     def _component(self, comp: frozenset) -> None:
@@ -1146,7 +1259,7 @@ class _Eval:
             if pred in self.universal:
                 self.store.unary[pred] = frozenset(self._image[pred])
             else:
-                self.store.pairs.setdefault(pred, set())
+                self.store.pairs.setdefault(pred, Pairs())
         return self.store
 
 
@@ -1200,8 +1313,9 @@ def eliminate_aux(store: AtomStore) -> AtomStore:
     (a builtin always does), or when it hangs from nothing.  Aux atoms are
     then dropped.  One iterative depth-first walk over the instances gives
     each its anchors after those of the instances it hangs from, and
-    raises AuxCycle at an aux atom q(a, a) or a cycle of instances; it is
-    linear in atoms and instances apart from the anchor sets."""
+    raises AuxCycle at an aux atom q(a, a) or a cycle of instances.  The
+    atoms of p at one parent b move together, as one target set, so the
+    splice is linear in parents and instances apart from the anchor sets."""
     aux = store.aux
     ups = {p: [q for q in ps if q in aux] for p, ps in store.parents.items()}
     others = {p: [r for r in ps if r not in aux] for p, ps in store.parents.items()}
@@ -1217,7 +1331,8 @@ def eliminate_aux(store: AtomStore) -> AtomStore:
         if r in BUILTINS:
             return True
         if r not in images:
-            images[r] = store.unary.get(r) or {v for _, v in store.pairs.get(r, ())}
+            rel = store.pairs.get(r)
+            images[r] = store.unary.get(r, ()) if rel is None else rel.image()
         return b in images[r]
 
     anchors: dict = {}  # instance -> its anchors, set after its parents' anchors
@@ -1263,19 +1378,13 @@ def eliminate_aux(store: AtomStore) -> AtomStore:
 
     out = AtomStore(frozenset(), store.parents)
     out.unary = dict(store.unary)
-    for p, pairs in store.pairs.items():
+    for p, rel in store.pairs.items():
         if p in aux:
             continue
-        if not ups.get(p):
-            out.pairs[p] = set(pairs)
-            continue
-        kept = out.pairs[p] = set()
-        moves: dict = {}  # parent node b -> where p's atoms at b go
-        for b, c in pairs:
-            xs = moves.get(b)
-            if xs is None:
-                xs = moves[b] = home(p, (b,))
-            kept.update((x, c) for x in xs)
+        kept = out.pairs[p] = Pairs()
+        for b, cs in rel.by_parent.items():
+            for x in home(p, (b,)):
+                kept.update(x, cs)
     return out
 
 
@@ -1296,7 +1405,7 @@ def output_graph(store: AtomStore, tree: DocTree) -> OutputGraph:
     edge_preds: dict = {}
     labels: dict = {}
     for pred, pairs in store.pairs.items():
-        labels[pred] = frozenset(v for _, v in pairs)
+        labels[pred] = frozenset(pairs.image())
         for e in pairs:
             edges.add(e)
             edge_preds[e] = edge_preds.get(e, frozenset()) | {pred}
@@ -1338,12 +1447,7 @@ def to_complex_object(store: AtomStore, schema, tree: DocTree):
             raise SchemaMismatch(
                 f"atoms of {pred!r} have no place in the schema"
             )
-    index: dict = {}
-    for pred in allowed:
-        for v0, v in store.pairs.get(pred, ()):
-            index.setdefault((pred, v0), []).append(v)
-    for k in index:
-        index[k].sort()
+    groups = {p: store.pairs[p].by_parent for p in allowed if p in store.pairs}
 
     def render(anchor: int, node):
         if isinstance(node, ob.StrSchema):
@@ -1353,7 +1457,7 @@ def to_complex_object(store: AtomStore, schema, tree: DocTree):
         if isinstance(node, ob.SetSchema):
             if node.pred is None:
                 return ob.SetVal([(anchor, render(anchor, node.elem))])
-            members = index.get((node.pred, anchor), ())
+            members = sorted(groups.get(node.pred, {}).get(anchor, ()))
             return ob.SetVal([(w, render(w, node.elem)) for w in members])
         raise TypeError(f"not a schema node: {node!r}")
 

@@ -514,15 +514,16 @@ Range = object  # union of the six range classes
 
 
 def parse_range(text: str) -> Range:
-    """Parse the surface range syntax: '*', 'i', 'i-j', unions, 'last', 'regex:..'."""
+    """Parse the surface range syntax: '*', 'i', 'i-j', unions, 'last',
+    'regex:..'; the keywords are read in any case."""
     body = text.strip()
     if not body:
         raise RangeSyntaxError("empty range")
     if body == "*":
         return StarRange()
-    if body == "last":
+    if body.lower() == "last":
         return Last()
-    if body.startswith("regex:"):
+    if body[:6].lower() == "regex:":
         try:
             pattern = parse_binary_regex(body[len("regex:") :])
         except PathSyntaxError as exc:

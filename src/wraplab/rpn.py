@@ -307,10 +307,10 @@ class _StmtParser:
 
     def _var_range(self, inside: str) -> tuple:
         """A variable dialect bracket: [i], [i:range] or [range], read as
-        (variable or None, range); 'regex:' starts a range."""
+        (variable or None, range); 'regex:', in any case, starts a range."""
         head, sep, tail = inside.partition(":")
         head = head.strip()
-        if sep and head != "regex":
+        if sep and head.lower() != "regex":
             if not _is_var(head):
                 self.error(f"bad index variable {head!r}")
             return head, parse_range(tail.strip())
@@ -329,7 +329,7 @@ class _StmtParser:
 
 
 def _is_var(s: str) -> bool:
-    return s.isidentifier() and s not in _RESERVED
+    return s.isidentifier() and s.lower() not in _RESERVED
 
 
 def parse_statement(text: str, dialect: str = "rpn"):

@@ -158,6 +158,26 @@ def test_run_reports_range_errors_on_one_line(wrapctl, tmp_path):
     assert "no word of length 2" in err
 
 
+BAD_DIRECTIVES = {  # directive -> what the one wrapctl line names
+    "@aux p1,p2": "@aux: bad predicate name 'p1,p2'",
+    "@aux nosuch": "@aux: no rules for 'nosuch'",
+    "@record P1": "@record: bad predicate name 'P1'",
+    "@schema set(P1, str)": "@schema: bad predicate name 'P1'",
+    "@schema set(q, str)": "@schema: no rules for 'q'",
+}
+
+
+@pytest.mark.parametrize("directive", BAD_DIRECTIVES)
+def test_bad_directive_names_fail_on_one_line(wrapctl, tmp_path, directive):
+    w = tmp_path / "bad.elog"
+    w.write_text(directive + "\np1(X0, X) :- root(_, X0), subelem[a][*](X0, X).\n")
+    for argv in (("run", w, corpus("programs", "chain.doc")), ("check", w)):
+        rc, out, err = wrapctl(*argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("wrapctl: ") and err.count("\n") == 1, err
+        assert f"line 1: {BAD_DIRECTIVES[directive]}" in err
+
+
 BIG = 100_000
 # the deep document nests BIG b elements, each with an a leaf before the
 # next b; the wide one is a list of BIG items

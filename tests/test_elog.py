@@ -135,6 +135,31 @@ def test_rejected_programs(text, err):
         elog.parse_elog(text)
 
 
+RULE_P1 = "p1(X0, X) :- root(_, X0), subelem[a][*](X0, X).\n"
+
+
+@pytest.mark.parametrize(
+    "directive, err",
+    [
+        ("@aux p1,p2", elog.ElogSyntaxError),  # one name, not two
+        ("@aux nosuch", elog.UnknownPredicate),
+        ("@record p1 P2", elog.ElogSyntaxError),
+        ("@record q", elog.UnknownPredicate),
+        ("@schema set(P1, str)", elog.ElogSyntaxError),
+        ("@schema set(p1, record(set(q, str)))", elog.UnknownPredicate),
+    ],
+)
+def test_directives_name_rule_heads(directive, err):
+    # the directive is on line 2, after a comment line
+    with pytest.raises(err, match="line 2: "):
+        elog.parse_elog("% names\n" + directive + "\n" + RULE_P1)
+
+
+def test_directives_may_precede_their_rules_and_use_tabs():
+    prog = elog.parse_elog("@aux\tp1\n@record  p1\n@schema set(p1, str)\n" + RULE_P1)
+    assert (prog.aux, prog.record_order) == ({"p1"}, ("p1",))
+
+
 def test_variable_connected_through_chain_is_safe():
     # Y links to X via nextsibling, Z to Y via firstchild
     elog.parse_elog(
@@ -207,6 +232,69 @@ def test_step_range_before_conditions(doc1):
     assert store.pairs["p"] == set()
 
 
+def test_pairs_behaves_as_the_plain_set_of_its_pairs():
+    plain = {(1, 5), (3, 5), (3, 7)}
+    rel = elog.Pairs(plain)
+    assert rel.by_parent == {1: {5}, 3: {5, 7}}
+    assert rel == plain and plain == rel and rel == elog.Pairs(plain)
+    assert rel != plain - {(3, 7)} and rel != elog.Pairs({(1, 5)})
+    assert {"p": rel} == {"p": plain}
+    assert len(rel) == 3 and len(elog.Pairs()) == 0 and not elog.Pairs()
+    assert (3, 7) in rel and (7, 3) not in rel and (2, 5) not in rel
+    assert 3 not in rel and (1, 5, 0) not in rel
+    assert sorted(rel) == sorted(plain) and rel.image() == {5, 7}
+    assert rel | {(0, 0)} == plain | {(0, 0)} and rel & {(1, 5)} == {(1, 5)}
+
+
+def test_dump_is_the_plain_string_order_of_the_lines(quadratic):
+    # parents 1..12 cross 9/10, targets 13..112 cross 99/100, and the
+    # collapse adds p'(0, l): the lines of p' sort before those of p
+    store = elog.eval_fixpoint(
+        elog.monadic_collapse(quadratic), parse_document(bchain_doc(12, 100))
+    )
+    assert set(store.pairs) == {"p", "p'"} and len(store.pairs["p"]) == 1200
+    lines = [f"{p}({v0},{v})" for p in store.pairs for v0, v in store.pairs[p]]
+    dump = elog.dump_atoms(store)
+    assert dump == "\n".join(sorted(lines))
+    assert dump.startswith("p'(0,100)\np'(0,101)\n")
+    assert "p(1,99)\np(10,100)" in dump
+
+
+@pytest.mark.parametrize("family", ["quadratic", "parity"])
+def test_atom_count_is_the_number_of_dumped_lines(quadratic, parity, family):
+    # the count a tracer or wrapctl bench takes from the store's relations
+    prog, doc = {
+        "quadratic": (quadratic, bchain_doc(7, 30)),
+        "parity": (parity, items_doc(25)),
+    }[family]
+    store = elog.eval_fixpoint(prog, parse_document(doc))
+    count = sum(len(r) for r in store.pairs.values())
+    assert count > 25
+    assert count == len(elog.dump_atoms(store).splitlines())
+
+
+def test_no_hot_path_walks_a_relation_pair_by_pair(quadratic, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a relation was walked pair by pair")
+
+    monkeypatch.setattr(elog.Pairs, "__iter__", refuse)
+    store, _ = elog.run_pipeline(quadratic, parse_document(bchain_doc(40, 50)))
+    dump = elog.dump_atoms(store)
+    assert len(store.pairs["p"]) == 2000 == dump.count("\n") + 1
+    assert dump.startswith("p(1,41)\np(1,42)\n") and dump.endswith("p(9,90)")
+
+
+def test_subelem_lists_are_kept_only_for_shared_automata(quadratic, parity):
+    # quadratic's one navigation never asks a node twice; parity's three
+    # chain steps and its contains share the child automaton
+    ev = elog._Eval(quadratic, parse_document(bchain_doc(5, 8)))
+    ev.run()
+    assert ev._sub == {}
+    ev = elog._Eval(parity, parse_document(items_doc(6)))
+    ev.run()
+    assert list(ev._sub) == [pr.compile_path("_")] and ev._sub[pr.compile_path("_")]
+
+
 def test_universal_predicate_not_materialized(doc1):
     prog = elog.parse_elog('c(X0, X) :- dom(X0, X), contains_s(X, "item").')
     store = elog.eval_fixpoint(prog, doc1)
@@ -243,7 +331,7 @@ def test_builtin_root_as_condition(doc1):
 
 def test_unary_query_projects_second_argument():
     store = elog.AtomStore(frozenset())
-    store.pairs = {"p": {(1, 5), (3, 5)}}
+    store.pairs = {"p": elog.Pairs({(1, 5), (3, 5)})}
     assert elog.unary_query(store, "p") == frozenset({5})
     with pytest.raises(elog.UnknownPredicate):
         elog.unary_query(store, "q")
@@ -608,7 +696,7 @@ def test_collapse_avoids_name_collisions():
 
 def _store(pairs, aux=(), parents=None):
     s = elog.AtomStore(frozenset(aux), parents=parents)
-    s.pairs = {p: set(v) for p, v in pairs.items()}
+    s.pairs = {p: elog.Pairs(v) for p, v in pairs.items()}
     return s
 
 

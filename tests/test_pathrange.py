@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wraplab import doctree
+from wraplab import doctree, hel
 from wraplab import pathrange as pr
 from wraplab import rpn
 from wraplab import testkit as tk
@@ -260,6 +260,27 @@ def test_bad_ranges_rejected(text):
 def test_range_text_round_trip(text):
     rng = pr.parse_range(text)
     assert pr.parse_range(pr.range_to_text(rng)) == rng
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [("LAST", "last"), ("Last", "last"), ("REGEX:10*", "regex:10*"),
+     (" Regex:0*1 ", "regex:0*1")],
+)
+def test_range_keywords_are_read_in_any_case(text, canonical):
+    rng = pr.parse_range(text)
+    assert pr.range_to_text(rng) == canonical
+    assert pr.parse_range(canonical) == rng
+
+
+def test_statement_range_keywords_are_read_in_any_case():
+    w = rpn.parse_rpn("a[LAST].b[REGEX:1].txt")
+    assert rpn.statement_to_text(w) == "a[last].b[regex:1].txt"
+    assert rpn.parse_rpn(rpn.statement_to_text(w)) == w
+    s = hel.parse_hel("a[i:LAST].b[Last].c[REGEX:1].txt;")
+    assert s == hel.parse_hel("a[i:last].b[last].c[regex:1].txt;")
+    with pytest.raises(hel.HelError):  # a keyword in any case is no variable
+        hel.parse_hel("a[LAST:*].txt;")
 
 
 # ---------------------------------------------------------------------------
