@@ -56,21 +56,19 @@ from typing import NamedTuple
 from . import objects as ob
 from .doctree import DocTree
 from .pathrange import (
+    STRING,
     TAG,
     RawRegex,
     Range,
     StarRange,
     apply_range,
     compile_path,
-    group_end,
     holders,
     is_finite,
     parse_path,
     parse_range,
     path_to_text,
     range_to_text,
-    scan,
-    split_top,
     subelem,
 )
 
@@ -82,11 +80,15 @@ class ElogError(Exception):
 
 
 class ElogSyntaxError(ElogError):
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(
+        self, message: str, line: int | None = None, column: int | None = None
+    ):
         if line is not None:
-            message = f"line {line}: {message}"
+            at = f"line {line}" if column is None else f"line {line}, column {column}"
+            message = f"{at}: {message}"
         super().__init__(message)
         self.line = line
+        self.column = column
 
 
 class UnsafeRule(ElogError):
@@ -249,16 +251,6 @@ class ElogProgram:
         return any(r.rule_range is not None for r in self.rules)
 
 
-def _dep_edges(rules):
-    for r in rules:
-        if isinstance(r, ChainRule) and r.parent not in BUILTINS:
-            yield r.head, r.parent
-        if isinstance(r, CopyRule):
-            yield r.head, r.src
-        for ref in getattr(r, "refs", ()):
-            yield r.head, ref.pred
-
-
 def _sccs(nodes, edges) -> list:
     """Tarjan, with an explicit stack in place of recursion; returns
     components in reverse topological order."""
@@ -339,19 +331,24 @@ def _orient(rule) -> list:
     rest = list(rule.conds + rule.refs)
     order = []
     while rest:
-        step = next(
-            ((c, None) for c in rest if bound.issuperset(_cond_vars(c))), None
-        ) or next(((c, v) for c in rest if (v := _binds(c, bound))), None)
-        if step is None:
-            raise UnsafeRule(
-                f"rule for {rule.head!r}: cannot orient "
-                f"{', '.join(_cond_text(c) for c in rest)} from the bound "
-                f"variables {', '.join(sorted(bound))}"
-            )
-        rest.remove(step[0])
-        if step[1] is not None:
-            bound.add(step[1])
-        order.append(step)
+        for i, c in enumerate(rest):
+            if bound.issuperset(_cond_vars(c)):
+                var = None
+                break
+        else:
+            for i, c in enumerate(rest):
+                var = _binds(c, bound)
+                if var is not None:
+                    bound.add(var)
+                    break
+            else:
+                raise UnsafeRule(
+                    f"rule for {rule.head!r}: cannot orient "
+                    f"{', '.join(_cond_text(c) for c in rest)} from the bound "
+                    f"variables {', '.join(sorted(bound))}"
+                )
+        del rest[i]
+        order.append((c, var))
     return order
 
 
@@ -363,10 +360,26 @@ def validate_program(program: ElogProgram) -> None:
 
 def _analyse(program: ElogProgram) -> _Analysis:
     heads = dict.fromkeys(r.head for r in program.rules)  # in definition order
-    oriented = [(r, _check_rule(r, heads)) for r in program.rules]
     index: dict = {}
-    for r, order in oriented:
-        index.setdefault(r.head, []).append((r, order))
+    parents: dict = {}  # head -> its rules' parent predicates, as dict keys
+    edges = []  # the dependency graph: (head, predicate its rule uses)
+    grounded = ranged = False
+    for r in program.rules:
+        index.setdefault(r.head, []).append((r, _check_rule(r, heads)))
+        # a copy rule's atoms hang from the root, a dom rule's from any node
+        if isinstance(r, ChainRule):
+            parent = r.parent
+            if parent not in BUILTINS:
+                edges.append((r.head, parent))
+        elif isinstance(r, CopyRule):
+            parent = "root"
+            edges.append((r.head, r.src))
+        else:
+            parent = "dom"
+        parents.setdefault(r.head, {})[parent] = None
+        edges.extend((r.head, ref.pred) for ref in getattr(r, "refs", ()))
+        grounded = grounded or parent in BUILTINS and not isinstance(r, CopyRule)
+        ranged = ranged or r.rule_range is not None
     # one predicate, one shape: dom rules do not mix with chain rules
     for p, rs in index.items():
         if len({isinstance(r, DomRule) for r, _ in rs}) > 1:
@@ -375,39 +388,26 @@ def _analyse(program: ElogProgram) -> _Analysis:
             )
     # groundedness: some rule must bottom out in a builtin parent; every
     # other rule is grounded through another's head, so one such is enough
-    if oriented and not any(
-        isinstance(r, DomRule) or (isinstance(r, ChainRule) and r.parent in BUILTINS)
-        for r, _ in oriented
-    ):
+    if index and not grounded:
         raise UngroundedProgram("no rule is grounded in root or dom")
-    edges = list(_dep_edges(r for r, _ in oriented))
     looped = {a for a, b in edges if a == b}
     components = tuple(
         (comp, len(comp) > 1 or bool(comp & looped))
         for comp in _sccs(list(heads), edges)
     )
-    if any(r.rule_range is not None for r, _ in oriented):
+    if ranged:
         for comp, recursive in components:
             if recursive:
                 raise NotStratified(
                     "rule ranges require a nonrecursive program; cycle "
                     f"through {sorted(comp)}"
                 )
-    parents = {
-        p: tuple(dict.fromkeys(_parent_of(r) for r, _ in rs))
-        for p, rs in index.items()
-    }
     return _Analysis(
-        {p: tuple(rs) for p, rs in index.items()}, tuple(heads), components, parents
+        {p: tuple(rs) for p, rs in index.items()},
+        tuple(heads),
+        components,
+        {p: tuple(ps) for p, ps in parents.items()},
     )
-
-
-def _parent_of(rule) -> str:
-    """The predicate a rule's atoms hang from: a copy rule's hang from the
-    root, a dom rule's from any node."""
-    if isinstance(rule, ChainRule):
-        return rule.parent
-    return "root" if isinstance(rule, CopyRule) else "dom"
 
 
 def _check_rule(r, heads) -> list | None:
@@ -430,29 +430,26 @@ def _check_rule(r, heads) -> list | None:
             )
         if ref.pred not in heads:
             raise UnknownPredicate(f"{where}: no rules for {ref.pred!r}")
-    if isinstance(r, DomRule):
-        if r.v0var in {v for c in r.conds + r.refs for v in _cond_vars(c)}:
-            raise UnsafeRule(
-                f"{where}: the first argument of a dom rule is free and "
-                "cannot appear in conditions"
-            )
+    used = {v for c in r.conds + r.refs for v in _cond_vars(c)}
+    if isinstance(r, DomRule) and r.v0var in used:
+        raise UnsafeRule(
+            f"{where}: the first argument of a dom rule is free and "
+            "cannot appear in conditions"
+        )
     # every variable must be linked to the head variables
     linked = {r.xvar} if isinstance(r, DomRule) else {r.v0var, r.xvar}
-    pending = list(r.conds)
+    pending = [set(_cond_vars(c)) for c in r.conds]
     while True:
         rest = []
-        grew = False
-        for c in pending:
-            vs = set(_cond_vars(c))
+        for vs in pending:
             if vs & linked:
                 linked |= vs
-                grew = True
             else:
-                rest.append(c)
-        if not grew:
+                rest.append(vs)
+        if len(rest) == len(pending):
             break
         pending = rest
-    stray = {v for c in r.conds + r.refs for v in _cond_vars(c)} - linked
+    stray = used - linked
     if stray:
         raise UnsafeRule(
             f"{where}: variable {sorted(stray)[0]!r} is not connected to "
@@ -464,43 +461,74 @@ def _check_rule(r, heads) -> list | None:
 # ---------------------------------------------------------------------------
 # concrete syntax
 
-_IDENT = re.compile(r"[a-z#][a-z0-9_#-]*'*")
 _VAR = re.compile(r"[A-Z][A-Za-z0-9_]*")
+
+# a line's text before its comment: plain runs and "..." literals, an
+# unterminated literal running to the end of the line
+_CODE = re.compile(rf'(?:[^"%]+|{STRING.pattern}?)*')
+
+# One atom of a rule and what follows it, read in one match (docs/formats.md
+# gives the grammar).  Every part after the name is optional, so the match
+# always succeeds and ends where reading stopped; each repetition reads a
+# character one way, so backtracking takes linear time.
+_BODY = rf'((?:[^"\]]|{STRING.pattern})*)'
+_ARG = rf'((?:[^"(),]|{STRING.pattern})*)'
+_ATOM = re.compile(
+    rf"""\s*(?:({ob.PREDICATE.pattern})             # 1 name
+    (?:\[{_BODY}\](?:\[{_BODY}\])?)?              # 2, 3 bracket bodies
+    (?:\({_ARG}(?:,{_ARG})?                       # 4, 5 arguments, unstripped
+    (?:(\))\s*                                    # 6 ')'
+    (?:(,|:-|\Z)|\[{_BODY}\]\s*\Z)?               # 7 what follows, or 8 a
+    )?)?)?                                        #   trailing rule range
+    """,
+    re.S | re.X,
+)
 
 
 def _strip_comment(line: str) -> str:
     if "%" not in line:
         return line
-    return next((line[:i] for i, c, _ in scan(line) if c == "%"), line)
+    return line[: _CODE.match(line).end()]
 
 
-@dataclass
-class _Atom:
-    name: str
-    brackets: list  # raw bracket texts
-    args: list  # raw argument tokens
+def _stopped(text: str, end: int, m, lineno: int, head: bool) -> ElogSyntaxError:
+    """The error for an atom match that stopped before its end."""
+    name, _, _, a1, _, close, _, _ = m.groups()
+    expected = (
+        "a predicate name" if name is None
+        else "'('" if a1 is None
+        else "')'" if close is None
+        else "':-'" if head
+        else "',', a rule range or the end of the rule"
+    )
+    stop = m.end()
+    got = repr(text[stop:end][:10]) if stop < end else "the end"
+    return ElogSyntaxError(f"expected {expected}, got {got}", lineno, stop + 1)
 
 
-def _parse_atom(text: str, line: int) -> _Atom:
-    text = text.strip()
-    m = _IDENT.match(text)
-    if not m:
-        raise ElogSyntaxError(f"expected an atom, got {text!r}", line)
-    name = m.group(0)
-    i = m.end()
-    brackets = []
-    while i < len(text) and text[i] == "[":
-        j = group_end(text, i)
-        if j < 0:
-            raise ElogSyntaxError(f"unterminated '[' in {text!r}", line)
-        brackets.append(text[i + 1 : j - 1])
-        i = j
-    if i >= len(text) or text[i] != "(":
-        raise ElogSyntaxError(f"expected '(' in atom {text!r}", line)
-    if not text.endswith(")"):
-        raise ElogSyntaxError(f"expected ')' in atom {text!r}", line)
-    args = [a.strip() for a in split_top(text[i + 1 : -1], ",")]
-    return _Atom(name, brackets, args)
+def _read_atoms(text: str, end: int, lineno: int) -> tuple:
+    """Read the rule in text[:end] left to right, one match per atom: the
+    head, then the body atoms, as (name, brackets, args) tuples, and the
+    text of a trailing rule range or None."""
+    atoms = []
+    pos = 0
+    while True:
+        m = _ATOM.match(text, pos, end)
+        name, b1, b2, a1, a2, _, sep, rng = m.groups()
+        if sep is None and rng is None:
+            raise _stopped(text, end, m, lineno, not atoms)
+        if not atoms and sep != ":-":
+            raise ElogSyntaxError("expected ':-'", lineno, m.end(6) + 1)
+        if atoms and sep == ":-":
+            raise ElogSyntaxError("unexpected ':-'", lineno, m.start(7) + 1)
+        atoms.append((
+            name,
+            () if b1 is None else (b1,) if b2 is None else (b1, b2),
+            (a1.strip(),) if a2 is None else (a1.strip(), a2.strip()),
+        ))
+        pos = m.end()
+        if sep != "," and sep != ":-":
+            return atoms, rng
 
 
 def _unquote(token: str, line: int) -> str:
@@ -513,152 +541,120 @@ def _unquote(token: str, line: int) -> str:
     return value
 
 
-def _bracket_path(atom: _Atom, line: int):
-    if not atom.brackets:
-        raise ElogSyntaxError(f"{atom.name} needs a [path] bracket", line)
-    raw = atom.brackets[0].strip()
+def _bracket_path(name: str, brackets: tuple, line: int):
+    if not brackets:
+        raise ElogSyntaxError(f"{name} needs a [path] bracket", line)
+    raw = brackets[0].strip()
     if raw.startswith('"'):
         raw = _unquote(raw, line)
     return parse_path(raw)
 
 
-def _bracket_range(atom: _Atom, line: int) -> Range:
-    if len(atom.brackets) < 2:
-        return StarRange()
-    return parse_range(atom.brackets[1].strip())
+def _bracket_range(brackets: tuple) -> Range:
+    return parse_range(brackets[1]) if len(brackets) > 1 else StarRange()
 
 
-def _var_arg(atom: _Atom, idx: int, line: int) -> str:
-    tok = atom.args[idx]
+def _var_arg(name: str, tok: str, line: int) -> str:
     if not _VAR.fullmatch(tok):
-        raise ElogSyntaxError(
-            f"{atom.name}: expected a variable, got {tok!r}", line
-        )
+        raise ElogSyntaxError(f"{name}: expected a variable, got {tok!r}", line)
     return tok
 
 
-_COND_NAMES = {
-    "contains",
-    "contains_s",
-    "firstchild",
-    "nextsibling",
-    "lastsibling",
-    "label",
-    "root",
+# condition name -> (its argument count, the arity it says in errors)
+_COND_ARGS = {
+    "contains": (2, "(x, y)"),
+    "contains_s": (2, "(x, s)"),
+    "firstchild": (2, "(x, y)"),
+    "nextsibling": (2, "(x, y)"),
+    "lastsibling": (1, "(x)"),
+    "label": (2, "(x, tag)"),
+    "root": (1, "(x)"),
 }
 
 
-def _parse_cond(atom: _Atom, line: int):
-    n = atom.name
-    argc = len(atom.args)
-    if n == "contains":
-        if argc != 2:
-            raise ElogSyntaxError("contains takes (x, y)", line)
-        return Contains(
-            _var_arg(atom, 0, line),
-            _var_arg(atom, 1, line),
-            _bracket_path(atom, line),
-            _bracket_range(atom, line),
-        )
-    if atom.brackets:
+def _parse_cond(atom: tuple, line: int):
+    n, brackets, args = atom
+    argc, shape = _COND_ARGS[n]
+    if brackets and n != "contains":
         raise ElogSyntaxError(f"{n} takes no brackets", line)
+    if len(args) != argc:
+        raise ElogSyntaxError(f"{n} takes {shape}", line)
+    if n == "contains":
+        return Contains(
+            _var_arg(n, args[0], line),
+            _var_arg(n, args[1], line),
+            _bracket_path(n, brackets, line),
+            _bracket_range(brackets),
+        )
+    x = _var_arg(n, args[0], line)
     if n == "contains_s":
-        if argc != 2:
-            raise ElogSyntaxError("contains_s takes (x, s)", line)
-        return ContainsStr(_var_arg(atom, 0, line), _unquote(atom.args[1], line))
+        return ContainsStr(x, _unquote(args[1], line))
     if n == "firstchild":
-        if argc != 2:
-            raise ElogSyntaxError("firstchild takes (x, y)", line)
-        return FirstChild(_var_arg(atom, 0, line), _var_arg(atom, 1, line))
+        return FirstChild(x, _var_arg(n, args[1], line))
     if n == "nextsibling":
-        if argc != 2:
-            raise ElogSyntaxError("nextsibling takes (x, y)", line)
-        return NextSibling(_var_arg(atom, 0, line), _var_arg(atom, 1, line))
+        return NextSibling(x, _var_arg(n, args[1], line))
     if n == "lastsibling":
-        if argc != 1:
-            raise ElogSyntaxError("lastsibling takes (x)", line)
-        return LastSibling(_var_arg(atom, 0, line))
+        return LastSibling(x)
     if n == "label":
-        if argc != 2:
-            raise ElogSyntaxError("label takes (x, tag)", line)
-        tag = atom.args[1]
-        if not TAG.fullmatch(tag):
-            raise ElogSyntaxError(f"label: bad tag {tag!r}", line)
-        return Label(_var_arg(atom, 0, line), tag.lower())
-    if n == "root":
-        if argc != 1:
-            raise ElogSyntaxError("root condition takes (x)", line)
-        return Root(_var_arg(atom, 0, line))
-    raise ElogSyntaxError(f"unknown condition {n}", line)
+        if not TAG.fullmatch(args[1]):
+            raise ElogSyntaxError(f"label: bad tag {args[1]!r}", line)
+        return Label(x, args[1].lower())
+    return Root(x)
 
 
-def _trailing_range(body: str, line: int):
-    """Split an optional rule range off the end of the body text."""
-    s = body.rstrip()
-    if not s.endswith("]"):
-        return body, None
-    for j in reversed([i for i, c, _ in scan(s) if c == "["]):
-        if group_end(s, j) == len(s):  # the '[' that the last ']' closes
-            return s[:j], parse_range(s[j + 1 : -1].strip())
-    raise ElogSyntaxError("unbalanced rule range bracket", line)
-
-
-def _parse_rule(text: str, line: int):
-    head_s, sep, body_s = text.partition(":-")
-    if not sep:
-        raise ElogSyntaxError("missing ':-'", line)
-    head = _parse_atom(head_s, line)
-    if head.brackets or len(head.args) != 2:
+def _parse_rule(text: str, end: int, line: int):
+    """The rule in text[:end]; text[end] is its final '.'."""
+    atoms, rule_range = _read_atoms(text, end, line)
+    (head, head_brackets, head_args), first = atoms[0], atoms[1]
+    if head_brackets or len(head_args) != 2:
         raise ElogSyntaxError("head must be p(V0, V)", line)
-    body_s, rule_range = _trailing_range(body_s, line)
-    atoms = [_parse_atom(a, line) for a in split_top(body_s, ",")]
-    if not atoms:
-        raise ElogSyntaxError("empty body", line)
-    first = atoms[0]
+    if rule_range is not None:
+        rule_range = parse_range(rule_range)
+    name, brackets, args = first
 
-    if head.args[0] == "_":
+    if head_args[0] == "_":
         # copy rule: p'(_, X) :- p(_, X).
-        xvar = _var_arg(head, 1, line)
+        xvar = _var_arg(head, head_args[1], line)
         if (
-            len(atoms) != 1
+            len(atoms) != 2
             or rule_range is not None
-            or first.brackets
-            or first.args != ["_", xvar]
+            or brackets
+            or args != ("_", xvar)
         ):
             raise ElogSyntaxError(
                 "a rule with head p(_, X) must have the single body atom "
                 "q(_, X)", line
             )
-        return CopyRule(head.name, first.name, xvar)
+        return CopyRule(head, name, xvar)
 
-    v0var = _var_arg(head, 0, line)
-    xvar = _var_arg(head, 1, line)
-    if len(first.args) != 2 or first.brackets:
+    v0var = _var_arg(head, head_args[0], line)
+    xvar = _var_arg(head, head_args[1], line)
+    if len(args) != 2 or brackets:
         raise ElogSyntaxError("first body atom must bind the parent", line)
 
-    if first.name == "dom" and first.args == [v0var, xvar]:
-        conds, refs = _conds_and_refs(atoms[1:], line)
-        return DomRule(head.name, v0var, xvar, conds, refs, rule_range)
+    if name == "dom" and args == (v0var, xvar):
+        conds, refs = _conds_and_refs(atoms[2:], line)
+        return DomRule(head, v0var, xvar, conds, refs, rule_range)
 
-    if first.args[0] != "_" or first.args[1] != v0var:
+    if args[0] != "_" or args[1] != v0var:
         raise ElogSyntaxError(
-            f"parent atom must be {first.name}(_, {v0var}) or dom({v0var}, "
+            f"parent atom must be {name}(_, {v0var}) or dom({v0var}, "
             f"{xvar})", line
         )
-    if len(atoms) < 2:
+    if len(atoms) < 3:
         raise ElogSyntaxError("chain rule needs a subelem atom", line)
-    step = atoms[1]
-    if step.name != "subelem":
-        raise ElogSyntaxError(f"expected subelem, got {step.name}", line)
-    if step.args != [v0var, xvar]:
+    step, brackets, args = atoms[2]
+    if step != "subelem":
+        raise ElogSyntaxError(f"expected subelem, got {step}", line)
+    if args != (v0var, xvar):
         raise ElogSyntaxError(
             f"subelem must be subelem[...]({v0var}, {xvar})", line
         )
-    path = _bracket_path(step, line)
-    rng = _bracket_range(step, line)
-    conds, refs = _conds_and_refs(atoms[2:], line)
+    path = _bracket_path(step, brackets, line)
+    rng = _bracket_range(brackets)
+    conds, refs = _conds_and_refs(atoms[3:], line)
     return ChainRule(
-        head.name, v0var, xvar, first.name, path, rng, conds, refs, rule_range
+        head, v0var, xvar, name, path, rng, conds, refs, rule_range
     )
 
 
@@ -666,12 +662,13 @@ def _conds_and_refs(atoms: list, line: int):
     conds = []
     refs = []
     for a in atoms:
-        if a.name in _COND_NAMES:
+        name, brackets, args = a
+        if name in _COND_ARGS:
             conds.append(_parse_cond(a, line))
-        elif len(a.args) == 2 and a.args[0] == "_" and not a.brackets:
-            refs.append(Ref(a.name, _var_arg(a, 1, line)))
+        elif len(args) == 2 and args[0] == "_" and not brackets:
+            refs.append(Ref(name, _var_arg(name, args[1], line)))
         else:
-            raise ElogSyntaxError(f"unrecognized body atom {a.name}", line)
+            raise ElogSyntaxError(f"unrecognized body atom {name}", line)
     return tuple(conds), tuple(refs)
 
 
@@ -682,11 +679,11 @@ def parse_elog(text: str) -> ElogProgram:
     schema = None
     named: list = []  # (name, line, directive) per predicate a directive names
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = _strip_comment(raw).rstrip()  # unindented: columns count in raw
         if not line:
             continue
         word = line.split(None, 1)[0]
-        rest = line[len(word) :]
+        rest = line.lstrip()[len(word) :]
         if word == "@aux":
             names = rest.split()
             aux.extend(names)
@@ -697,15 +694,15 @@ def parse_elog(text: str) -> ElogProgram:
             try:
                 schema = ob.parse_schema(rest.strip())
             except ob.SchemaSyntaxError as exc:
-                raise ElogSyntaxError(str(exc), lineno) from None
+                raise ElogSyntaxError(f"{word}: {exc}", lineno) from None
             names = ob.schema_predicates(schema)
         elif not line.endswith("."):
             raise ElogSyntaxError("rule must end with '.'", lineno)
         else:
-            rules.append(_parse_rule(line[:-1], lineno))
+            rules.append(_parse_rule(line, len(line) - 1, lineno))
             continue
         for name in names:
-            if not _IDENT.fullmatch(name):
+            if not ob.PREDICATE.fullmatch(name):
                 raise ElogSyntaxError(f"{word}: bad predicate name {name!r}", lineno)
         named.extend((name, lineno, word) for name in names)
     heads = {r.head for r in rules}
@@ -719,10 +716,6 @@ def parse_elog(text: str) -> ElogProgram:
     return program
 
 
-def _quote(s: str) -> str:
-    return json.dumps(s, ensure_ascii=False)
-
-
 def _cond_text(c) -> str:
     if isinstance(c, Contains):
         return (
@@ -730,7 +723,7 @@ def _cond_text(c) -> str:
             f"({c.x}, {c.y})"
         )
     if isinstance(c, ContainsStr):
-        return f"contains_s({c.x}, {_quote(c.s)})"
+        return f"contains_s({c.x}, {json.dumps(c.s, ensure_ascii=False)})"
     if isinstance(c, FirstChild):
         return f"firstchild({c.x}, {c.y})"
     if isinstance(c, NextSibling):

@@ -9,6 +9,7 @@ came from, and JSON rendering lists elements in that order.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -179,6 +180,12 @@ class SchemaSyntaxError(Exception):
     pass
 
 
+# a predicate name, in rules, directives and schemas alike: as p, a-b, p#1, p'
+PREDICATE = re.compile(r"[a-z#][a-z0-9_#-]*'*")
+
+_NAME = re.compile(r"[^\s,()]*")  # read as a name, then checked
+
+
 def parse_schema(text: str) -> ObjectSchema:
     pos = 0
     n = len(text)
@@ -195,24 +202,23 @@ def parse_schema(text: str) -> ObjectSchema:
             raise SchemaSyntaxError(f"expected {s!r} at {pos} in {text!r}")
         pos += len(s)
 
-    def ident() -> str:
+    def pred() -> str | None:  # None for '_'
         nonlocal pos
         ws()
-        start = pos
-        while pos < n and (text[pos].isalnum() or text[pos] in "_'"):
-            pos += 1
-        if start == pos:
-            raise SchemaSyntaxError(f"expected name at {pos} in {text!r}")
-        return text[start:pos]
+        name = _NAME.match(text, pos).group()
+        if name != "_" and not PREDICATE.fullmatch(name):
+            raise SchemaSyntaxError(f"bad predicate name {name!r}")
+        pos += len(name)
+        return None if name == "_" else name
 
     def parse_set():
         expect("set")
         expect("(")
-        name = ident()
+        name = pred()
         expect(",")
         elem = parse_elem()
         expect(")")
-        return SetSchema(None if name == "_" else name, elem)
+        return SetSchema(name, elem)
 
     def parse_elem():
         nonlocal pos

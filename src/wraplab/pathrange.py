@@ -15,8 +15,10 @@ k has a 1 at each selected position.
 
 The lexical rules that every wrapper parser shares live here too: ``TAG``,
 the document's tag-name rule, ``STRING``, the "..." literal, and ``scan``,
-the one quote- and bracket-aware loop.  ``read_path`` reads a path in place
-inside a longer text, so its error offsets count from that text's start.
+the statement parser's quote- and bracket-aware loop (the program reader
+matches patterns built from ``STRING`` instead).  ``read_path`` reads a
+path in place inside a longer text, so its error offsets count from that
+text's start.
 """
 
 from __future__ import annotations
@@ -130,16 +132,16 @@ TAG = re.compile(r"#?[A-Za-z](?:[A-Za-z0-9]|-(?!>))*")
 # a "..." literal, where a backslash escapes the next character
 STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
 
-# a literal, possibly unterminated, or one character the parsers look for
-# outside literals
-_TOKEN = re.compile(STRING.pattern + r'?|[()\[\]{}#,%]', re.S)
+# a literal, possibly unterminated, or one character the statement parser
+# looks for outside literals
+_TOKEN = re.compile(STRING.pattern + r'?|[()\[\]{}#]', re.S)
 
 
 def scan(text: str, start: int = 0):
-    """Yield (index, char, depth) for each bracket and each of the
-    separators ``#``, ``,`` and ``%`` in text from start on that lies outside
-    a "..." literal.  depth counts the brackets ( [ { open around the
-    character; a bracket itself is at the depth outside it."""
+    """Yield (index, char, depth) for each bracket and each ``#`` in text
+    from start on that lies outside a "..." literal.  depth counts the
+    brackets ( [ { open around the character; a bracket itself is at the
+    depth outside it."""
     depth = 0
     for m in _TOKEN.finditer(text, start):
         c = m.group()
@@ -159,17 +161,6 @@ def group_end(text: str, i: int) -> int:
         if depth == 0 and j > i:
             return j + 1 if text[i] + c in ("()", "[]", "{}") else -1
     return -1
-
-
-def split_top(text: str, sep: str) -> list[str]:
-    """Split text at each sep outside literals and brackets."""
-    parts, last = [], 0
-    for i, c, depth in scan(text):
-        if c == sep and depth == 0:
-            parts.append(text[last:i])
-            last = i + 1
-    parts.append(text[last:])
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +261,11 @@ def read_path(text: str, pos: int = 0) -> tuple:
 def parse_path(text: str) -> PathRegex:
     if not text.strip():
         raise PathSyntaxError("empty path expression")
+    word = text.strip(" \t")  # a path of one label is read without the parser
+    if word == "_":
+        return Wildcard()
+    if TAG.fullmatch(word):
+        return Atom(word.lower())
     return _PathParser(text).parse()
 
 

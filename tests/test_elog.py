@@ -1,6 +1,9 @@
 """Datalog core: parsing, fixpoint evaluation, transformations, rendering."""
 
+import pathlib
 import random
+import re
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wraplab import elog
+from wraplab.cli import main
 from wraplab import pathrange as pr
 from wraplab import objects as ob
 from wraplab.doctree import parse_document
@@ -95,6 +99,150 @@ def test_serialize_parse_round_trip(quadratic, parity):
         "nextsibling(X, Y), lastsibling(Y), p1(_, Y).\n"
     )
     assert elog.parse_elog(elog.serialize_elog(rich)) == rich
+    # '-' and '#' are predicate-name characters in rules and directives alike
+    named = elog.parse_elog(
+        "@aux p#1\n"
+        "@record a-b\n"
+        "@schema set(a-b, record(set(p#1, str)))\n"
+        "a-b(X0, X) :- root(_, X0), subelem[_][*](X0, X).\n"
+        "p#1(X0, X) :- a-b(_, X0), subelem[_][*](X0, X).\n"
+    )
+    assert ob.schema_predicates(named.schema) == ["a-b", "p#1"]
+    assert elog.parse_elog(elog.serialize_elog(named)) == named
+
+
+def test_generated_programs_round_trip():
+    for seed in range(500):
+        prog = elog.parse_elog(testkit.gen_program(seed))
+        assert elog.parse_elog(elog.serialize_elog(prog)) == prog, seed
+
+
+@pytest.mark.parametrize(
+    "rule, check",
+    [
+        # literals hold every character that ends or splits something else
+        (
+            'p(X0,X) :- root(_,X0), subelem[a](X0,X), '
+            'contains_s(X, "a, b] c) % d :- e \\" f").',
+            lambda r: r.conds[0].s == 'a, b] c) % d :- e " f',
+        ),
+        # a quoted bracket path is the path it quotes
+        (
+            'p(X0,X) :- root(_,X0), subelem["a.(b|c)*"][0](X0,X).',
+            lambda r: r.path == pr.parse_path("a.(b|c)*"),
+        ),
+        # a trailing rule range after a bracketed atom, with and without space
+        (
+            "p(X0,X) :- root(_,X0), subelem[a][*](X0,X), contains[b][last](X,Y)[0-1].",
+            lambda r: r.rule_range == pr.Interval(0, 1) and r.conds[0].rng == pr.Last(),
+        ),
+        (
+            "p(X0,X) :- dom(X0,X), contains[b](X,Y)  [ 1,3 ] .",
+            lambda r: r.rule_range == pr.IntervalUnion(((1, 1), (3, 3))),
+        ),
+    ],
+)
+def test_literals_and_ranges_round_trip(rule, check):
+    prog = elog.parse_elog(rule + "  % a comment\n")
+    assert check(prog.rules[0])
+    assert elog.parse_elog(elog.serialize_elog(prog)) == prog
+
+
+@pytest.mark.parametrize(
+    "text, column, what",
+    [
+        ("p(X0,X) root(_,X0).", 9, "expected ':-'"),
+        ("p(X0,X) :- root(_,X0), subelem [a](X0,X).", 31, "expected '('"),
+        ("p(X0,X) :- root(_,X0), subelem[a(X0,X).", 31, "expected '(', got '[a(X0,X)'"),
+        ("p(X0,X) :- root(_,X0), subelem[a][*][x](X0,X).", 37, "expected '(', got '[x](X0,X)'"),
+        ("p(X0,X) :- root(_,X0), subelem[a](X0,X,Y).", 39, "expected ')', got ',Y)'"),
+        ('  p(X0,X) :- root(_,X0), contains_s(X, "a).', 40, "expected ')', got '\"a)'"),
+        ("p(X0,X) :- root(_,X0), subelem[a](X0,X) [0] x.", 41, "expected ','"),
+        ("p(X0,X) :- root(_,X0), subelem[a](X0,X) :- q.", 41, "unexpected ':-'"),
+        ("p(X0,X) :- root(_,X0), .", 24, "expected a predicate name"),
+    ],
+)
+def test_syntax_errors_name_line_and_column(text, column, what):
+    with pytest.raises(elog.ElogSyntaxError, match=f"^line 2, column {column}: ") as e:
+        elog.parse_elog("% first line\n" + text + "\n")
+    assert (e.value.line, e.value.column) == (2, column)
+    assert what in str(e.value)
+
+
+def test_reading_rules_calls_no_scanner(monkeypatch, quadratic, parity):
+    # each rule line is read by one pattern match per atom: elog binds
+    # neither of the statement parser's scanners, and nothing it calls
+    # reaches them
+    assert not hasattr(elog, "scan") and not hasattr(elog, "group_end")
+
+    def refuse(*args):
+        raise AssertionError("a rule line was rescanned")
+
+    monkeypatch.setattr(pr, "scan", refuse)
+    monkeypatch.setattr(pr, "group_end", refuse)
+    for prog, name in ((quadratic, "quadratic.elog"), (parity, "parity.elog")):
+        assert elog.parse_elog(asset(name)) == prog
+
+
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+PROGRAM_TEXTS = [
+    asset("parity.elog"),
+    asset("quadratic.elog"),
+    *(p.read_text() for p in sorted(CORPUS.glob("*/*.elog"))),
+]
+PROGRAM_ERRORS = (elog.ElogError, pr.PathSyntaxError, pr.RangeSyntaxError)
+PROGRAM_WORDS = (
+    ":-", "_", "dom", "root", "subelem", "contains", "contains_s", "label",
+    "firstchild", "nextsibling", "lastsibling", "last", "regex:", "@aux",
+    "@record", "@schema", "set", "record", "str",
+)
+PROGRAM_WORD = "|".join(
+    re.escape(w) for w in sorted(PROGRAM_WORDS, key=len, reverse=True)
+)
+
+
+def edit_program(source: str, rnd: random.Random) -> str:
+    """source after one to three seeded edits: an insert of a character
+    that matters to the program syntax, a delete, or one of its keywords
+    put in place of another."""
+    for _ in range(rnd.randint(1, 3)):
+        i = rnd.randint(0, len(source))
+        op = rnd.random()
+        words = [m.span() for m in re.finditer(PROGRAM_WORD, source)]
+        if op < 0.4:
+            source = source[:i] + rnd.choice("()[],.:-\"%_*|\\ aXY01#'\n") + source[i:]
+        elif op < 0.8 or not words:
+            source = source[:i] + source[i + 1:]
+        else:
+            a, b = rnd.choice(words)
+            source = source[:a] + rnd.choice(PROGRAM_WORDS) + source[b:]
+    return source
+
+
+def test_edited_programs_fail_only_with_program_errors(tmp_path, capsys):
+    # seeded edits of every shipped program: parse_elog raises nothing but
+    # program errors, and a sample of the rejected texts leaves wrapctl run
+    # with exit 1 and the error as its one line
+    rnd = random.Random(5)
+    outcomes = Counter()
+    w = tmp_path / "edited.elog"
+    for _ in range(10000):
+        text = edit_program(rnd.choice(PROGRAM_TEXTS), rnd)
+        try:
+            elog.parse_elog(text)
+        except PROGRAM_ERRORS as e:
+            outcomes[type(e).__name__] += 1
+            if sum(outcomes.values()) - outcomes["accepted"] <= 40:
+                w.write_text(text)
+                rc = main(["run", str(w), str(CORPUS / "pipeline" / "page.doc")])
+                out, err = capsys.readouterr()
+                assert (rc, out, err) == (1, "", f"wrapctl: {w}: {e}\n"), text
+                assert err.count("\n") == 1, text
+        else:
+            outcomes["accepted"] += 1
+    for kind in ("accepted", "ElogSyntaxError", "UnknownPredicate",
+                 "PathSyntaxError", "RangeSyntaxError", "UnsafeRule"):
+        assert outcomes[kind] >= 5, outcomes
 
 
 def test_label_tags_are_folded_to_lower_case():
