@@ -146,7 +146,7 @@ def cmd_run(args) -> int:
         if dump:
             print(dump)
     else:
-        print(elog.to_dot(elog.output_graph(store, tree), tree))
+        print(elog.to_dot(store, tree))
     return 0
 
 

@@ -1,6 +1,6 @@
 """Binary datalog over document trees.
 
-A program is a set of rules of three shapes.  The chain rule
+A program is a set of rules of two shapes.  The chain rule
 
     p(X0, X) :- p0(_, X0), subelem[pi][rho](X0, X), conds, refs.
 
@@ -12,8 +12,7 @@ references are satisfiable.  The dom rule
 
 constrains only X, leaving the first argument universally free; predicates
 defined solely by dom rules are kept as node sets and never materialized as
-pairs.  The copy rule ``p'(_, X) :- p(_, X).`` projects another predicate
-onto a fixed dummy parent; the monadic collapse transformation emits these.
+pairs.
 
 Evaluation is a least fixpoint, run component by component over the
 predicate dependency graph, dependencies first.  A program is analysed once
@@ -204,22 +203,12 @@ class DomRule:
     rule_range: Range | None = None
 
 
-@dataclass(frozen=True)
-class CopyRule:
-    head: str
-    src: str
-    xvar: str = "X"
-
-    rule_range = None  # a copy rule never has one
-
-
 class _Analysis(NamedTuple):
     """What validation, evaluation and aux elimination need of a program,
-    derived once: each head's (rule, orientation) pairs in program order
-    (a copy rule's orientation is None), the heads in order of first
-    definition, the dependency graph's components, dependencies first, as
-    (preds, recursive) pairs, and each head's parent predicates (see
-    AtomStore)."""
+    derived once: each head's (rule, orientation) pairs in program order,
+    the heads in order of first definition, the dependency graph's
+    components, dependencies first, as (preds, recursive) pairs, and each
+    head's parent predicates (see AtomStore)."""
 
     rules: dict
     heads: tuple
@@ -231,7 +220,6 @@ class _Analysis(NamedTuple):
 class ElogProgram:
     rules: tuple
     aux: frozenset = frozenset()
-    record_order: tuple = ()
     schema: object = None
 
     @cached_property
@@ -366,19 +354,13 @@ def _analyse(program: ElogProgram) -> _Analysis:
     grounded = ranged = False
     for r in program.rules:
         index.setdefault(r.head, []).append((r, _check_rule(r, heads)))
-        # a copy rule's atoms hang from the root, a dom rule's from any node
-        if isinstance(r, ChainRule):
-            parent = r.parent
-            if parent not in BUILTINS:
-                edges.append((r.head, parent))
-        elif isinstance(r, CopyRule):
-            parent = "root"
-            edges.append((r.head, r.src))
-        else:
-            parent = "dom"
+        # a dom rule's atoms hang from any node
+        parent = r.parent if isinstance(r, ChainRule) else "dom"
+        if parent not in BUILTINS:
+            edges.append((r.head, parent))
         parents.setdefault(r.head, {})[parent] = None
-        edges.extend((r.head, ref.pred) for ref in getattr(r, "refs", ()))
-        grounded = grounded or parent in BUILTINS and not isinstance(r, CopyRule)
+        edges.extend((r.head, ref.pred) for ref in r.refs)
+        grounded = grounded or parent in BUILTINS
         ranged = ranged or r.rule_range is not None
     # one predicate, one shape: dom rules do not mix with chain rules
     for p, rs in index.items():
@@ -410,16 +392,12 @@ def _analyse(program: ElogProgram) -> _Analysis:
     )
 
 
-def _check_rule(r, heads) -> list | None:
+def _check_rule(r, heads) -> list:
     """Raise the rule's first fault, given the program's head predicates;
-    else return its orientation (None for a copy rule)."""
+    else return its orientation."""
     where = f"rule for {r.head!r}"
     if r.head in BUILTINS:
         raise UnsafeRule(f"{where}: builtin predicates cannot be defined")
-    if isinstance(r, CopyRule):
-        if r.src not in heads:
-            raise UnknownPredicate(f"{where}: no rules for {r.src!r}")
-        return None
     if isinstance(r, ChainRule):
         if r.parent not in BUILTINS and r.parent not in heads:
             raise UnknownPredicate(f"{where}: no rules for parent {r.parent!r}")
@@ -611,22 +589,6 @@ def _parse_rule(text: str, end: int, line: int):
     if rule_range is not None:
         rule_range = parse_range(rule_range)
     name, brackets, args = first
-
-    if head_args[0] == "_":
-        # copy rule: p'(_, X) :- p(_, X).
-        xvar = _var_arg(head, head_args[1], line)
-        if (
-            len(atoms) != 2
-            or rule_range is not None
-            or brackets
-            or args != ("_", xvar)
-        ):
-            raise ElogSyntaxError(
-                "a rule with head p(_, X) must have the single body atom "
-                "q(_, X)", line
-            )
-        return CopyRule(head, name, xvar)
-
     v0var = _var_arg(head, head_args[0], line)
     xvar = _var_arg(head, head_args[1], line)
     if len(args) != 2 or brackets:
@@ -675,7 +637,6 @@ def _conds_and_refs(atoms: list, line: int):
 def parse_elog(text: str) -> ElogProgram:
     rules = []
     aux: list[str] = []
-    record_order: list[str] = []
     schema = None
     named: list = []  # (name, line, directive) per predicate a directive names
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -687,15 +648,14 @@ def parse_elog(text: str) -> ElogProgram:
         if word == "@aux":
             names = rest.split()
             aux.extend(names)
-        elif word == "@record":
-            names = rest.split()
-            record_order.extend(names)
         elif word == "@schema":
             try:
                 schema = ob.parse_schema(rest.strip())
             except ob.SchemaSyntaxError as exc:
                 raise ElogSyntaxError(f"{word}: {exc}", lineno) from None
             names = ob.schema_predicates(schema)
+        elif word.startswith("@"):
+            raise ElogSyntaxError(f"unknown directive {word!r}", lineno)
         elif not line.endswith("."):
             raise ElogSyntaxError("rule must end with '.'", lineno)
         else:
@@ -709,9 +669,7 @@ def parse_elog(text: str) -> ElogProgram:
     for name, lineno, word in named:
         if name not in heads:
             raise UnknownPredicate(f"line {lineno}: {word}: no rules for {name!r}")
-    program = ElogProgram(
-        tuple(rules), frozenset(aux), tuple(record_order), schema
-    )
+    program = ElogProgram(tuple(rules), frozenset(aux), schema)
     validate_program(program)
     return program
 
@@ -740,8 +698,6 @@ def _cond_text(c) -> str:
 
 
 def _rule_text(r) -> str:
-    if isinstance(r, CopyRule):
-        return f"{r.head}(_, {r.xvar}) :- {r.src}(_, {r.xvar})."
     parts = []
     if isinstance(r, ChainRule):
         parts.append(f"{r.parent}(_, {r.v0var})")
@@ -762,8 +718,6 @@ def serialize_elog(program: ElogProgram) -> str:
     lines = []
     if program.aux:
         lines.append("@aux " + " ".join(sorted(program.aux)))
-    if program.record_order:
-        lines.append("@record " + " ".join(program.record_order))
     if program.schema is not None:
         lines.append("@schema " + ob.schema_to_text(program.schema))
     lines.extend(_rule_text(r) for r in program.rules)
@@ -943,8 +897,6 @@ class _Eval:
         uses: Counter = Counter()
         for rs in self.analysis.rules.values():
             for r, order in rs:
-                if isinstance(r, CopyRule):
-                    continue
                 one_pass = None
                 if isinstance(r, ChainRule):
                     uses[compile_path(r.path)] += 1
@@ -973,19 +925,16 @@ class _Eval:
         return hits
 
     def parents_of(self, rule) -> list[int]:
-        src = rule.src if isinstance(rule, CopyRule) else rule.parent
-        if src == "root":
+        if rule.parent == "root":
             return [self.tree.root()]
-        if src == "dom":
+        if rule.parent == "dom":
             return list(self.tree.nodes())
-        return sorted(self._image[src])
+        return sorted(self._image[rule.parent])
 
     # -- planning -------------------------------------------------------------
 
-    def _plan(self, rule, order: list | None) -> _Plan:
-        """Compile the rule, given its orientation (None for a copy rule)."""
-        if isinstance(rule, CopyRule):
-            return _Plan(rule)
+    def _plan(self, rule, order: list) -> _Plan:
+        """Compile the rule, given its orientation."""
         slot = {rule.v0var: 1, rule.xvar: 0}  # in p(X, X), X is the target
         for c, _ in order:
             for v in _cond_vars(c):
@@ -1210,14 +1159,10 @@ class _Eval:
     def _expand(self, plan: _Plan, v0) -> None:
         """Apply the rule at one parent; v0 is None for a dom rule.  A chain
         rule checks the conditions on the parent alone before navigating."""
-        rule = plan.rule
-        if isinstance(rule, CopyRule):
-            self._fire(plan, self.tree.root(), (v0,))
-        elif v0 is None:
+        if v0 is None:
             self._fire(plan, None, plan.targets())
         elif plan.parent is None or plan.parent([None, v0]):
-            targets = apply_range(plan.nav(v0), rule.rng)
-            self._fire(plan, v0, targets)
+            self._fire(plan, v0, apply_range(plan.nav(v0), plan.rule.rng))
 
     def _component(self, comp: frozenset) -> None:
         rules = self.analysis.rules
@@ -1228,9 +1173,8 @@ class _Eval:
             if isinstance(r, DomRule):
                 self._expand(plan, None)
                 continue
-            src = r.src if isinstance(r, CopyRule) else r.parent
-            if src in comp:
-                triggered.setdefault(src, []).append(plan)
+            if r.parent in comp:
+                triggered.setdefault(r.parent, []).append(plan)
             else:
                 for v0 in self.parents_of(r):
                     self._expand(plan, v0)
@@ -1266,9 +1210,12 @@ def eval_fixpoint(program: ElogProgram, tree: DocTree) -> AtomStore:
 
 
 def monadic_collapse(program: ElogProgram) -> ElogProgram:
-    """Add a companion p'(_, x) per predicate and point every body reference
+    """Add a companion p' per predicate p and point every body reference
     at the companions; the evaluator then only ever joins on second
-    arguments, which is what makes the program monadic in spirit."""
+    arguments, which is what makes the program monadic in spirit.  The
+    companion's one rule, p'(X0, X) :- root(_, X0), subelem[_*][*](X0, X),
+    p(_, X), derives p'(root, x) for each x in p's image, since _* matches
+    every node, the root included."""
     if program.has_rule_ranges():
         raise HasRuleRanges("collapse is defined for range-free programs")
     heads = program.head_preds()
@@ -1282,17 +1229,20 @@ def monadic_collapse(program: ElogProgram) -> ElogProgram:
         comp[p] = c
 
     def rewrite(r):
-        if isinstance(r, CopyRule):
-            return replace(r, src=comp[r.src])
         refs = tuple(Ref(comp[ref.pred], ref.var) for ref in r.refs)
         if isinstance(r, ChainRule) and r.parent not in BUILTINS:
             return replace(r, parent=comp[r.parent], refs=refs)
         return replace(r, refs=refs)
 
     rules = [rewrite(r) for r in program.rules]
-    rules.extend(CopyRule(comp[p], p) for p in heads)
+    anywhere = parse_path("_*")
+    rules.extend(
+        ChainRule(comp[p], "X0", "X", "root", anywhere, StarRange(),
+                  refs=(Ref(p, "X"),))
+        for p in heads
+    )
     aux = program.aux | frozenset(comp[p] for p in program.aux if p in comp)
-    return ElogProgram(tuple(rules), aux, program.record_order, None)
+    return ElogProgram(tuple(rules), aux)
 
 
 def eliminate_aux(store: AtomStore) -> AtomStore:
@@ -1382,46 +1332,33 @@ def eliminate_aux(store: AtomStore) -> AtomStore:
 
 
 # ---------------------------------------------------------------------------
-# output graphs
+# dot output
 
 
-@dataclass(frozen=True)
-class OutputGraph:
-    node_count: int
-    edges: frozenset  # of (v0, v)
-    labels: dict  # pred -> frozenset of nodes (the unary queries)
-    edge_preds: dict  # (v0, v) -> frozenset of preds
-
-
-def output_graph(store: AtomStore, tree: DocTree) -> OutputGraph:
-    edges: set = set()
-    edge_preds: dict = {}
-    labels: dict = {}
-    for pred, pairs in store.pairs.items():
-        labels[pred] = frozenset(pairs.image())
-        for e in pairs:
-            edges.add(e)
-            edge_preds[e] = edge_preds.get(e, frozenset()) | {pred}
-    for pred, nodes in store.unary.items():
-        labels[pred] = nodes
-    return OutputGraph(len(tree), frozenset(edges), labels, edge_preds)
-
-
-def to_dot(graph: OutputGraph, tree: DocTree) -> str:
-    shown = {0}
-    for v0, v in graph.edges:
-        shown.update((v0, v))
-    for ns in graph.labels.values():
-        shown.update(ns)
+def to_dot(store: AtomStore, tree: DocTree) -> str:
+    """The atoms as a graph: a node per document node that is the root, a
+    parent or a target, labelled with the predicates whose image holds it,
+    and one edge per (v0, v) pair, labelled with the predicates holding
+    there."""
+    marks: dict = {0: set()}  # shown node -> the predicates it is a target of
+    edges: dict = {}  # (v0, v) -> the predicates holding there
+    for p, rel in store.pairs.items():
+        for v0, targets in rel.by_parent.items():
+            marks.setdefault(v0, set())
+            for v in targets:
+                marks.setdefault(v, set()).add(p)
+                edges.setdefault((v0, v), []).append(p)
+    for p, nodes in store.unary.items():
+        for v in nodes:
+            marks.setdefault(v, set()).add(p)
     lines = ["digraph atoms {", "  rankdir=TB;"]
-    for v in sorted(shown):
-        marks = sorted(p for p, ns in graph.labels.items() if v in ns)
-        tag = tree.label(v)
-        label = f"{v}:{tag}" + ("\\n" + ",".join(marks) if marks else "")
+    for v in sorted(marks):
+        label = f"{v}:{tree.label(v)}"
+        if marks[v]:
+            label += "\\n" + ",".join(sorted(marks[v]))
         lines.append(f'  n{v} [label="{label}"];')
-    for v0, v in sorted(graph.edges):
-        preds = ",".join(sorted(graph.edge_preds.get((v0, v), ())))
-        lines.append(f'  n{v0} -> n{v} [label="{preds}"];')
+    for (v0, v), preds in sorted(edges.items()):
+        lines.append(f'  n{v0} -> n{v} [label="{",".join(sorted(preds))}"];')
     lines.append("}")
     return "\n".join(lines)
 

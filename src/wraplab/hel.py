@@ -87,7 +87,7 @@ def parse_hel(text: str) -> HelStatement:
         if p.pos != len(text):
             p.error("trailing input")
     except rpn.RpnSyntaxError as e:
-        raise HelSyntaxError(str(e)) from None
+        raise HelSyntaxError(e.reason, e.pos) from None
     return HelStatement(chain, where)
 
 
@@ -97,7 +97,7 @@ def parse_vhel(text: str):
     try:
         return rpn.parse_statement(text.rstrip().removesuffix(";"), "vhel")
     except rpn.RpnSyntaxError as e:
-        raise HelSyntaxError(str(e)) from None
+        raise HelSyntaxError(e.reason, e.pos) from None
 
 
 def vhel_to_text(stmt) -> str:

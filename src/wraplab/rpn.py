@@ -62,6 +62,7 @@ from .pathrange import (
 
 class RpnSyntaxError(Exception):
     def __init__(self, message: str, pos: int | None = None):
+        self.reason = message  # without the offset
         if pos is not None:
             message = f"at {pos}: {message}"
         super().__init__(message)
@@ -581,8 +582,7 @@ def _translate(stmt, lift_ranges: bool):
     schema = tr.statement(stmt, "root")
     keep = set(ob.schema_predicates(schema))
     aux = frozenset(p for p in tr.chain_preds if p not in keep)
-    record_order = tuple(ob.schema_predicates(schema))
-    program = elog.ElogProgram(tuple(tr.rules), aux, record_order, schema)
+    program = elog.ElogProgram(tuple(tr.rules), aux, schema)
     elog.validate_program(program)
     return program, schema, aux
 

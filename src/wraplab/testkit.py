@@ -519,8 +519,8 @@ def naive_fixpoint(program, tree: DocTree) -> tuple:
     recursive one re-fires every rule at every parent until nothing
     changes, and each body picks its next atom at run time.
     Rules and conditions are read by class name and fields.  Returns
-    (pairs, unary): pred -> set of (v0, v) for predicates with chain or
-    copy rules, pred -> frozenset of nodes for those with dom rules only."""
+    (pairs, unary): pred -> set of (v0, v) for predicates with chain
+    rules, pred -> frozenset of nodes for those with dom rules only."""
     rules = program.rules
     heads = list(dict.fromkeys(r.head for r in rules))
     by_head = {p: [r for r in rules if r.head == p] for p in heads}
@@ -625,9 +625,6 @@ def naive_fixpoint(program, tree: DocTree) -> tuple:
             return grew
         before = len(pairs[p])
         for r in by_head[p]:
-            if type(r).__name__ == "CopyRule":
-                pairs[p].update((tree.root(), v) for v in sorted(image(r.src)))
-                continue
             if r.parent == "root":
                 parents = [tree.root()]
             elif r.parent == "dom":
@@ -642,13 +639,9 @@ def naive_fixpoint(program, tree: DocTree) -> tuple:
     # what each predicate depends on, closed transitively
     reach: dict = {p: set() for p in heads}
     for r in rules:
-        kind = type(r).__name__
-        if kind == "CopyRule":
-            reach[r.head].add(r.src)
-        else:
-            reach[r.head].update(ref.pred for ref in r.refs)
-            if kind == "ChainRule" and r.parent not in ("root", "dom"):
-                reach[r.head].add(r.parent)
+        reach[r.head].update(ref.pred for ref in r.refs)
+        if type(r).__name__ == "ChainRule" and r.parent not in ("root", "dom"):
+            reach[r.head].add(r.parent)
     grown = True
     while grown:
         grown = False
@@ -885,9 +878,11 @@ _RAW_RANGES = ("regex:10*", "regex:0*1", "regex:0*", "regex:(10)*")
 
 
 def gen_program(seed: int) -> str:
-    """Random Elog program text that parses: chain, dom and copy rules
-    over up to four predicates q0, q1, ...; every condition kind, binding a
-    variable either way it can; references that check and that enumerate.
+    """Random Elog program text that parses: chain and dom rules over up
+    to four predicates q0, q1, ..., among them chain rules that hang
+    another predicate's image from the root, as monadic_collapse's
+    companions do; every condition kind, binding a variable either way it
+    can; references that check and that enumerate.
     Tags and texts are those gen_tree draws.  A recursive program may refer
     to any predicate; a nonrecursive one only to earlier ones, and only it
     gets rule ranges and range regexes, whose errors depend on nothing but
@@ -958,9 +953,12 @@ def gen_program(seed: int) -> str:
 
     lines = []
     for i, p in enumerate(preds):
-        shape = rng.choice(("chain", "chain", "dom", "copy") if i else ("chain", "dom"))
-        if shape == "copy":
-            lines.append(f"{p}(_, X) :- {a_pred(i)}(_, X).")
+        shape = rng.choice(("chain", "chain", "dom", "image") if i else ("chain", "dom"))
+        if shape == "image":
+            # the image of a predicate a_pred draws, hung from the root
+            lines.append(
+                f"{p}(X0, X) :- root(_, X0), subelem[_*][*](X0, X), {a_pred(i)}(_, X)."
+            )
             continue
         for j in range(rng.randint(1, 2)):
             if shape == "dom":

@@ -161,7 +161,9 @@ def test_run_reports_range_errors_on_one_line(wrapctl, tmp_path):
 BAD_DIRECTIVES = {  # directive -> what the one wrapctl line names
     "@aux p1,p2": "@aux: bad predicate name 'p1,p2'",
     "@aux nosuch": "@aux: no rules for 'nosuch'",
-    "@record P1": "@record: bad predicate name 'P1'",
+    "@record P1": "unknown directive '@record'",
+    "@record p1": "unknown directive '@record'",
+    "@foo p1": "unknown directive '@foo'",
     "@schema set(P1, str)": "@schema: bad predicate name 'P1'",
     "@schema set(q, str)": "@schema: no rules for 'q'",
 }

@@ -69,13 +69,11 @@ def test_comments_and_annotations():
     prog = elog.parse_elog(
         "% whole line\n"
         "@aux p1\n"
-        "@record p1 p2\n"
         "@schema set(p2, str)\n"
         "p1(X0,X) :- root(_,X0), subelem[a][*](X0,X). % trailing\n"
         "p2(X0,X) :- p1(_,X0), subelem[b][*](X0,X).\n"
     )
     assert prog.aux == frozenset({"p1"})
-    assert prog.record_order == ("p1", "p2")
     assert prog.schema == ob.SetSchema("p2", ob.StrSchema())
 
 
@@ -102,7 +100,6 @@ def test_serialize_parse_round_trip(quadratic, parity):
     # '-' and '#' are predicate-name characters in rules and directives alike
     named = elog.parse_elog(
         "@aux p#1\n"
-        "@record a-b\n"
         "@schema set(a-b, record(set(p#1, str)))\n"
         "a-b(X0, X) :- root(_, X0), subelem[_][*](X0, X).\n"
         "p#1(X0, X) :- a-b(_, X0), subelem[_][*](X0, X).\n"
@@ -253,9 +250,18 @@ def test_label_tags_are_folded_to_lower_case():
 
 
 def test_copy_rule_round_trip():
-    text = "p(X0,X) :- root(_,X0), subelem[a][*](X0,X).\np'(_, X) :- p(_, X).\n"
-    prog = elog.parse_elog(text)
-    assert isinstance(prog.rules[1], elog.CopyRule)
+    # the first head argument is a variable, so a former copy rule fails on
+    # its line; its chain form, the same atoms p'(root, x), round-trips
+    rule = "p(X0,X) :- root(_,X0), subelem[a][*](X0,X).\n"
+    with pytest.raises(elog.ElogSyntaxError, match="line 2: p': expected a variable"):
+        elog.parse_elog(rule + "p'(_, X) :- p(_, X).\n")
+    prog = elog.parse_elog(
+        rule + "p'(X0, X) :- root(_, X0), subelem[_*][*](X0, X), p(_, X).\n"
+    )
+    assert prog.rules[1] == elog.ChainRule(
+        "p'", "X0", "X", "root", pr.parse_path("_*"), pr.StarRange(),
+        refs=(elog.Ref("p", "X"),),
+    )
     assert elog.parse_elog(elog.serialize_elog(prog)) == prog
 
 
@@ -291,8 +297,9 @@ RULE_P1 = "p1(X0, X) :- root(_, X0), subelem[a][*](X0, X).\n"
     [
         ("@aux p1,p2", elog.ElogSyntaxError),  # one name, not two
         ("@aux nosuch", elog.UnknownPredicate),
-        ("@record p1 P2", elog.ElogSyntaxError),
-        ("@record q", elog.UnknownPredicate),
+        ("@record p1 P2", elog.ElogSyntaxError),  # no longer a directive
+        ("@record p1", elog.ElogSyntaxError),
+        ("@foo p1", elog.ElogSyntaxError),
         ("@schema set(P1, str)", elog.ElogSyntaxError),
         ("@schema set(p1, record(set(q, str)))", elog.UnknownPredicate),
     ],
@@ -304,8 +311,8 @@ def test_directives_name_rule_heads(directive, err):
 
 
 def test_directives_may_precede_their_rules_and_use_tabs():
-    prog = elog.parse_elog("@aux\tp1\n@record  p1\n@schema set(p1, str)\n" + RULE_P1)
-    assert (prog.aux, prog.record_order) == ({"p1"}, ("p1",))
+    prog = elog.parse_elog("@aux\tp1\n@schema  set(p1, str)\n" + RULE_P1)
+    assert (prog.aux, prog.schema) == ({"p1"}, ob.SetSchema("p1", ob.StrSchema()))
 
 
 def test_variable_connected_through_chain_is_safe():
@@ -796,7 +803,9 @@ def test_collapse_structure():
     prog = elog.parse_elog(CHAIN_TR)
     col = elog.monadic_collapse(prog)
     assert len(col.rules) == 2
-    assert col.rules[1] == elog.CopyRule("p'", "p")
+    assert elog.serialize_elog(col).splitlines()[1] == (
+        "p'(X0, X) :- root(_, X0), subelem[_*][*](X0, X), p(_, X)."
+    )
 
 
 def test_collapse_rejects_rule_ranges():
@@ -968,15 +977,26 @@ def test_eliminate_deep_aux_cycle_rejected():
 
 
 # ---------------------------------------------------------------------------
-# output graphs
+# output graphs, as dot text
+
+
+def _dot_lines(store, tree) -> tuple:
+    """The node and edge lines of the store's dot text."""
+    dot = elog.to_dot(store, tree).splitlines()
+    assert dot[:2] == ["digraph atoms {", "  rankdir=TB;"] and dot[-1] == "}"
+    nodes = [line for line in dot[2:-1] if " -> " not in line]
+    edges = [line for line in dot[2:-1] if " -> " in line]
+    return nodes, edges
 
 
 def test_output_graph_counts(quadratic):
     t = parse_document(bchain_doc(3, 2))
-    g = elog.output_graph(elog.eval_fixpoint(quadratic, t), t)
-    assert g.node_count == len(t)
-    assert len(g.edges) == 6
-    assert g.labels["p"] == frozenset({4, 5})
+    nodes, edges = _dot_lines(elog.eval_fixpoint(quadratic, t), t)
+    # the root, the three parents and the two targets, which list p
+    assert len(nodes) == 6 and len(edges) == 6
+    assert [line for line in nodes if line.endswith('\\np"];')] == [
+        '  n4 [label="4:l\\np"];', '  n5 [label="5:l\\np"];'
+    ]
 
 
 def test_output_graph_merges_parallel_edges(doc1):
@@ -984,20 +1004,26 @@ def test_output_graph_merges_parallel_edges(doc1):
         "p(X0,X) :- root(_,X0), subelem[html][*](X0,X).\n"
         "q(X0,X) :- root(_,X0), subelem[_][*](X0,X).\n"
     )
-    g = elog.output_graph(elog.eval_fixpoint(prog, doc1), doc1)
-    assert g.edges == frozenset({(0, 1)})
-    assert g.edge_preds[(0, 1)] == frozenset({"p", "q"})
-    assert g.labels["p"] == g.labels["q"] == frozenset({1})
+    nodes, edges = _dot_lines(elog.eval_fixpoint(prog, doc1), doc1)
+    assert edges == ['  n0 -> n1 [label="p,q"];']
+    assert nodes == ['  n0 [label="0:#doc"];', '  n1 [label="1:html\\np,q"];']
 
 
 def test_dot_rendering_mentions_nodes_and_edges(doc1):
-    g = elog.output_graph(
-        elog.eval_fixpoint(elog.parse_elog(CHAIN_TR), doc1), doc1
-    )
-    dot = elog.to_dot(g, doc1)
+    dot = elog.to_dot(elog.eval_fixpoint(elog.parse_elog(CHAIN_TR), doc1), doc1)
     assert dot.startswith("digraph")
     assert 'n0 -> n4 [label="p"];' in dot
     assert '"4:tr' in dot
+
+
+def test_dot_lists_universal_predicates_on_their_nodes(doc1):
+    # a dom-rule predicate is a node set: its nodes list it, with no edge
+    prog = elog.parse_elog('c(X0, X) :- dom(X0, X), contains_s(X, "B").')
+    nodes, edges = _dot_lines(elog.eval_fixpoint(prog, doc1), doc1)
+    assert edges == []
+    assert [line for line in nodes if "\\nc" in line] == [
+        '  n12 [label="12:td\\nc"];', '  n13 [label="13:#text\\nc"];'
+    ]
 
 
 # ---------------------------------------------------------------------------

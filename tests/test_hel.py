@@ -186,6 +186,7 @@ def test_vhel_conditions_are_chains_without_records_or_nesting(text, message, pa
     with pytest.raises((hel.HelSyntaxError, rpn.RpnSyntaxError)) as e:
         parse(text)
     assert str(e.value).startswith(message)
+    assert e.value.pos == int(message.split(":")[0].removeprefix("at "))
 
 
 def test_vhel_round_trip():
@@ -486,7 +487,6 @@ def _covered(a, b) -> bool:
 def test_lifted_range_translation_text():
     prog, _, _ = hel.translate_vf(hel.parse_vhel('t[1]{c.txt = "x"}.txt;'))
     assert elog.serialize_elog(prog) == (
-        "@record p1\n"
         "@schema set(p1, str)\n"
         'c1(X0, X) :- dom(X0, X), contains[c][*](X, Y), contains_s(Y, "x").\n'
         "p1(X0, X) :- root(_, X0), subelem[t][*](X0, X), c1(_, X) [1].\n"

@@ -386,7 +386,6 @@ def test_items_translation_text():
     prog, _, _ = rpn.translate_rpn(rpn.parse_rpn(ITEMS))
     assert elog.serialize_elog(prog) == (
         "@aux p1 p2 p3 p4\n"
-        "@record p5\n"
         "@schema set(p5, str)\n"
         "p1(X0, X) :- root(_, X0), subelem[html][*](X0, X).\n"
         "p2(X0, X) :- p1(_, X0), subelem[body][*](X0, X).\n"
@@ -416,7 +415,6 @@ def test_record_entries_share_the_context_predicate():
     by_head = {r.head: r for r in prog.rules}
     assert by_head["p2"].parent == "p1" and by_head["p3"].parent == "p1"
     assert aux == frozenset()  # p1 anchors the record's set itself
-    assert prog.record_order == ("p1", "p2", "p3")
     assert ob.schema_to_text(schema) == "set(p1, record(set(p2, str), set(p3, str)))"
 
 
