@@ -162,7 +162,7 @@ def cmd_translate(args) -> int:
         return 0
     if args.to == "elog":
         translate = rpn.translate_rpn if w.lang == "rpn" else hel.translate_vf
-        try:  # each condition link is a rule, made recursively
+        try:  # a nested condition is translated one recursive call per level
             prog, _, _ = translate(w.ast)
         except (ValueError, elog.ElogError, RecursionError) as e:
             raise WrapperError(f"{w.path}: {e}") from None
@@ -211,8 +211,10 @@ def cmd_diff(args) -> int:
             return 1
         print(_styled("no divergence", "32"))
         return 0
-    if not args.generate:
+    if args.generate is None:
         raise WrapperError("pass a document or --generate N")
+    if args.generate < 1:
+        raise WrapperError(f"--generate N needs N >= 1, got {args.generate}")
 
     def disagree(tree: DocTree) -> bool:
         try:

@@ -1256,17 +1256,16 @@ def eliminate_aux(store: AtomStore) -> AtomStore:
     (a builtin always does), or when it hangs from nothing.  Aux atoms are
     then dropped.  One iterative depth-first walk over the instances gives
     each its anchors after those of the instances it hangs from, and
-    raises AuxCycle at an aux atom q(a, a) or a cycle of instances.  The
-    atoms of p at one parent b move together, as one target set, so the
-    splice is linear in parents and instances apart from the anchor sets."""
+    raises AuxCycle at a cycle of instances, such as q(a, a) where q is
+    its own parent predicate.  The atoms of p at one parent b move together,
+    as one target set, so the splice is linear in parents and instances
+    apart from the anchor sets."""
     aux = store.aux
     ups = {p: [q for q in ps if q in aux] for p, ps in store.parents.items()}
     others = {p: [r for r in ps if r not in aux] for p, ps in store.parents.items()}
     sources: dict = {}  # instance (q, b) -> the nodes a of its q(a, b)
     for q in sorted(aux):
         for a, b in store.pairs.get(q, ()):
-            if a == b:
-                raise AuxCycle(f"auxiliary atom loops at node {a}")
             sources.setdefault((q, b), []).append(a)
     images: dict = {}
 

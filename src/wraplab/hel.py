@@ -3,8 +3,8 @@
 A statement names the nodes to extract with a construction chain whose
 brackets may bind index variables, and restricts those bindings in a
 trailing ``where`` clause.  The rpn module's statement parser reads both,
-in its variable dialect, into the shared AST: the chain is an ``rpn.Chain``
-and each condition an ``rpn.CondChain``, whose patoms carry the variables.
+in its variable dialect, into the shared AST: the chain and each
+condition are an ``rpn.Chain``, whose patoms carry the variables.
 Conditions repeat the chain's navigation up to the variable they
 constrain, which is what makes them erasable: desugaring deletes each
 condition's prefix through its rightmost variable, nests the remainder at
@@ -66,8 +66,8 @@ class SingleValueWarning(UserWarning):
 
 @dataclass(frozen=True)
 class HelStatement:
-    chain: object  # rpn.Chain whose patoms may bind index variables
-    where: tuple = ()  # of rpn.CondChain, each binding some variable
+    chain: rpn.Chain  # whose patoms may bind index variables
+    where: tuple = ()  # of condition rpn.Chains, each binding some variable
 
 
 def parse_hel(text: str) -> HelStatement:
@@ -108,26 +108,20 @@ def vhel_to_text(stmt) -> str:
 # variables: binding paths, validation, desugaring
 
 
-def _patoms(chain):
+def _patoms(chain: rpn.Chain):
     """The patoms of a statement, record entries included, or of a
     condition, in text order."""
-    while isinstance(chain, (rpn.Chain, rpn.CondChain)):
-        yield chain.patom
-        chain = chain.rest
-    if isinstance(chain, rpn.Record):
-        for e in chain.entries:
+    yield from chain.patoms
+    if isinstance(chain.end, rpn.Record):
+        for e in chain.end.entries:
             yield from _patoms(e)
 
 
-def binding_paths(chain) -> list[tuple]:
+def binding_paths(chain: rpn.Chain) -> list[tuple]:
     """Every root-to-leaf sequence of patoms, one per record entry."""
-    head = []
-    while isinstance(chain, rpn.Chain):
-        head.append(chain.patom)
-        chain = chain.rest
-    if isinstance(chain, rpn.Record):
-        return [tuple(head) + p for e in chain.entries for p in binding_paths(e)]
-    return [tuple(head)]
+    if isinstance(chain.end, rpn.Record):
+        return [chain.patoms + p for e in chain.end.entries for p in binding_paths(e)]
+    return [chain.patoms]
 
 
 def validate_vars(stmt: HelStatement) -> None:
@@ -140,16 +134,15 @@ def validate_vars(stmt: HelStatement) -> None:
         seen.add(pa.var)
     paths = binding_paths(stmt.chain)
     for cond in stmt.where:
-        links = list(_patoms(cond))
-        var_positions = [j for j, pa in enumerate(links) if pa.var is not None]
+        var_positions = [j for j, pa in enumerate(cond.patoms) if pa.var is not None]
         if not var_positions:
             raise PrefixMismatch(f"condition {_cond_text(cond)!r} binds no index variable")
         for j in var_positions:
-            if links[j].var not in seen:
+            if cond.patoms[j].var not in seen:
                 raise VarUnbound(
-                    f"index variable {links[j].var!r} is not bound in the chain"
+                    f"index variable {cond.patoms[j].var!r} is not bound in the chain"
                 )
-        prefix = links[: max(var_positions) + 1]
+        prefix = cond.patoms[: max(var_positions) + 1]
         if not any(_prefix_matches(prefix, p) for p in paths):
             raise PrefixMismatch(
                 f"condition {_cond_text(cond)!r} repeats no chain path up to its "
@@ -175,25 +168,19 @@ def desugar(stmt: HelStatement):
     validate_vars(stmt)
     pending: dict = {}
     for cond in stmt.where:  # each binds a variable: validate_vars checked
-        rest = cond
-        while isinstance(rest, rpn.CondChain):
-            if rest.patom.var is not None:
-                remainder, var = rest.rest, rest.patom.var
-            rest = rest.rest
-        pending.setdefault(var, []).append(remainder)
+        i = max(j for j, pa in enumerate(cond.patoms) if pa.var is not None)
+        remainder = rpn.Chain(cond.patoms[i + 1 :], cond.end)
+        pending.setdefault(cond.patoms[i].var, []).append(remainder)
 
-    def erase(chain):
-        patoms = []
-        while isinstance(chain, rpn.Chain):
-            patoms.append(chain.patom)
-            chain = chain.rest
-        if isinstance(chain, rpn.Record):
-            chain = rpn.Record(tuple(erase(e) for e in chain.entries))
-        for pa in reversed(patoms):
-            if pa.var is not None:
-                pa = replace(pa, var=None, conds=tuple(pending.pop(pa.var, ())))
-            chain = rpn.Chain(pa, chain)
-        return chain
+    def erase(chain: rpn.Chain) -> rpn.Chain:
+        end = chain.end
+        if isinstance(end, rpn.Record):
+            end = rpn.Record(tuple(erase(e) for e in end.entries))
+        return rpn.Chain(tuple(
+            pa if pa.var is None
+            else replace(pa, var=None, conds=tuple(pending.pop(pa.var, ())))
+            for pa in chain.patoms
+        ), end)
 
     return erase(stmt.chain)
 
@@ -207,7 +194,7 @@ def _vf_holds(strict: bool):
     chain should reach at most one node, whose text must equal the string."""
 
     def holds(tree: DocTree, v: int, cond) -> bool:
-        targets, end = rpn._follow(cond, tree, [v], holds, False, False)
+        targets = rpn._follow(cond, tree, [v], holds, False, False)
         if len(targets) > 1:
             detail = (
                 f"condition path reaches {len(targets)} nodes under node {v}; "
@@ -216,8 +203,8 @@ def _vf_holds(strict: bool):
             if strict:
                 raise SingleValueViolation(detail)
             warnings.warn(detail, SingleValueWarning, stacklevel=3)
-            return any(tree.txt_equals(u, end.s) for u in targets)
-        return bool(targets) and tree.txt_equals(targets[0], end.s)
+            return any(tree.txt_equals(u, cond.end.s) for u in targets)
+        return bool(targets) and tree.txt_equals(targets[0], cond.end.s)
 
     return holds
 
@@ -234,12 +221,8 @@ def eval_cut(stmt, tree: DocTree, v: int | None = None, strict: bool = True) -> 
     return rpn._evaluate(stmt, tree, v, _vf_holds(strict), range_first=False, cut=True)
 
 
-def has_cut(stmt) -> bool:
-    if isinstance(stmt, rpn.Record):
-        return any(has_cut(e) for e in stmt.entries)
-    if isinstance(stmt, rpn.Chain):
-        return any(c.cut for c in stmt.patom.conds) or has_cut(stmt.rest)
-    return False
+def has_cut(stmt: rpn.Chain) -> bool:
+    return any(c.cut for pa in _patoms(stmt) for c in pa.conds)
 
 
 # ---------------------------------------------------------------------------

@@ -11,29 +11,31 @@ conditions with a leading ``!``.  The variable dialect (``.hel``) has the
 vf steps, no condition blocks and no cut marks; its brackets may bind an
 index variable (``[i]``, ``[i:range]``), which the hel module erases.
 
-A statement and each of its conditions are one kind of chain, told apart
-by its end: ``txt`` or a record, or a text test.  One parse loop serves
-all three dialects.  It reads record entries, condition blocks and regex
-path groups in place, so an error offset counts from the start of the
-statement, and it takes tags and keywords by ``pathrange.TAG``, in any
-case.  One renderer and one walker, ``_follow``, serve statements and
-conditions alike.  The walker carries the
-set of reached nodes from step to step, so a step navigates from each node
-once; it takes the condition semantics, the order (range then filter, or
-filter then range) and whether cut marks stop the filter scan.
-``eval_rpn`` here and the hel module's ``eval_vf`` and ``eval_cut`` only
-choose those three.
+A statement and each of its conditions are one node, ``Chain``: a tuple
+of path atoms, possibly empty, and an end, ``Txt`` or a ``Record`` for a
+statement and a ``TxtEq`` text test for a condition, which may carry a
+cut mark.  One parse loop serves all three dialects.  It reads record
+entries, condition blocks and regex path groups in place, so an error
+offset counts from the start of the statement, and it takes tags and
+keywords by ``pathrange.TAG``, in any case.  One renderer and one walker,
+``_follow``, serve statements and conditions alike, each a loop over the
+path atoms.  The walker carries the set of reached nodes from step to
+step, so a step navigates from each node once; it takes the condition
+semantics, the order (range then filter, or filter then range) and
+whether cut marks stop the filter scan.  ``eval_rpn`` here and the hel
+module's ``eval_vf`` and ``eval_cut`` only choose those three.  Only the
+path-expression condition search, ``_cond_holds``, recurses once per link.
 
 Statements translate to datalog programs whose derived atoms reproduce the
 evaluator's output; the last predicate of every chain carries a schema
-position, the earlier ones are auxiliary, and condition predicates are
-universal dom-rules.
+position, the earlier ones are auxiliary, and each condition link is a
+universal dom-rule.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from . import elog
@@ -76,14 +78,6 @@ class RpnSyntaxError(Exception):
 @dataclass(frozen=True)
 class TxtEq:
     s: str
-    cut: bool = False
-
-
-@dataclass(frozen=True)
-class CondChain:
-    patom: "Patom"
-    rest: object  # CondChain | TxtEq
-    cut: bool = False
 
 
 @dataclass(frozen=True)
@@ -106,8 +100,12 @@ class Record:
 
 @dataclass(frozen=True)
 class Chain:
-    patom: Patom
-    rest: object  # Chain | Txt | Record
+    """A statement, ending in Txt or a Record, or a condition, ending in
+    a TxtEq; cut marks a condition's first link."""
+
+    patoms: tuple  # of Patom, in text order, possibly none
+    end: object
+    cut: bool = False
 
 
 def tag_path(tag: str):
@@ -237,10 +235,7 @@ class _StmtParser:
                 self.error("conditions may not nest inside conditions here")
             patoms.append(pa)
             end = self._record_end(cond)
-        node = end
-        for pa in reversed(patoms):
-            node = CondChain(pa, node) if cond else Chain(pa, node)
-        return replace(node, cut=True) if cut else node
+        return Chain(tuple(patoms), end, cut)
 
     def _txt_end(self, cond: bool):
         """Txt, or with cond a text test, if the cursor is on 'txt'."""
@@ -372,42 +367,36 @@ def _patom_text(pa: Patom, dialect: str, axis_prefix: bool) -> str:
     return out
 
 
-def statement_to_text(stmt, dialect: str = "rpn") -> str:
+def statement_to_text(stmt: Chain, dialect: str = "rpn") -> str:
     """The text of a statement, or of a condition: both are chains of path
     atoms, one ending in txt or a record and the other in a text test."""
-    cut = getattr(stmt, "cut", False)
-    parts = []
-    first = True
-    while isinstance(stmt, (Chain, CondChain)):
-        parts.append(_patom_text(stmt.patom, dialect, axis_prefix=not first))
-        first = False
-        stmt = stmt.rest
-    sep = "" if first else "."
-    if isinstance(stmt, Txt):
+    parts = ["!"] if stmt.cut else []
+    for i, pa in enumerate(stmt.patoms):
+        parts.append(_patom_text(pa, dialect, axis_prefix=i > 0))
+    sep, end = "." if stmt.patoms else "", stmt.end
+    if isinstance(end, Txt):
         parts.append(sep + "txt")
-    elif isinstance(stmt, TxtEq):
-        parts.append(f"{sep}txt = {json.dumps(stmt.s, ensure_ascii=False)}")
-    elif isinstance(stmt, Record):
-        inner = " # ".join(statement_to_text(e, dialect) for e in stmt.entries)
+    elif isinstance(end, TxtEq):
+        parts.append(f"{sep}txt = {json.dumps(end.s, ensure_ascii=False)}")
+    elif isinstance(end, Record):
+        inner = " # ".join(statement_to_text(e, dialect) for e in end.entries)
         # record parens attach directly to the last patom in vf syntax
         parts.append(("" if dialect == "vhel" else sep) + "(" + inner + ")")
     else:
         raise TypeError(f"not a statement: {stmt!r}")
-    return ("!" if cut else "") + "".join(parts)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
 # types
 
 
-def typecheck(stmt) -> ob.Type:
+def typecheck(stmt: Chain) -> ob.Type:
     """Total; conditions contribute nothing."""
-    while isinstance(stmt, Chain):
-        stmt = stmt.rest
-    if isinstance(stmt, Txt):
+    if isinstance(stmt.end, Txt):
         return ob.TSet(ob.TStr())
-    if isinstance(stmt, Record):
-        return ob.TSet(ob.TRecord(tuple(typecheck(e) for e in stmt.entries)))
+    if isinstance(stmt.end, Record):
+        return ob.TSet(ob.TRecord(tuple(typecheck(e) for e in stmt.end.entries)))
     raise TypeError(f"not a statement: {stmt!r}")
 
 
@@ -415,20 +404,20 @@ def typecheck(stmt) -> ob.Type:
 # evaluation
 
 
-def _cond_holds(tree: DocTree, v: int, cond, memo: dict) -> bool:
-    """Whether some node that cond's first link keeps at v passes that
-    link's own conditions and the rest of cond.  The search stops at the
-    first such witness; memo keeps each link's answer per node for one
-    evaluation."""
-    if isinstance(cond, TxtEq):
-        return tree.txt_equals(v, cond.s)
-    key = (id(cond), v)
+def _cond_holds(tree: DocTree, v: int, cond: Chain, memo: dict, i: int = 0) -> bool:
+    """Whether cond holds at v from its link i on: some node that link
+    keeps at v passes the link's own conditions and the later links.  The
+    search stops at the first such witness; memo keeps each link's answer
+    per node for one evaluation."""
+    if i == len(cond.patoms):
+        return tree.txt_equals(v, cond.end.s)
+    key = (id(cond), i, v)
     held = memo.get(key)
     if held is None:
-        pa = cond.patom
+        pa = cond.patoms[i]
         held = memo[key] = any(
             all(_cond_holds(tree, w, c, memo) for c in pa.conds)
-            and _cond_holds(tree, w, cond.rest, memo)
+            and _cond_holds(tree, w, cond, memo, i + 1)
             for w in apply_range(subelem(tree, v, pa.path), pa.range)
         )
     return held
@@ -448,7 +437,7 @@ def _evaluate(
     and condition semantics; every evaluator entry point lands here.  A
     record evaluates its entries at each node its chain ends on."""
     start = tree.root() if v is None else v
-    nodes, end = _follow(stmt, tree, [start], holds, range_first, cut)
+    nodes, end = _follow(stmt, tree, [start], holds, range_first, cut), stmt.end
     if isinstance(end, Txt):
         return ob.SetVal([(w, ob.StrVal(tree.txt(w))) for w in nodes])
     if isinstance(end, Record):
@@ -462,8 +451,7 @@ def _evaluate(
 
 
 def _follow(chain, tree: DocTree, nodes: list, holds, range_first: bool, cut: bool):
-    """The nodes a statement's or a condition's chain reaches from nodes,
-    and the chain's end (Txt, Record or TxtEq).
+    """The nodes a statement's or a condition's path atoms reach from nodes.
 
     Each step maps the node list, which has no repeats and is in document
     order, to the nodes its patom keeps from any of them, so a step
@@ -472,8 +460,7 @@ def _follow(chain, tree: DocTree, nodes: list, holds, range_first: bool, cut: bo
     then checks holds(tree, w, cond) on the selected ones; otherwise the
     conditions filter first and the range selects among the survivors.
     With cut, a node failing a '!'-marked condition ends the filter scan."""
-    while isinstance(chain, (Chain, CondChain)):
-        pa = chain.patom
+    for pa in chain.patoms:
         reached = []
         for v in nodes:
             hits = subelem(tree, v, pa.path)
@@ -497,8 +484,7 @@ def _follow(chain, tree: DocTree, nodes: list, holds, range_first: bool, cut: bo
                         keep.append(w)
                 reached += apply_range(keep, pa.range)
         nodes = reached if len(nodes) == 1 else sorted(set(reached))
-        chain = chain.rest
-    return nodes, chain
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +509,9 @@ class _Translator:
         self.cond_count += 1
         return f"c{self.cond_count}"
 
-    def statement(self, stmt, ctx: str):
+    def statement(self, stmt: Chain, ctx: str):
         last = None
-        while isinstance(stmt, Chain):
-            pa = stmt.patom
+        for pa in stmt.patoms:
             pred = self.new_chain_pred()
             refs = tuple(elog.Ref(self.cond(c), "X") for c in pa.conds)
             if self.lift and pa.range != StarRange():
@@ -539,42 +524,50 @@ class _Translator:
                     pred, "X0", "X", ctx, pa.path, step_rng, (), refs, rule_rng
                 )
             )
-            ctx = pred
-            last = pred
-            stmt = stmt.rest
-        if isinstance(stmt, Txt):
+            ctx = last = pred
+        if isinstance(stmt.end, Txt):
             return ob.SetSchema(last, ob.StrSchema())
-        entries = tuple(self.statement(e, ctx) for e in stmt.entries)
+        entries = tuple(self.statement(e, ctx) for e in stmt.end.entries)
         return ob.SetSchema(last, ob.RecordSchema(entries))
 
-    def cond(self, cond) -> str:
-        """One universal predicate whose image is the set of nodes
-        satisfying the condition."""
-        if isinstance(cond, CondChain) and isinstance(cond.patom.range, RawRegex):
-            # a dom rule applies it at every node, where the walker applies
-            # it only at the nodes the statement reaches, and it can raise
-            text = statement_to_text(cond, "vhel" if self.lift else "rpn")
-            raise ValueError(
-                f"condition {text!r}: a regex range in a condition has no "
-                "datalog counterpart"
-            )
-        pred = self.new_cond_pred()
-        if isinstance(cond, TxtEq):
-            conds: tuple = (elog.ContainsStr("X", cond.s),)
-            refs: tuple = ()
-        else:
-            pa = cond.patom
-            refs = tuple(elog.Ref(self.cond(c), "Y") for c in pa.conds)
-            if isinstance(cond.rest, TxtEq):
-                conds = (
-                    elog.Contains("X", "Y", pa.path, pa.range),
-                    elog.ContainsStr("Y", cond.rest.s),
+    def cond(self, cond: Chain) -> str:
+        """One universal predicate per link, whose image is the set of
+        nodes satisfying the condition from that link on; returns the
+        first link's.  Names go out in text order, a link's before its
+        nested conditions'; the nested rules come first, then the links'
+        from the last link back."""
+        s = cond.end.s
+        if not cond.patoms:
+            pred = self.new_cond_pred()
+            test = (elog.ContainsStr("X", s),)
+            self.rules.append(elog.DomRule(pred, "X0", "X", test, ()))
+            return pred
+        links = []
+        for i, pa in enumerate(cond.patoms):
+            if isinstance(pa.range, RawRegex):
+                # a dom rule applies it at every node, where the walker
+                # applies it only at the nodes the statement reaches, and
+                # it can raise
+                text = statement_to_text(
+                    Chain(cond.patoms[i:], cond.end), "vhel" if self.lift else "rpn"
                 )
+                raise ValueError(
+                    f"condition {text!r}: a regex range in a condition has no "
+                    "datalog counterpart"
+                )
+            pred = self.new_cond_pred()
+            refs = tuple(elog.Ref(self.cond(c), "Y") for c in pa.conds)
+            links.append((pred, pa, refs))
+        nxt = None
+        for pred, pa, refs in reversed(links):
+            conds = (elog.Contains("X", "Y", pa.path, pa.range),)
+            if nxt is None:
+                conds += (elog.ContainsStr("Y", s),)
             else:
-                conds = (elog.Contains("X", "Y", pa.path, pa.range),)
-                refs = refs + (elog.Ref(self.cond(cond.rest), "Y"),)
-        self.rules.append(elog.DomRule(pred, "X0", "X", conds, refs))
-        return pred
+                refs += (elog.Ref(nxt, "Y"),)
+            self.rules.append(elog.DomRule(pred, "X0", "X", conds, refs))
+            nxt = pred
+        return nxt
 
 
 def _translate(stmt, lift_ranges: bool):

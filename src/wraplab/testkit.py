@@ -357,77 +357,57 @@ def _conds_hold(tree: DocTree, v: int, conds) -> bool:
     return all(_naive_cond(tree, v, c) for c in conds)
 
 
-def _naive_cond(tree: DocTree, v: int, cond) -> bool:
-    kind = type(cond).__name__
-    if kind == "TxtEq":
-        return tree.txt(v) == cond.s
-    if kind == "CondChain":
-        pa = cond.patom
-        hits = naive_select(naive_subelem(tree, v, pa.path), pa.range)
-        return any(
-            _conds_hold(tree, w, pa.conds) and _naive_cond(tree, w, cond.rest)
-            for w in hits
-        )
-    raise TypeError(f"unrecognized condition {cond!r}")
+def _naive_cond(tree: DocTree, v: int, cond, i: int = 0) -> bool:
+    """Whether cond holds at v from its path atom i on."""
+    if i == len(cond.patoms):
+        return tree.txt(v) == cond.end.s
+    pa = cond.patoms[i]
+    hits = naive_select(naive_subelem(tree, v, pa.path), pa.range)
+    return any(
+        _conds_hold(tree, w, pa.conds) and _naive_cond(tree, w, cond, i + 1)
+        for w in hits
+    )
 
 
-def naive_rpn(tree: DocTree, stmt, v: int | None = None):
+def naive_rpn(tree: DocTree, stmt, v: int | None = None, i: int = 0):
     """Direct transcription of the path-expression semantics: the range is
-    applied to the navigation result first, conditions filter afterwards."""
+    applied to the navigation result first, conditions filter afterwards.
+    i skips the statement's first path atoms."""
     if v is None:
         v = tree.root()
-    kind = type(stmt).__name__
-    if kind == "Txt":
+    if i == len(stmt.patoms):
+        if type(stmt.end).__name__ == "Record":
+            return frozenset({tuple(naive_rpn(tree, e, v) for e in stmt.end.entries)})
         return frozenset({tree.txt(v)})
-    if kind == "Record":
-        return frozenset({tuple(naive_rpn(tree, e, v) for e in stmt.entries)})
-    if kind == "Chain":
-        pa = stmt.patom
-        sel = naive_select(naive_subelem(tree, v, pa.path), pa.range)
-        keep = [w for w in sel if _conds_hold(tree, w, pa.conds)]
-        return _plain_union(naive_rpn(tree, stmt.rest, w) for w in keep)
-    raise TypeError(f"unrecognized statement {stmt!r}")
+    pa = stmt.patoms[i]
+    sel = naive_select(naive_subelem(tree, v, pa.path), pa.range)
+    keep = [w for w in sel if _conds_hold(tree, w, pa.conds)]
+    return _plain_union(naive_rpn(tree, stmt, w, i + 1) for w in keep)
 
 
-def has_eps_link(stmt) -> bool:
-    """True when some navigation step that another step still follows can
-    match the empty word.  Such a step may select its own start node, which
-    the datalog pipeline rejects as a cyclic stitch; evaluators don't mind."""
-    kind = type(stmt).__name__
-    if kind == "Record":
-        return any(has_eps_link(e) for e in stmt.entries)
-    if kind != "Chain":
-        return False
-    if type(stmt.rest).__name__ == "Chain" and word_matches(
-        convert_regex(stmt.patom.path), ()
-    ):
-        return True
-    return has_eps_link(stmt.rest)
-
-
-def naive_helvf(tree: DocTree, stmt, v: int | None = None, cut: bool = False):
+def naive_helvf(
+    tree: DocTree, stmt, v: int | None = None, cut: bool = False, i: int = 0
+):
     """Direct transcription of the variable-free semantics: conditions
     filter the navigation result first, then the range selects.  With cut,
     the scan over the navigated nodes stops after the first one that fails
-    a '!'-marked condition."""
+    a '!'-marked condition.  i skips the statement's first path atoms."""
     if v is None:
         v = tree.root()
-    kind = type(stmt).__name__
-    if kind == "Txt":
+    if i == len(stmt.patoms):
+        if type(stmt.end).__name__ == "Record":
+            entries = stmt.end.entries
+            return frozenset({tuple(naive_helvf(tree, e, v, cut) for e in entries)})
         return frozenset({tree.txt(v)})
-    if kind == "Record":
-        return frozenset({tuple(naive_helvf(tree, e, v, cut) for e in stmt.entries)})
-    if kind == "Chain":
-        hits = []
-        for w in naive_subelem(tree, v, stmt.patom.path):
-            failed = [c for c in stmt.patom.conds if not _naive_cond(tree, w, c)]
-            if not failed:
-                hits.append(w)
-            if cut and any(c.cut for c in failed):
-                break
-        sel = naive_select(hits, stmt.patom.range)
-        return _plain_union(naive_helvf(tree, stmt.rest, w, cut) for w in sel)
-    raise TypeError(f"unrecognized statement {stmt!r}")
+    pa, hits = stmt.patoms[i], []
+    for w in naive_subelem(tree, v, pa.path):
+        failed = [c for c in pa.conds if not _naive_cond(tree, w, c)]
+        if not failed:
+            hits.append(w)
+        if cut and any(c.cut for c in failed):
+            break
+    sel = naive_select(hits, pa.range)
+    return _plain_union(naive_helvf(tree, stmt, w, cut, i + 1) for w in sel)
 
 
 def naive_cut(tree: DocTree, stmt, v: int | None = None):
@@ -457,9 +437,6 @@ def naive_eliminate_aux(pairs: dict, aux, parents: dict) -> dict:
     returns the same shape without the aux predicates."""
     aux = frozenset(aux)
     triples = {(p, a, b) for p in pairs for a, b in pairs[p]}
-    for p, a, b in sorted(triples):
-        if p in aux and a == b:
-            raise AuxCycle(f"auxiliary atom loops at node {a}")
     instances = {(p, b) for p, _, b in triples if p in aux}
     targets = {(p, b) for p, _, b in triples}
 

@@ -25,7 +25,6 @@ from wraplab.testkit import (
     gen_path_text,
     gen_stmt,
     gen_tree,
-    has_eps_link,
     items_doc,
     naive_subelem,
     parity_oracle,
@@ -73,27 +72,16 @@ def test_a1_items_statement_value_and_type(record_property):
 def test_a2_statement_translation_is_faithful(record_property):
     record_property("criterion", "A2")
     start = time.perf_counter()
-    checked = skipped = seed = 0
-    while checked < 1000:
-        assert seed < 4000, "too many generator rejections"
+    for seed in range(1000):
         stmt = rpn.parse_rpn(gen_stmt(StmtGenSpec(seed=seed, language="rpn")))
         tree = gen_tree(TreeGenSpec(seed=seed * 31 + 7))
-        seed += 1
-        if has_eps_link(stmt):
-            skipped += 1
-            continue
         direct = rpn.eval_rpn(stmt, tree)
         prog, _, _ = rpn.translate_rpn(stmt)
         _, val = elog.run_pipeline(prog, tree)
-        assert ob.to_jsonable(direct) == ob.to_jsonable(val), (seed - 1, stmt)
-        checked += 1
+        assert ob.to_jsonable(direct) == ob.to_jsonable(val), (seed, stmt)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    record_property(
-        "detail",
-        f"{checked} statement/document pairs, {skipped} self-selecting "
-        f"statements skipped, {elapsed:.1f} s",
-    )
+    record_property("detail", f"1000 statement/document pairs, {elapsed:.1f} s")
 
 
 def test_a3_scan_translation_is_faithful(record_property):

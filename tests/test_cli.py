@@ -309,6 +309,7 @@ LONG = 3000  # steps in a chain, rules in a program, levels in a document
 
 @pytest.mark.parametrize("name", ["steps.rpn", "steps.vhel"])
 def test_run_long_statement_on_a_deep_document(wrapctl, tmp_path, name):
+    # check and translate walk the path atoms with loops, as run does
     d = tmp_path / "deep.doc"
     d.write_text("<a>" * LONG + "<b>x</b>" + "</a>" * LONG)
     w = tmp_path / name
@@ -316,6 +317,11 @@ def test_run_long_statement_on_a_deep_document(wrapctl, tmp_path, name):
     rc, out, err = wrapctl("run", w, d)
     assert (rc, err) == (0, "")
     assert json.loads(out) == ["x"]
+    rc, out, err = wrapctl("check", w)
+    assert (rc, out, err) == (0, "OK: type SetOf(Str)\n", "")
+    rc, out, err = wrapctl("translate", w, "--to", "elog")
+    assert (rc, err) == (0, "")
+    assert f"p{LONG + 1}(X0, X) :- p{LONG}(_, X0), subelem[b][*](X0, X)." in out
 
 
 def test_run_long_program_listed_dependents_first(wrapctl, tmp_path):
@@ -331,17 +337,27 @@ def test_run_long_program_listed_dependents_first(wrapctl, tmp_path):
     assert f"p{LONG}({LONG - 1},{LONG})" in out.split()
 
 
-def test_long_rpn_condition_fails_on_one_line(wrapctl, tmp_path):
-    # conditions are searched and translated one recursive call per link
+def _long_rpn_condition(tmp_path):
     w = tmp_path / "cond.rpn"
     w.write_text("a{" + "b." * LONG + 'txt = "x"}.txt')
+    return w
+
+
+def test_long_rpn_condition_fails_on_one_line(wrapctl, tmp_path):
+    # a condition is searched one recursive call per link
     d = tmp_path / "deep.doc"
     d.write_text("<a>" + "<b>" * LONG + "x" + "</b>" * LONG + "</a>")
-    for argv in (("run", w, d), ("translate", w, "--to", "elog")):
-        rc, out, err = wrapctl(*argv)
-        assert (rc, out) == (1, "")
-        assert err.startswith("wrapctl: ") and err.count("\n") == 1
-        assert "recursion" in err and "Traceback" not in err
+    rc, out, err = wrapctl("run", _long_rpn_condition(tmp_path), d)
+    assert (rc, out) == (1, "")
+    assert err.startswith("wrapctl: ") and err.count("\n") == 1
+    assert "recursion" in err and "Traceback" not in err
+
+
+def test_long_rpn_condition_translates(wrapctl, tmp_path):
+    # one dom rule per link, made in a loop
+    rc, out, err = wrapctl("translate", _long_rpn_condition(tmp_path), "--to", "elog")
+    assert (rc, err) == (0, "")
+    assert out.count(":- dom(X0, X), contains[b][*](X, Y)") == LONG
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +548,12 @@ def test_diff_generate_passes_translated_twins(wrapctl, tmp_path):
 
 
 def test_diff_needs_a_document_or_a_budget(wrapctl):
-    rc, _, err = wrapctl(
-        "diff", corpus("items_table", "pairs.hel"), corpus("items_table", "pairs.vhel")
-    )
-    assert rc == 1
-    assert "--generate" in err
+    pair = (corpus("items_table", "pairs.hel"), corpus("items_table", "pairs.vhel"))
+    for budget in ((), ("--generate", 0), ("--generate", -3)):
+        rc, out, err = wrapctl("diff", *pair, *budget)
+        assert (rc, out) == (1, "")
+        assert err.startswith("wrapctl: ") and err.count("\n") == 1
+        assert "--generate" in err
 
 
 def test_diff_rejects_schemaless_programs(wrapctl):

@@ -904,8 +904,15 @@ def test_eliminate_aux_cycle_rejected():
         elog.eliminate_aux(
             _store({"q": {(1, 2), (2, 1)}}, aux=["q"], parents={"q": ("q",)})
         )
-    with pytest.raises(elog.AuxCycle):
-        elog.eliminate_aux(_store({"q": {(1, 1)}}, aux=["q"], parents={"q": ("root",)}))
+    with pytest.raises(elog.AuxCycle):  # q(1, 1) hangs from its own instance
+        elog.eliminate_aux(_store({"q": {(1, 1)}}, aux=["q"], parents={"q": ("q",)}))
+    # under a builtin parent, q(1, 1) stays at 1 and is spliced like any atom
+    out = elog.eliminate_aux(_store(
+        {"q": {(1, 1), (1, 2)}, "p": {(1, 3), (2, 4)}},
+        aux=["q"],
+        parents={"q": ("root",), "p": ("q",)},
+    ))
+    assert out.pairs == {"p": {(1, 3), (1, 4)}}
 
 
 def test_eliminate_aux_idempotent():

@@ -16,9 +16,9 @@ from wraplab.pathrange import (
     Concat,
     Index,
     Interval,
+    Last,
     RangeSyntaxError,
     Star,
-    StarRange,
     Wildcard,
 )
 from wraplab.testkit import (
@@ -63,49 +63,60 @@ def quiet_eval(fn, stmt, tree):
 # parsing
 
 
-def _chain_patoms(chain) -> list:
-    out = []
-    while isinstance(chain, (rpn.Chain, rpn.CondChain)):
-        out.append(chain.patom)
-        chain = chain.rest
-    return out
+def _patoms(*tags) -> tuple:
+    return tuple(rpn.Patom(Atom(t)) for t in tags)
+
+
+def _entries(*tags) -> rpn.Record:
+    """A record of one-step entries ending in txt."""
+    return rpn.Record(tuple(rpn.Chain(_patoms(t), rpn.Txt()) for t in tags))
 
 
 def test_listing_parses():
-    s = hel.parse_hel(ITEMS_HEL)
-    record = s.chain.rest.rest.rest
-    assert isinstance(record, rpn.Record)
-    assert len(record.entries) == 2 and len(s.where) == 1
-    assert isinstance(s.where[0], rpn.CondChain)
+    tr_i = rpn.Patom(Atom("tr"), var="i")
+    first = (rpn.Patom(Atom("tr"), Index(0)), rpn.Patom(Atom("td"), Index(0)))
+    second = (tr_i, rpn.Patom(Atom("td"), Index(1)))
+    table = _patoms("html", "body", "table")
+    cond = table + (tr_i, rpn.Patom(Atom("td"), Index(0)))
+    assert hel.parse_hel(ITEMS_HEL) == hel.HelStatement(
+        rpn.Chain(table, rpn.Record((
+            rpn.Chain(first, rpn.Txt()), rpn.Chain(second, rpn.Txt())
+        ))),
+        (rpn.Chain(cond, rpn.TxtEq("item")),),
+    )
 
 
 def test_vrange_forms():
     s = hel.parse_hel("a[i].b[j:1-2].c[0].d[last].e.txt;")
-    patoms = _chain_patoms(s.chain)
-    assert patoms[0] == rpn.Patom(Atom("a"), var="i")
-    assert patoms[1] == rpn.Patom(Atom("b"), Interval(1, 2), var="j")
-    assert patoms[2] == rpn.Patom(Atom("c"), Index(0))
-    assert patoms[3].range != StarRange() and patoms[3].var is None
-    assert patoms[4] == rpn.Patom(Atom("e"))
+    assert s == hel.HelStatement(rpn.Chain((
+        rpn.Patom(Atom("a"), var="i"),
+        rpn.Patom(Atom("b"), Interval(1, 2), var="j"),
+        rpn.Patom(Atom("c"), Index(0)),
+        rpn.Patom(Atom("d"), Last()),
+        rpn.Patom(Atom("e")),
+    ), rpn.Txt()))
 
 
 def test_descendant_steps_parse():
     s = hel.parse_hel("a->b[i].txt where a->b[i].txt = \"x\";")
     descendant = Concat((Star(Wildcard()), Atom("b")))
-    assert _chain_patoms(s.chain)[1] == rpn.Patom(descendant, var="i")
-    assert _chain_patoms(s.where[0])[1] == rpn.Patom(descendant, var="i")
+    patoms = (rpn.Patom(Atom("a")), rpn.Patom(descendant, var="i"))
+    assert s == hel.HelStatement(
+        rpn.Chain(patoms, rpn.Txt()), (rpn.Chain(patoms, rpn.TxtEq("x")),)
+    )
 
 
 def test_record_attaches_without_a_dot():
-    s = hel.parse_hel("a.b(c.txt # d.txt);")
-    assert [pa.path for pa in _chain_patoms(s.chain)] == [Atom("a"), Atom("b")]
-    assert isinstance(s.chain.rest.rest, rpn.Record)
+    assert hel.parse_hel("a.b(c.txt # d.txt);") == hel.HelStatement(
+        rpn.Chain(_patoms("a", "b"), _entries("c", "d"))
+    )
 
 
 def test_nested_records():
-    s = hel.parse_hel("a(b.txt # c(d.txt # e.txt));")
-    outer = s.chain.rest
-    assert isinstance(outer.entries[1].rest, rpn.Record)
+    inner = rpn.Chain(_patoms("c"), _entries("d", "e"))
+    assert hel.parse_hel("a(b.txt # c(d.txt # e.txt));") == hel.HelStatement(
+        rpn.Chain(_patoms("a"), rpn.Record((rpn.Chain(_patoms("b"), rpn.Txt()), inner)))
+    )
 
 
 def test_multiple_conditions():
@@ -158,9 +169,11 @@ def test_txt_always_follows_a_dot(parse, text):
 
 
 def test_vhel_accepts_cut_marks_and_semicolon():
-    w = hel.parse_vhel('a[*]{!b.txt = "x" and c.txt = "y"}.txt;')
-    c1, c2 = w.patom.conds
-    assert c1.cut and not c2.cut
+    c1 = rpn.Chain(_patoms("b"), rpn.TxtEq("x"), cut=True)
+    c2 = rpn.Chain(_patoms("c"), rpn.TxtEq("y"))
+    assert hel.parse_vhel('a[*]{!b.txt = "x" and c.txt = "y"}.txt;') == rpn.Chain(
+        (rpn.Patom(Atom("a"), conds=(c1, c2)),), rpn.Txt()
+    )
 
 
 def test_vhel_rejects_regex_paths():
@@ -204,10 +217,8 @@ def test_vhel_round_trip():
 
 
 def test_wildcard_tag_desugars_to_the_wildcard_step():
-    from wraplab.pathrange import Wildcard
-
     d = hel.desugar(hel.parse_hel("g._.txt;"))
-    assert d.rest.patom.path == Wildcard()
+    assert d == rpn.Chain((rpn.Patom(Atom("g")), rpn.Patom(Wildcard())), rpn.Txt())
 
 
 @given(st.integers(0, 10**6))
@@ -225,7 +236,7 @@ def test_generated_vf_statements_round_trip(seed):
 def test_binding_paths_include_the_witness():
     s = hel.parse_hel(ITEMS_HEL)
     expected = [
-        tuple(_chain_patoms(hel.parse_hel(text).chain))
+        hel.parse_hel(text).chain.patoms
         for text in ("html.body.table.tr[0].td[0].txt;", "html.body.table.tr[i].td[1].txt;")
     ]
     assert hel.binding_paths(s.chain) == expected

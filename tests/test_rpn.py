@@ -5,7 +5,7 @@ import warnings
 from functools import partial
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wraplab import elog, hel
@@ -20,7 +20,6 @@ from wraplab.testkit import (
     TreeGenSpec,
     gen_stmt,
     gen_tree,
-    has_eps_link,
     naive_cut,
     naive_helvf,
     naive_rpn,
@@ -63,39 +62,46 @@ def conforms(val, ty) -> bool:
 # parsing
 
 
+def _patoms(*tags) -> tuple:
+    return tuple(rpn.Patom(Atom(t)) for t in tags)
+
+
+def _txt_eq(s: str, *tags) -> rpn.Chain:
+    return rpn.Chain(_patoms(*tags), rpn.TxtEq(s))
+
+
 def test_chain_shape():
-    w = rpn.parse_rpn("a.b.txt")
-    assert isinstance(w, rpn.Chain)
-    assert w.patom == rpn.Patom(Atom("a"))
-    assert w.rest == rpn.Chain(rpn.Patom(Atom("b")), rpn.Txt())
+    assert rpn.parse_rpn("a.b.txt") == rpn.Chain(_patoms("a", "b"), rpn.Txt())
 
 
 def test_bare_txt_parses():
-    assert rpn.parse_rpn("txt") == rpn.Txt()
+    assert rpn.parse_rpn("txt") == rpn.Chain((), rpn.Txt())
 
 
 def test_range_and_condition_attach_to_the_patom():
-    w = rpn.parse_rpn('a[1]{b.txt = "x"}.txt')
-    pa = w.patom
-    assert pa.range == Index(1)
-    (cond,) = pa.conds
-    assert cond == rpn.CondChain(rpn.Patom(Atom("b")), rpn.TxtEq("x"))
+    assert rpn.parse_rpn('a[1]{b.txt = "x"}.txt') == rpn.Chain(
+        (rpn.Patom(Atom("a"), Index(1), (_txt_eq("x", "b"),)),), rpn.Txt()
+    )
 
 
 def test_condition_on_own_text():
-    w = rpn.parse_rpn('a{txt = "x"}.txt')
-    assert w.patom.conds == (rpn.TxtEq("x"),)
+    assert rpn.parse_rpn('a{txt = "x"}.txt') == rpn.Chain(
+        (rpn.Patom(Atom("a"), conds=(_txt_eq("x"),)),), rpn.Txt()
+    )
 
 
 def test_multiple_conditions_joined_with_and():
-    w = rpn.parse_rpn('a{b.txt = "x" and txt = "y"}.txt')
-    assert len(w.patom.conds) == 2
+    assert rpn.parse_rpn('a{b.txt = "x" and txt = "y"}.txt') == rpn.Chain(
+        (rpn.Patom(Atom("a"), conds=(_txt_eq("x", "b"), _txt_eq("y"))),), rpn.Txt()
+    )
 
 
 def test_nested_conditions_parse():
-    w = rpn.parse_rpn('a{b{c.txt = "y"}.txt = "x"}.txt')
-    (cond,) = w.patom.conds
-    assert cond.patom.conds == (rpn.CondChain(rpn.Patom(Atom("c")), rpn.TxtEq("y")),)
+    inner = _txt_eq("y", "c")
+    cond = rpn.Chain((rpn.Patom(Atom("b"), conds=(inner,)),), rpn.TxtEq("x"))
+    assert rpn.parse_rpn('a{b{c.txt = "y"}.txt = "x"}.txt') == rpn.Chain(
+        (rpn.Patom(Atom("a"), conds=(cond,)),), rpn.Txt()
+    )
 
 
 def test_parenthesized_regex_path():
@@ -104,28 +110,34 @@ def test_parenthesized_regex_path():
 
 
 def test_record_versus_path_group():
-    rec = rpn.parse_rpn("a.(b.txt # c.txt)")
-    assert isinstance(rec.rest, rpn.Record)
-    grp = rpn.parse_rpn("a.(b.c).txt")
-    assert isinstance(grp.rest, rpn.Chain)
+    entries = (rpn.Chain(_patoms("b"), rpn.Txt()), rpn.Chain(_patoms("c"), rpn.Txt()))
+    assert rpn.parse_rpn("a.(b.txt # c.txt)") == rpn.Chain(
+        _patoms("a"), rpn.Record(entries)
+    )
+    group = rpn.Patom(pr.Concat((Atom("b"), Atom("c"))))
+    assert rpn.parse_rpn("a.(b.c).txt") == rpn.Chain(
+        _patoms("a") + (group,), rpn.Txt()
+    )
 
 
 def test_hash_tag_is_not_a_record_separator():
-    w = rpn.parse_rpn("a.(#text.txt # b.txt)")
-    assert isinstance(w.rest, rpn.Record)
-    first = w.rest.entries[0]
-    assert first.patom.path == Atom("#text")
+    entries = (
+        rpn.Chain(_patoms("#text"), rpn.Txt()), rpn.Chain(_patoms("b"), rpn.Txt())
+    )
+    assert rpn.parse_rpn("a.(#text.txt # b.txt)") == rpn.Chain(
+        _patoms("a"), rpn.Record(entries)
+    )
 
 
 def test_record_at_top_level():
-    w = rpn.parse_rpn("(a.txt # b.txt)")
-    assert isinstance(w, rpn.Record)
-    assert len(w.entries) == 2
+    entries = (rpn.Chain(_patoms("a"), rpn.Txt()), rpn.Chain(_patoms("b"), rpn.Txt()))
+    assert rpn.parse_rpn("(a.txt # b.txt)") == rpn.Chain((), rpn.Record(entries))
 
 
 def test_string_escapes():
-    w = rpn.parse_rpn('a{txt = "x\\"y{z}"}.txt')
-    assert w.patom.conds == (rpn.TxtEq('x"y{z}'),)
+    assert rpn.parse_rpn('a{txt = "x\\"y{z}"}.txt') == rpn.Chain(
+        (rpn.Patom(Atom("a"), conds=(_txt_eq('x"y{z}'),)),), rpn.Txt()
+    )
 
 
 @pytest.mark.parametrize(
@@ -315,7 +327,10 @@ def test_bare_wildcard_step_matches_any_child_label(doc1):
     from wraplab.pathrange import Wildcard
 
     w = rpn.parse_rpn("html.body.table.tr._[1].txt")
-    assert w.rest.rest.rest.rest.patom.path == Wildcard()
+    assert w == rpn.Chain(
+        _patoms("html", "body", "table", "tr") + (rpn.Patom(Wildcard(), Index(1)),),
+        rpn.Txt(),
+    )
     assert ob.to_jsonable(rpn.eval_rpn(w, doc1)) == ["A", "B", "C"]
 
 
@@ -358,12 +373,10 @@ def test_adding_a_condition_never_grows_the_result(doc1):
     for seed in range(60):
         tree = gen_tree(TreeGenSpec(seed=seed * 31))
         w = rpn.parse_rpn(gen_stmt(StmtGenSpec(seed=seed, language="rpn")))
-        if not isinstance(w, rpn.Chain):
+        if not w.patoms:
             continue
-        pa = w.patom
-        tightened = dataclasses.replace(
-            w, patom=dataclasses.replace(pa, conds=pa.conds + (rpn.TxtEq("x"),))
-        )
+        pa = dataclasses.replace(w.patoms[0], conds=w.patoms[0].conds + (_txt_eq("x"),))
+        tightened = dataclasses.replace(w, patoms=(pa,) + w.patoms[1:])
         assert plain(rpn.eval_rpn(tightened, tree)) <= plain(rpn.eval_rpn(w, tree))
 
 
@@ -403,7 +416,7 @@ def test_items_translation_runs(doc1):
 
 
 def test_txt_translates_to_the_empty_program(doc1):
-    prog, schema, aux = rpn.translate_rpn(rpn.Txt())
+    prog, schema, aux = rpn.translate_rpn(rpn.parse_rpn("txt"))
     assert prog.rules == () and aux == frozenset()
     assert ob.schema_to_text(schema) == "set(_, str)"
     _, val = elog.run_pipeline(prog, doc1)
@@ -434,14 +447,16 @@ def test_translated_programs_survive_their_own_syntax():
     assert again == prog
 
 
-def test_self_selecting_step_is_rejected_by_the_pipeline(doc1):
-    # (a*) can match the empty word, so the first predicate selects the
-    # root under itself; stitching that atom away would never terminate.
+def test_self_selecting_step_translates():
+    # (a*) can match the empty word, so the aux p1 selects the root under
+    # itself as p1(root, root); p1's parent is the builtin root, not p1, so
+    # that atom stays where it is and is no cycle
+    t = parse_document("<a><a><b>x</b></a><b>y</b></a>")
     w = rpn.parse_rpn("(a*).b.txt")
-    assert ob.to_jsonable(rpn.eval_rpn(w, doc1)) == []  # evaluation is total
     prog, _, _ = rpn.translate_rpn(w)
-    with pytest.raises(elog.AuxCycle):
-        elog.run_pipeline(prog, doc1)
+    _, val = elog.run_pipeline(prog, t)
+    assert val == rpn.eval_rpn(w, t)
+    assert ob.to_jsonable(val) == ["x", "y"]
 
 
 def test_record_entries_splice_their_own_aux_chains():
@@ -462,7 +477,6 @@ def test_translation_matches_direct_evaluation(seed):
     tree = gen_tree(TreeGenSpec(seed=seed))
     text = gen_stmt(StmtGenSpec(seed=seed + 13, language="rpn"))
     w = rpn.parse_rpn(text)
-    assume(not has_eps_link(w))
     prog, _, _ = rpn.translate_rpn(w)
     _, val = elog.run_pipeline(prog, tree)
     assert val == rpn.eval_rpn(w, tree)
@@ -582,8 +596,6 @@ def test_translations_match_the_naive_oracles_on_shaped_trees(profile, one_pass)
             w = parse(gen_stmt(StmtGenSpec(
                 seed=seed, language=language, tags=spec.tags, condition_probability=0.8
             )))
-            if has_eps_link(w):
-                continue
             prog, _, _ = translate(w)
             _, val = elog.run_pipeline(prog, tree)
             assert plain(val) == naive(tree, w), (language, seed)
