@@ -824,7 +824,7 @@ def dump_atoms(store: AtomStore) -> str:
 class _Plan:
     """One rule compiled for one evaluation.
 
-    ``nav`` is a chain rule's navigation from a parent.  ``parent`` checks the
+    ``nav`` is a chain rule's path automaton.  ``parent`` checks the
     conditions on the parent alone, once per parent and before navigating
     from it (None, with the conditions left in ``body``, when a regex range
     must see every parent's targets); ``body`` runs the rest of the rule's
@@ -909,8 +909,11 @@ class _Eval:
         return {aut for aut, n in uses.items() if n > 1}
 
     def _navigation(self, path):
-        """subelem from a node along path, its list kept per node when the
-        automaton is shared (see _shared_automata)."""
+        """subelem from a node along path, for a contains atom.  When the
+        automaton is shared (see _shared_automata), each node's list is
+        kept, and a walk takes over the kept list of a node nested in its
+        start that it enters in the start state, whichever navigation kept
+        it (see subelem)."""
         aut, tree = compile_path(path), self.tree
         kept = self._sub.get(aut)
         if kept is None:
@@ -919,7 +922,7 @@ class _Eval:
         def hits(v0: int) -> list[int]:
             found = kept.get(v0)
             if found is None:
-                found = kept[v0] = subelem(tree, v0, aut)
+                found = kept[v0] = subelem(tree, v0, aut, kept)
             return found
 
         return hits
@@ -962,7 +965,7 @@ class _Eval:
         if isinstance(rule, ChainRule):
             return _Plan(
                 rule,
-                self._navigation(rule.path),
+                compile_path(rule.path),
                 self._chain([(c, None) for c in on_parent], slot),
                 self._chain(rest, slot),
                 pad,
@@ -1156,13 +1159,25 @@ class _Eval:
         else:
             image.update(sat)
 
-    def _expand(self, plan: _Plan, v0) -> None:
-        """Apply the rule at one parent; v0 is None for a dom rule.  A chain
-        rule checks the conditions on the parent alone before navigating."""
-        if v0 is None:
+    def _expand(self, plan: _Plan, parents) -> None:
+        """Apply the rule at parents, in id order; None for a dom rule.  A
+        chain rule checks the conditions on the parent alone first, then
+        navigates the parents that pass deepest first into one map, so that
+        a parent's walk takes over the hits of a parent nested in it (see
+        subelem): the shared automaton's kept lists, or a map of its own.
+        It fires them in id order."""
+        if parents is None:
             self._fire(plan, None, plan.targets())
-        elif plan.parent is None or plan.parent([None, v0]):
-            self._fire(plan, v0, apply_range(plan.nav(v0), plan.rule.rng))
+            return
+        if plan.parent is not None:
+            parents = [v0 for v0 in parents if plan.parent([None, v0])]
+        aut, tree, rng = plan.nav, self.tree, plan.rule.rng
+        done = self._sub.get(aut, {})
+        for v0 in reversed(parents):
+            if v0 not in done:
+                done[v0] = subelem(tree, v0, aut, done)
+        for v0 in parents:
+            self._fire(plan, v0, apply_range(done[v0], rng))
 
     def _component(self, comp: frozenset) -> None:
         rules = self.analysis.rules
@@ -1176,13 +1191,12 @@ class _Eval:
             if r.parent in comp:
                 triggered.setdefault(r.parent, []).append(plan)
             else:
-                for v0 in self.parents_of(r):
-                    self._expand(plan, v0)
+                self._expand(plan, self.parents_of(r))
         work = self._work
         while work:
             pred, v = work.pop()
             for plan in triggered.get(pred, ()):
-                self._expand(plan, v)
+                self._expand(plan, [v])
             for key in ((pred, v), (pred, None)):
                 for plan, v0, w in self._waiting.pop(key, ()):
                     self._fire(plan, v0, (w,))

@@ -25,11 +25,14 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .doctree import DocTree
 
 DENSITY_PROBE = 64  # lengths 0..63 are checked for at-most-one word
+_NONE: Mapping = MappingProxyType({})  # subelem's default: no context done
 
 
 class PathSyntaxError(Exception):
@@ -315,9 +318,14 @@ def path_to_text(node: PathRegex, sep: str = ".") -> str:
 class PathAutomaton:
     """Thompson NFA, determinised on demand.
 
-    Each set of NFA states reached so far is a DFA state, numbered in the
-    order it was first reached: 0 is the empty (dead) set and ``start`` is
-    1.  ``delta[s]`` caches state s's transitions by tag, so ``step``, the
+    A DFA state is a set of NFA states reached so far, keyed by its
+    important states, those with a labelled move, and whether it accepts
+    (Aho, Lam, Sethi & Ullman, *Compilers*, section 3.9): two sets that
+    agree on both move and accept alike, so they are one state.  Thus
+    ``b*.l`` steps from ``start`` back to ``start`` on ``b``, and ``_*.b``
+    on every tag but ``b``.  States are numbered in the order they were
+    first reached: 0 is the empty (dead) set and ``start`` is 1.
+    ``delta[s]`` caches state s's transitions by tag, so ``step``, the
     subset construction, runs once per (state, tag) pair ever taken.
     """
 
@@ -329,10 +337,11 @@ class PathAutomaton:
         start, accept = self._build(ast)
         self._closure = self._closures()
         self._final = accept
-        self._sets = [frozenset(), self._closure[start]]
-        self._ids = {s: d for d, s in enumerate(self._sets)}
-        self.delta: list[dict[str, int]] = [{}, {}]
-        self.accept = [False, accept in self._sets[1]]
+        self._sets: list = [(frozenset(), False)]
+        self._ids = {self._sets[0]: 0}
+        self.delta: list[dict[str, int]] = [{}]
+        self.accept = [False]
+        self._state(self._closure[start])
         # for bottom-up passes: sets of NFA states as bitmasks
         self.start_bit = 1 << start
         self.final_mask = sum(
@@ -398,21 +407,26 @@ class PathAutomaton:
             out.append(frozenset(seen))
         return out
 
-    def step(self, state: int, tag: str) -> int:
-        """Determinise the transition from DFA state on tag and cache it."""
-        nxt: set = set()
-        for s in self._sets[state]:
-            for lab, d in self._moves[s]:
-                if lab is None or lab == tag:
-                    nxt |= self._closure[d]
-        key = frozenset(nxt)
+    def _state(self, nfa: set) -> int:
+        """The DFA state of a closed set of NFA states, new or not."""
+        moves = self._moves
+        key = (frozenset(q for q in nfa if moves[q]), self._final in nfa)
         d = self._ids.get(key)
         if d is None:
             d = self._ids[key] = len(self._sets)
             self._sets.append(key)
             self.delta.append({})
-            self.accept.append(self._final in key)
-        self.delta[state][tag] = d
+            self.accept.append(key[1])
+        return d
+
+    def step(self, state: int, tag: str) -> int:
+        """Determinise the transition from DFA state on tag and cache it."""
+        nxt: set = set()
+        for s in self._sets[state][0]:
+            for lab, d in self._moves[s]:
+                if lab is None or lab == tag:
+                    nxt |= self._closure[d]
+        d = self.delta[state][tag] = self._state(nxt)
         return d
 
     def pre(self, tag: str, mask: int) -> int:
@@ -671,7 +685,7 @@ def apply_range(seq: list, rng: Range) -> list:
 # the navigation primitive
 
 
-def subelem(tree: DocTree, v0: int, path) -> list[int]:
+def subelem(tree: DocTree, v0: int, path, done: Mapping = _NONE) -> list[int]:
     """Descendants of v0 (and v0 itself on the empty word) whose downward
     label word matches, in document order.
 
@@ -680,14 +694,23 @@ def subelem(tree: DocTree, v0: int, path) -> list[int]:
     The states live in the tree's scratch list, indexed by node id; a node
     the pass reaches has v0 or an earlier reached node as its parent, so
     it only reads what this call wrote, and the call costs what it visits.
+
+    done maps contexts already navigated on the same automaton and tree to
+    their hit lists.  A node c of done that the pass enters in the start
+    state is not walked: every word below c runs from v0 as it runs from
+    c, so the pass takes done[c] for c's interval and goes on after it
+    (the staircase join's pruning of nested contexts; Grust, van Keulen
+    and Teubner, VLDB 2003).  Navigating nested contexts deepest first
+    into one map so costs what the walks do not share plus the hits.
     """
     aut = compile_path(path)
-    delta, accept, step = aut.delta, aut.accept, aut.step
+    delta, accept, step, start = aut.delta, aut.accept, aut.step, aut.start
     tags, parents, ends = tree.tags, tree.parents, tree.ends
-    out = [v0] if accept[aut.start] else []
+    out = [v0] if accept[start] else []
     last = ends[v0]
     states = tree.scratch
-    states[v0] = aut.start
+    states[v0] = start
+    splice = start if done else -1  # with nothing done, no state splices
     v = v0 + 1
     while v <= last:
         s = states[parents[v]]
@@ -695,13 +718,16 @@ def subelem(tree: DocTree, v0: int, path) -> list[int]:
         d = delta[s].get(tag)
         if d is None:
             d = step(s, tag)
-        if d:
+        if not d:
+            v = ends[v] + 1
+        elif d == splice and v in done:
+            out += done[v]
+            v = ends[v] + 1
+        else:
             states[v] = d
             if accept[d]:
                 out.append(v)
             v += 1
-        else:
-            v = ends[v] + 1
     return out
 
 

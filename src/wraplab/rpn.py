@@ -23,8 +23,9 @@ path atoms.  The walker carries the set of reached nodes from step to
 step, so a step navigates from each node once; it takes the condition
 semantics, the order (range then filter, or filter then range) and
 whether cut marks stop the filter scan.  ``eval_rpn`` here and the hel
-module's ``eval_vf`` and ``eval_cut`` only choose those three.  Only the
-path-expression condition search, ``_cond_holds``, recurses once per link.
+module's ``eval_vf`` and ``eval_cut`` only choose those three.  The
+path-expression condition search, ``_cond_holds``, keeps the links it
+waits on in an explicit stack.
 
 Statements translate to datalog programs whose derived atoms reproduce the
 evaluator's output; the last predicate of every chain carries a schema
@@ -404,23 +405,43 @@ def typecheck(stmt: Chain) -> ob.Type:
 # evaluation
 
 
-def _cond_holds(tree: DocTree, v: int, cond: Chain, memo: dict, i: int = 0) -> bool:
-    """Whether cond holds at v from its link i on: some node that link
-    keeps at v passes the link's own conditions and the later links.  The
-    search stops at the first such witness; memo keeps each link's answer
-    per node for one evaluation."""
-    if i == len(cond.patoms):
-        return tree.txt_equals(v, cond.end.s)
-    key = (id(cond), i, v)
-    held = memo.get(key)
-    if held is None:
-        pa = cond.patoms[i]
-        held = memo[key] = any(
-            all(_cond_holds(tree, w, c, memo) for c in pa.conds)
-            and _cond_holds(tree, w, cond, memo, i + 1)
-            for w in apply_range(subelem(tree, v, pa.path), pa.range)
-        )
-    return held
+def _cond_holds(tree: DocTree, v: int, cond: Chain, memo: dict) -> bool:
+    """Whether cond holds at v: some node its first link keeps at v passes
+    the link's own conditions and the later links.
+
+    A goal is a link of a condition at a node, and memo keeps each goal's
+    answer for one evaluation.  A goal's search tries the nodes its link
+    keeps in document order, and at each the link's conditions, then the
+    next link, left to right; it stops at the first witness.  Searches
+    wait on an explicit stack, one frame per undecided goal, so a
+    condition of any length is searched in a loop."""
+    stack: list = []  # frames [goal key, subgoals, candidates, candidate, subgoal]
+    c, i, w = cond, 0, v  # the goal to decide
+    while True:
+        if i == len(c.patoms):
+            held = tree.txt_equals(w, c.end.s)
+        else:
+            key = (id(c), i, w)
+            held = memo.get(key)
+            if held is None:  # search it: open a frame
+                pa = c.patoms[i]
+                goals = [(d, 0) for d in pa.conds] + [(c, i + 1)]
+                hits = apply_range(subelem(tree, w, pa.path), pa.range)
+                stack.append([key, goals, hits, 0, 0])
+        # hand the answer to the frames it decides, until one needs a goal
+        while stack:
+            frame = stack[-1]
+            key, goals, hits, j, k = frame
+            if held is not None:
+                j, k = (j, k + 1) if held else (j + 1, 0)
+            if j < len(hits) and k < len(goals):
+                frame[3], frame[4] = j, k
+                (c, i), w = goals[k], hits[j]
+                break
+            held = memo[key] = j < len(hits)
+            stack.pop()
+        else:
+            return held
 
 
 def eval_rpn(stmt, tree: DocTree, v: int | None = None):
@@ -455,15 +476,24 @@ def _follow(chain, tree: DocTree, nodes: list, holds, range_first: bool, cut: bo
 
     Each step maps the node list, which has no repeats and is in document
     order, to the nodes its patom keeps from any of them, so a step
-    navigates from each node once however many paths reach it.
+    navigates from each node once however many paths reach it.  It
+    navigates them deepest first into one map, so that a node's walk
+    takes over the hits of a node nested in it (see subelem), and then
+    scans them in document order.
     range_first applies the patom's range to a node's navigated nodes and
     then checks holds(tree, w, cond) on the selected ones; otherwise the
     conditions filter first and the range selects among the survivors.
     With cut, a node failing a '!'-marked condition ends the filter scan."""
     for pa in chain.patoms:
+        if len(nodes) == 1:  # nothing to share, and no map to pay for
+            navigated = [subelem(tree, nodes[0], pa.path)]
+        else:
+            done: dict = {}
+            for v in reversed(nodes):
+                done[v] = subelem(tree, v, pa.path, done)
+            navigated = [done[v] for v in nodes]
         reached = []
-        for v in nodes:
-            hits = subelem(tree, v, pa.path)
+        for hits in navigated:
             if not pa.conds:  # either order keeps the same nodes
                 reached += apply_range(hits, pa.range)
             elif range_first:

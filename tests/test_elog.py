@@ -595,6 +595,30 @@ def test_quadratic_navigates_from_each_b_alone(quadratic, monkeypatch):
         assert calls[0] == m
 
 
+class _CountedList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_quadratic_reads_as_many_tags_as_it_derives_atoms(quadratic):
+    # each b's walk enters the b below it in the start state of b*.l and
+    # takes over its hits, so the tags read grow with the answer, 16x here,
+    # and with the nodes, 4x, not with the b's times their subtrees
+    counts = []
+    for m, n in ((50, 50), (200, 200)):
+        tree = parse_document(bchain_doc(m, n))
+        tree.tags = tags = _CountedList(tree.tags)
+        store = elog.eval_fixpoint(quadratic, tree)
+        assert len(store.pairs["p"]) == m * n
+        counts.append(tags.reads)
+    assert counts[1] / counts[0] <= 4.5, counts
+
+
 @pytest.mark.parametrize("rule", [
     "p(X0, X) :- dom(_, X0), subelem[_][regex:11*](X0, X), label(X0, tr).",
     "p(X0, X) :- dom(_, X0), subelem[_][*](X0, X), label(X0, tr) [regex:11*].",

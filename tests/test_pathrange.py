@@ -171,6 +171,50 @@ def test_child_step_from_the_top_of_a_deep_chain_allocates_little():
     assert peak < 64 * 1024, peak
 
 
+class _Done(dict):
+    """A done map that counts the walks it spliced into: subelem reads an
+    item only to take over a nested context's hits."""
+
+    spliced = 0
+
+    def __getitem__(self, v):
+        self.spliced += 1
+        return super().__getitem__(v)
+
+
+@pytest.mark.parametrize("profile", sorted(tk.TREE_PROFILES))
+def test_nested_contexts_share_one_walk(profile):
+    # contexts navigated deepest first into one map, as _follow and the
+    # chain rules do; each list must equal the context's own naive walk
+    spliced = 0
+    for seed in range(150):
+        spec = tk.TreeGenSpec.profile(profile, seed, max_nodes=60)
+        t = tk.gen_tree(spec)
+        rnd = random.Random(seed)
+        text = tk.gen_path_text(seed, tags=spec.tags, max_depth=3)
+        if seed % 2 == 0:  # stars that step back to the start state
+            text = rnd.choice(["_*", f"{spec.tags[0]}*"]) + f".({text})"
+        p = pr.parse_path(text)
+        contexts = sorted(rnd.sample(range(len(t)), rnd.randint(1, len(t))))
+        done = _Done()
+        for v in reversed(contexts):
+            done[v] = pr.subelem(t, v, p, done)
+        for v in contexts:
+            assert dict.get(done, v) == tk.naive_subelem(t, v, p), (seed, text, v)
+        spliced += done.spliced
+    assert spliced >= 100, spliced
+
+
+def test_star_states_step_back_to_the_start():
+    # states are keyed by their labelled NFA states and acceptance, so a
+    # star's loop and an unmatched tag under _* return to start
+    b_l = pr.compile_path("b*.l")
+    assert b_l.step(b_l.start, "b") == b_l.start
+    desc = pr.compile_path("_*.b")
+    assert desc.step(desc.start, "a") == desc.start
+    assert desc.step(desc.start, "b") != desc.start
+
+
 def _naive_holders(t, p, rng, test) -> list:
     return [
         x for x in t.nodes()

@@ -530,6 +530,28 @@ def test_chain_steps_walk_each_reached_node_once(dialect):
     assert counts[1] / counts[0] <= 4.5, counts
 
 
+@pytest.mark.parametrize("route", ["rpn", "vhel", "translated"])
+def test_descendant_steps_read_linearly_many_tags(route):
+    # each a's walk takes over the hits of the a nested in it, so neither
+    # evaluator walks the chain below every a again
+    if route == "vhel":
+        w, run = hel.parse_vhel("->a->b.txt;"), hel.eval_vf
+    else:
+        w, run = rpn.parse_rpn("(_*.a).(_*.b).txt"), rpn.eval_rpn
+    if route == "translated":
+        prog = rpn.translate_rpn(w)[0]
+
+        def run(w, tree):
+            return elog.run_pipeline(prog, tree)[1]
+
+    counts = []
+    for n in (1000, 4000):
+        tree = _nested_a(n, "<b>x</b>")
+        assert ob.to_jsonable(run(w, tree)) == ["x"]
+        counts.append(tree.tags.reads)
+    assert counts[1] / counts[0] <= 4.5, counts
+
+
 def test_condition_links_are_decided_once_per_node():
     # the condition fails at every a, so each search runs to its end; a
     # link's answer at a node is then reused by every search reaching it
