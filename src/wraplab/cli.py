@@ -68,11 +68,12 @@ def load_document(path: str) -> DocTree:
         raise DocumentError(f"{path}: {e}") from None
 
 
-# what a wrapper text can fail with; a text nested deeper than the parsers
+# what a wrapper text can fail with; a range regex with two words of one
+# length fails with a RangeError, and a text nested deeper than the parsers
 # recurse fails with RecursionError
 _PARSE_ERRORS = (
     rpn.RpnSyntaxError, hel.HelError, elog.ElogError, PathSyntaxError,
-    RangeSyntaxError, RecursionError,
+    RangeSyntaxError, RangeError, RecursionError,
 )
 
 
@@ -97,9 +98,7 @@ class Wrapper:
             raise WrapperError(f"{path}: {e}") from None
 
     def evaluate(self, tree: DocTree, strict: bool = True, cut: bool = False):
-        """Returns (store-or-None, value-or-None).  An rpn condition
-        recurses once per link, so a very long one fails with
-        RecursionError."""
+        """Returns (store-or-None, value-or-None)."""
         try:
             if self.lang == "rpn":
                 return None, rpn.eval_rpn(self.ast, tree)

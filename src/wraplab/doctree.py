@@ -15,9 +15,10 @@ is stored in leaf nodes labeled ``#text``.  Text content is kept verbatim;
 no whitespace trimming or entity decoding happens anywhere.
 
 Parsing is one pass over the tokens of one compiled alternation,
-``_TOKEN``, whose matches cover the whole source: a text run, a text-only
-element ``<td>x</td>`` (both its nodes at once), an open tag, a close tag,
-a comment or declaration, or a '<' that starts none of these.  Tokens carry
+``_TOKEN``, whose matches cover the whole source: a text run; an open tag,
+which is scanned once and is either self-closing, or open, or a whole
+text-only element ``<td>x</td>`` (both its nodes at once); a close tag; a
+comment or declaration; or a '<' that starts none of these.  Tokens carry
 no offsets; an error's offset is found only when raising, by matching the
 pattern again up to the failing token.
 """
@@ -177,16 +178,15 @@ _NAME = r"[A-Za-z][A-Za-z0-9-]*"
 _ATTRS = r"""(?:[^>"']|"[^"]*"|'[^']*')*"""  # quoted values skip as a whole
 _TAG = rf"<({_NAME})(?![^\s/>])"  # a name ends at space, '/', '>' or the end
 # One token per match; the tokens cover the whole source, so findall yields
-# them in order.  Groups: (1) a text run; (2, 3) a text-only element's name
-# and text, its close tag naming it in any case and its open tag not ending
-# in '/'; (4, 5) an open tag and its self-closing '/'; (6) a close tag's
-# name; none for a comment or a declaration; (7) a '<' that starts none of
+# them in order.  Groups: (1) a text run; (2) an open tag's name, then (3)
+# its self-closing '/', or (4) the text of a text-only element, its close
+# tag naming it in any case, or neither for an open tag; (5) a close tag's
+# name; none for a comment or a declaration; (6) a '<' that starts none of
 # these.  That '<' is an error, so its token takes the rest of the source
 # with it: nothing after the first bad '<' is scanned.
 _TOKEN = re.compile(
     r"([^<]+)"
-    rf"|{_TAG}{_ATTRS}(?<!/)>([^<]+)</(?i:\2)\s*>"
-    rf"|{_TAG}{_ATTRS}?(/?)>"
+    rf"|{_TAG}{_ATTRS}?(?:(/)>|>(?:([^<]+)</(?i:\2)\s*>)?)"
     rf"|</({_NAME})\s*>"
     r"|<!--[\s\S]*?-->|<!(?!--)[^>]*>"
     r"|(<)[\s\S]*"
@@ -212,11 +212,13 @@ def parse_document(source: str) -> DocTree:
     text outside the top element is ignored.
 
     One pass over ``_TOKEN.findall(source)``, linear in the length of the
-    source.  A text-only element ``<td>x</td>`` is one token and adds both
-    its nodes at once.  When the close tag after the text names another
-    element, the three come as separate tokens and the mismatch is
-    reported at the close tag.  An error's offset is found only when
-    raising, by matching the pattern again up to the failing token.
+    source.  Each open tag is one token, scanned once: self-closing, open,
+    or, for a text-only element ``<td>x</td>``, the whole element, which
+    adds both its nodes at once.  When the close tag after the text names
+    another element, the open tag, the text and the close tag come as
+    separate tokens and the mismatch is reported at the close tag.  An
+    error's offset is found only when raising, by matching the pattern
+    again up to the failing token.
     """
     tags, parents, texts, ends = [ROOT_TAG], [None], [""], [0]
     stack = []  # the parents of the open elements
@@ -225,7 +227,7 @@ def parse_document(source: str) -> DocTree:
     lowered = _Lowered()
     tokens = _TOKEN.findall(source)
     for token in tokens:
-        run, name, inner, open_name, slash, close_name, lone = token
+        run, name, slash, inner, close_name, lone = token
         if run:
             if parent:
                 tags.append(TEXT_TAG)
@@ -240,23 +242,21 @@ def parse_document(source: str) -> DocTree:
             if not parent and count > 1:
                 i = _offset(source, tokens, token)
                 raise MalformedInput("more than one top-level element", i)
-            tags += (lowered[name], TEXT_TAG)
-            parents += (parent, count)
-            texts += ("", inner)
-            count += 2
-            ends += (count - 1, count - 1)
-        elif open_name:
-            if not parent and count > 1:
-                i = _offset(source, tokens, token)
-                raise MalformedInput("more than one top-level element", i)
-            tags.append(lowered[open_name])
-            parents.append(parent)
-            texts.append("")
-            ends.append(count)
-            if not slash:
-                stack.append(parent)
-                parent = count
-            count += 1
+            if inner:
+                tags += (lowered[name], TEXT_TAG)
+                parents += (parent, count)
+                texts += ("", inner)
+                count += 2
+                ends += (count - 1, count - 1)
+            else:
+                tags.append(lowered[name])
+                parents.append(parent)
+                texts.append("")
+                ends.append(count)
+                if not slash:
+                    stack.append(parent)
+                    parent = count
+                count += 1
         elif close_name:
             tag = lowered[close_name]
             if not parent:

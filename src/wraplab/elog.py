@@ -805,17 +805,29 @@ def dump_atoms(store: AtomStore) -> str:
     at a time: a parent's lines, its targets in text order, make one block,
     and the blocks are sorted as text.  That is the order of the lines,
     since ',' and ')' sort below the digits and no line's 'p(v0,' prefix
-    is a prefix of another parent's."""
+    is a prefix of another parent's.
+
+    Cost: per relation, one id-to-text conversion per distinct target, plus
+    the per-parent sort.  A relation with more atoms than distinct targets
+    turns its image into text once, in one map that each parent's targets
+    are looked up in; one whose targets never repeat converts them as it
+    goes."""
     blocks = []
     add = blocks.append
     for p, rel in store.pairs.items():
-        for v0, targets in rel.by_parent.items():
+        groups = rel.by_parent
+        text = str
+        if len(groups) > 1:  # one parent's targets never repeat
+            image = rel.image()
+            if len(rel) > len(image):
+                text = dict(zip(image, map(str, image))).__getitem__
+        for v0, targets in groups.items():
             if len(targets) == 1:
                 for v in targets:
                     add(f"{p}({v0},{v})")
             else:
                 head = f"{p}({v0},"
-                add(head + f")\n{head}".join(sorted(map(str, targets))) + ")")
+                add(head + f")\n{head}".join(sorted(map(text, targets))) + ")")
     blocks.sort()
     return "\n".join(blocks)
 

@@ -116,6 +116,35 @@ def test_run_exit_codes_for_bad_inputs(wrapctl, tmp_path):
     assert rc == 2 and "top-level element" in err
 
 
+_AMBIGUOUS_RANGE = {
+    "rpn": "a.b[regex:(0|1)*1].txt",
+    "vhel": "a.b[regex:(0|1)*1].txt",
+    "hel": "a.b[regex:(0|1)*1].txt",
+    "elog": "p(X0, X) :- dom(_, X0), subelem[a][regex:(0|1)*1](X0, X).\n",
+}
+
+
+@pytest.mark.parametrize("command", ["run", "check", "translate", "diff"])
+@pytest.mark.parametrize("ext", sorted(_AMBIGUOUS_RANGE))
+def test_ambiguous_regex_range_fails_at_parse_on_one_line(
+    wrapctl, tmp_path, ext, command
+):
+    # (0|1)*1 marks both 01 and 11 at length 2: rejected when read
+    w = tmp_path / f"w.{ext}"
+    w.write_text(_AMBIGUOUS_RANGE[ext])
+    d = tmp_path / "d.doc"
+    d.write_text("<a><b>x</b></a>")
+    argv = {
+        "run": ("run", w, d),
+        "check": ("check", w),
+        "translate": ("translate", w, "--to", "elog"),
+        "diff": ("diff", w, w, d),
+    }[command]
+    assert wrapctl(*argv) == (
+        1, "", f"wrapctl: {w}: range regex has several words of length 2\n"
+    )
+
+
 def oracle_offset(source: str) -> int | None:
     try:
         naive_parse_document(source)

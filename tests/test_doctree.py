@@ -185,6 +185,11 @@ ORACLE_CASES = [
     '<a x="/">t</a>',
     "<!-- c > <a/>",
     "<a><b>x</c></a>",
+    "<a />",
+    "<a/ >t</a>",
+    '<a x="/"/>',
+    "<a x=/ >t</a>",
+    "<A/>x</a>",
 ]
 
 
@@ -203,8 +208,12 @@ def test_parser_matches_the_tag_at_a_time_oracle():
 
 def test_text_only_elements_are_one_token_in_any_case():
     source = '<TR><Td>x</tD><td a="/" b=\'>\'>y</TD><td/>z<td>w</td ><td>v</b></tr>'
-    fused = [(t[1], t[2]) for t in _TOKEN.findall(source) if t[1]]
+    tokens = _TOKEN.findall(source)
+    fused = [(t[1], t[3]) for t in tokens if t[3]]
     assert fused == [("Td", "x"), ("td", "y"), ("td", "w")]
+    # every other open tag is one token too: open, or self-closing
+    rest = [(t[1], t[2]) for t in tokens if t[1] and not t[3]]
+    assert rest == [("TR", ""), ("td", "/"), ("td", "")]
 
 
 def test_nothing_after_the_first_bad_tag_is_scanned():

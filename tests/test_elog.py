@@ -415,6 +415,37 @@ def test_dump_is_the_plain_string_order_of_the_lines(quadratic):
     assert "p(1,99)\np(10,100)" in dump
 
 
+def test_dump_is_the_sorted_lines_on_generated_programs():
+    # "below" hangs q0's image under every node above it, so its targets
+    # repeat and it takes the id -> text map; the generated relations
+    # mostly skip it.  Blocks cross 9/10 and 99/100 in both kinds.
+    below = "below(X0, X) :- dom(_, X0), subelem[_*][*](X0, X), q0(_, X).\n"
+    seen = Counter()
+    for seed in range(200):
+        tags = ("a", "b", "c", "d") if seed % 2 else ("a",)
+        spec = testkit.TreeGenSpec(
+            seed=seed, max_nodes=240, max_fanout=8, max_depth=8, tags=tags
+        )
+        program = elog.parse_elog(testkit.gen_program(seed) + below)
+        try:
+            store = elog.eval_fixpoint(program, testkit.gen_tree(spec))
+        except pr.RangeError:
+            continue
+        lines = [f"{p}({v0},{v})" for p, rel in store.pairs.items() for v0, v in rel]
+        assert elog.dump_atoms(store) == "\n".join(sorted(lines)), seed
+        for rel in store.pairs.values():
+            kind = "mapped" if len(rel) > len(rel.image()) else "unmapped"
+            seen[kind] += len(rel.by_parent) > 1
+            for targets in rel.by_parent.values():
+                seen["one target"] += len(targets) == 1
+                seen[kind, "9/10"] += min(targets) < 10 <= max(targets)
+                seen[kind, "99/100"] += min(targets) < 100 <= max(targets)
+    assert seen["mapped"] >= 50 and seen["unmapped"] >= 15, seen
+    assert seen["one target"] >= 1000, seen
+    assert seen["mapped", "9/10"] >= 50 and seen["mapped", "99/100"] >= 50, seen
+    assert seen["unmapped", "9/10"] >= 5 and seen["unmapped", "99/100"] >= 5, seen
+
+
 @pytest.mark.parametrize("family", ["quadratic", "parity"])
 def test_atom_count_is_the_number_of_dumped_lines(quadratic, parity, family):
     # the count a tracer or wrapctl bench takes from the store's relations
