@@ -57,6 +57,9 @@ from .doctree import DocTree
 from .pathrange import (
     STRING,
     TAG,
+    PathSyntaxError,
+    RangeError,
+    RangeSyntaxError,
     RawRegex,
     Range,
     StarRange,
@@ -659,7 +662,11 @@ def parse_elog(text: str) -> ElogProgram:
         elif not line.endswith("."):
             raise ElogSyntaxError("rule must end with '.'", lineno)
         else:
-            rules.append(_parse_rule(line, len(line) - 1, lineno))
+            try:
+                rules.append(_parse_rule(line, len(line) - 1, lineno))
+            except (PathSyntaxError, RangeSyntaxError, RangeError) as e:
+                e.args = (f"line {lineno}: {e}",)  # the class and .length stay
+                raise
             continue
         for name in names:
             if not ob.PREDICATE.fullmatch(name):
@@ -1406,14 +1413,14 @@ def to_complex_object(store: AtomStore, schema, tree: DocTree):
 
     def render(anchor: int, node):
         if isinstance(node, ob.StrSchema):
-            return ob.StrVal(tree.txt(anchor))
+            return tree.txt(anchor)
         if isinstance(node, ob.RecordSchema):
-            return ob.RecordVal(tuple(render(anchor, e) for e in node.entries))
+            return tuple(render(anchor, e) for e in node.entries)
         if isinstance(node, ob.SetSchema):
             if node.pred is None:
-                return ob.SetVal([(anchor, render(anchor, node.elem))])
+                return ob.SetVal([render(anchor, node.elem)])
             members = sorted(groups.get(node.pred, {}).get(anchor, ()))
-            return ob.SetVal([(w, render(w, node.elem)) for w in members])
+            return ob.SetVal([render(w, node.elem) for w in members])
         raise TypeError(f"not a schema node: {node!r}")
 
     return render(tree.root(), schema)

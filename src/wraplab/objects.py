@@ -1,64 +1,43 @@
 """Complex-object values, their types, and output schemas.
 
-Wrapper runs produce nested sets, records, and strings.  Sets compare and
-hash with genuine set semantics (order-free, duplicate-free); for stable
-output each element also remembers the document position of the node it
-came from, and JSON rendering lists elements in that order.
+Wrapper runs produce nested sets, records and strings, as plain values: a
+string is a ``str``, a record is a ``tuple`` of its entries, and a set is
+a ``SetVal``.  A SetVal compares and hashes as a set (order-free,
+duplicate-free) and lists its distinct values in the order they first
+occur; JSON output writes records and sets as arrays, each set in that
+order.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-
-
-@dataclass(frozen=True)
-class StrVal:
-    s: str
-
-
-@dataclass(frozen=True)
-class RecordVal:
-    entries: tuple
 
 
 class SetVal:
-    """A set of values keyed by originating document position.
+    """A set of values that lists its distinct values in the order they
+    first occur; equality and hashing ignore that order.
 
-    Built from (key, value) pairs; duplicates collapse to the smallest key.
-    Equality and hashing ignore keys entirely.
+    Both engines build one from the values of distinct nodes in ascending
+    id (document) order: rpn's walker returns its nodes sorted and without
+    repeats, and elog.to_complex_object sorts each anchor's members.  So
+    equal values collapse to the one at the first node that has it, and a
+    set lists its values in the document order of those nodes.
     """
 
-    __slots__ = ("keyed", "_values")
+    __slots__ = ("_order", "_values")
 
-    def __init__(self, keyed_items=()):
-        best: dict = {}
-        for key, value in keyed_items:
-            old = best.get(value)
-            if old is None or key < old:
-                best[value] = key
-        keys = list(best.values())
-        if len(set(keys)) == len(keys):
-            keyed = sorted(zip(keys, best), key=_first)
-        else:  # distinct values share a key: their JSON text breaks the tie
-            shared = {k for k, c in Counter(keys).items() if c > 1}
-            keyed = sorted(zip(keys, best), key=lambda kv: (
-                kv[0], json_text(kv[1]) if kv[0] in shared else ""
-            ))
-        self.keyed = tuple(keyed)
-        self._values = frozenset(best)
-
-    def values(self) -> tuple:
-        return tuple(v for _, v in self.keyed)
+    def __init__(self, values=()):
+        order = dict.fromkeys(values)
+        self._order = tuple(order)
+        self._values = frozenset(order)
 
     def __iter__(self):
-        return iter(self.values())
+        return iter(self._order)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._order)
 
     def __contains__(self, value) -> bool:
         return value in self._values
@@ -72,26 +51,22 @@ class SetVal:
         return hash(self._values)
 
     def __repr__(self) -> str:
-        return f"SetVal({list(self.values())!r})"
+        return f"SetVal({list(self._order)!r})"
 
 
-_first = itemgetter(0)
-
-Value = object  # StrVal | RecordVal | SetVal
+Value = object  # str | tuple | SetVal
 
 
 def to_jsonable(value: Value):
-    if isinstance(value, StrVal):
-        return value.s
-    if isinstance(value, RecordVal):
-        return [to_jsonable(e) for e in value.entries]
-    if isinstance(value, SetVal):
-        return [to_jsonable(v) for v in value.values()]
-    raise TypeError(f"not a value: {value!r}")
+    """The value as nested lists of strings, as json_text writes it."""
+    if isinstance(value, str):
+        return value
+    return [to_jsonable(v) for v in value]
 
 
 def json_text(value: Value) -> str:
-    return json.dumps(to_jsonable(value), ensure_ascii=False)
+    # tuples are arrays already; a SetVal is written as the list of its values
+    return json.dumps(value, ensure_ascii=False, default=list)
 
 
 # ---------------------------------------------------------------------------

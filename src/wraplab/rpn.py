@@ -48,6 +48,8 @@ from .pathrange import (
     Atom,
     Concat,
     Range,
+    RangeError,
+    RangeSyntaxError,
     RawRegex,
     Star,
     StarRange,
@@ -286,15 +288,19 @@ class _StmtParser:
         var = None
         rng: Range = StarRange()
         if self.peek() == "[":
-            end = group_end(self.text, self.pos)
+            at, end = self.pos, group_end(self.text, self.pos)
             if end < 0:
                 self.error("missing ']'")
             inside = self.text[self.pos + 1 : end - 1].strip()
             self.pos = end
-            if self.hel:
-                var, rng = self._var_range(inside)
-            else:
-                rng = parse_range(inside)
+            try:
+                if self.hel:
+                    var, rng = self._var_range(inside)
+                else:
+                    rng = parse_range(inside)
+            except (RangeSyntaxError, RangeError) as e:
+                e.args = (f"at {at}: {e}",)  # the class and .length stay
+                raise
         conds: tuple = ()
         if not self.hel and self.peek() == "{":
             self.pos += 1
@@ -460,12 +466,10 @@ def _evaluate(
     start = tree.root() if v is None else v
     nodes, end = _follow(stmt, tree, [start], holds, range_first, cut), stmt.end
     if isinstance(end, Txt):
-        return ob.SetVal([(w, ob.StrVal(tree.txt(w))) for w in nodes])
+        return ob.SetVal([tree.txt(w) for w in nodes])
     if isinstance(end, Record):
         return ob.SetVal([
-            (w, ob.RecordVal(tuple(
-                _evaluate(e, tree, w, holds, range_first, cut) for e in end.entries
-            )))
+            tuple(_evaluate(e, tree, w, holds, range_first, cut) for e in end.entries)
             for w in nodes
         ])
     raise TypeError(f"not a statement: {end!r}")

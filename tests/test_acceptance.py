@@ -42,11 +42,12 @@ ITEMS_VHEL = 'html.body.table(tr[0].td[0].txt # tr[*]{td[0].txt = "item"}.td[1].
 
 
 def plain(val):
+    """The value as the naive oracles answer: each set a frozenset."""
     if isinstance(val, ob.SetVal):
         return frozenset(plain(v) for v in val)
-    if isinstance(val, ob.RecordVal):
-        return tuple(plain(e) for e in val.entries)
-    return val.s
+    if isinstance(val, tuple):
+        return tuple(plain(e) for e in val)
+    return val
 
 
 def quiet_vf(stmt, tree):

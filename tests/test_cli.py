@@ -140,9 +140,39 @@ def test_ambiguous_regex_range_fails_at_parse_on_one_line(
         "translate": ("translate", w, "--to", "elog"),
         "diff": ("diff", w, w, d),
     }[command]
+    at = "line 1" if ext == "elog" else "at 3"  # the offset of '[regex:...]'
     assert wrapctl(*argv) == (
-        1, "", f"wrapctl: {w}: range regex has several words of length 2\n"
+        1, "", f"wrapctl: {w}: {at}: range regex has several words of length 2\n"
     )
+
+
+_PROGRAM = "p(X0, X) :- root(_, X0), subelem[a][*](X0, X).\n% a comment\n"
+RANGE_FAULTS = {  # wrapper -> (its text, the one line's text after the name)
+    "cond.rpn": ('a.(b.txt # c{d[x].txt = "y"}.txt)', "at 14: bad range item 'x'"),
+    "cond.vhel": ('a.(b.txt # c{d[x].txt = "y"}.txt);', "at 14: bad range item 'x'"),
+    "entry.hel": ("a(b.txt # c[2-1].txt);", "at 11: bad range bounds '2-1'"),
+    "where.hel": (
+        'a.b[i].txt where a.b[i].c[1-].txt = "x";', "at 25: bad range item '1-'"
+    ),
+    "range.elog": (
+        _PROGRAM + "q(X0, X) :- p(_, X0), subelem[b](X0, X), contains[c][0,x](X, Y).",
+        "line 3: bad range item 'x'",
+    ),
+    "path.elog": (
+        _PROGRAM + "q(X0, X) :- p(_, X0), subelem[(b|)](X0, X).",
+        "line 3: unexpected ')' at 3 in path '(b|)'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RANGE_FAULTS)
+def test_range_and_path_faults_name_their_place(wrapctl, tmp_path, name):
+    # a statement's offset counts from its start, whatever group the range
+    # is in; a program's faults name their line
+    text, message = RANGE_FAULTS[name]
+    w = tmp_path / name
+    w.write_text(text)
+    assert wrapctl("check", w) == (1, "", f"wrapctl: {w}: {message}\n")
 
 
 def oracle_offset(source: str) -> int | None:
@@ -381,6 +411,20 @@ def test_descendant_steps_run_on_a_very_deep_document(wrapctl, tmp_path):
     for wrapper in (w, prog):
         rc, out, err = wrapctl("run", wrapper, d, "--out", "json")
         assert (rc, json.loads(out), err) == (0, ["x"], ""), wrapper
+
+
+@pytest.mark.parametrize("depth", [250, 300])
+def test_run_prints_a_deeply_nested_record_value(wrapctl, tmp_path, depth):
+    # a.(b.txt # b.(b.txt # ... b.txt)): the JSON writer does not recurse
+    # in Python per level, so the value prints as a shallower one does
+    stmt, value = "b.txt", '["x"]'
+    for _ in range(depth):
+        stmt, value = f"b.(b.txt # {stmt})", f'[[["x"], {value}]]'
+    w = tmp_path / "deep.rpn"
+    w.write_text(f"a.(b.txt # {stmt})")
+    d = tmp_path / "deep.doc"
+    d.write_text("<a>" + "<b>" * 400 + "x" + "</b>" * 400 + "</a>")
+    assert wrapctl("run", w, d) == (0, f'[[["x"], {value}]]\n', "")
 
 
 def _long_rpn_condition(tmp_path):

@@ -44,13 +44,12 @@ def doc1():
 
 
 def plain(val):
+    """The value as the naive oracles answer: each set a frozenset."""
     if isinstance(val, ob.SetVal):
         return frozenset(plain(v) for v in val)
-    if isinstance(val, ob.RecordVal):
-        return tuple(plain(e) for e in val.entries)
-    if isinstance(val, ob.StrVal):
-        return val.s
-    raise TypeError(val)
+    if isinstance(val, tuple):
+        return tuple(plain(e) for e in val)
+    return val
 
 
 def quiet_eval(fn, stmt, tree):

@@ -7,46 +7,45 @@ from hypothesis import strategies as st
 from wraplab import objects as ob
 
 
-def sv(*pairs):
-    return ob.SetVal(pairs)
-
-
-def test_setval_dedups_by_value_keeping_first_origin():
-    s = sv((5, ob.StrVal("x")), (2, ob.StrVal("x")), (3, ob.StrVal("y")))
+def test_setval_dedups_by_value_keeping_the_first():
+    s = ob.SetVal(["x", "x", "y"])
     assert ob.to_jsonable(s) == ["x", "y"]
     assert len(s) == 2
+    # equal sets listed in different orders: the record that came first stays
+    first, second = (ob.SetVal(["a", "b"]),), (ob.SetVal(["b", "a"]),)
+    assert first == second
+    assert ob.to_jsonable(ob.SetVal([first, second])) == [[["a", "b"]]]
+    assert ob.to_jsonable(ob.SetVal([second, first])) == [[["b", "a"]]]
 
 
-def test_setval_orders_by_origin_then_text():
-    s = sv((2, ob.StrVal("b")), (1, ob.StrVal("z")), (2, ob.StrVal("a")))
-    assert ob.to_jsonable(s) == ["z", "a", "b"]
+def test_setval_lists_values_in_first_occurrence_order():
+    # not in text order: "b" is listed before "a" because it came first
+    s = ob.SetVal(["b", "z", "a", "z", "b"])
+    assert ob.to_jsonable(s) == ["b", "z", "a"]
+    assert ob.json_text(s) == '["b", "z", "a"]'
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(["a", "b", "ab", "\""]))))
-def test_setval_order_is_origin_then_json_text(pairs):
-    s = sv(*[(k, ob.StrVal(x)) for k, x in pairs])
-    best: dict = {}
-    for k, x in pairs:
-        best[x] = min(k, best.get(x, k))
-    expect = sorted(
-        ((k, ob.StrVal(x)) for x, k in best.items()),
-        key=lambda kv: (kv[0], ob.json_text(kv[1])),
-    )
-    assert list(s.keyed) == expect
+@given(st.lists(st.sampled_from(["a", "b", "ab", "\""])))
+def test_setval_order_is_first_occurrence(values):
+    s = ob.SetVal(values)
+    assert list(s) == [v for i, v in enumerate(values) if v not in values[:i]]
+    assert len(s) == len(set(values))
+    assert all(v in s for v in values)
 
 
 def test_setval_equality_is_set_like():
-    a = sv((1, ob.StrVal("x")), (2, ob.StrVal("y")))
-    b = sv((9, ob.StrVal("y")), (0, ob.StrVal("x")))
+    a = ob.SetVal(["x", "y"])
+    b = ob.SetVal(["y", "x", "y"])
     assert a == b
     assert hash(a) == hash(b)
-    assert a != sv((1, ob.StrVal("x")))
+    assert a != ob.SetVal(["x"])
+    assert a != ["x", "y"]
 
 
 def test_jsonable_nesting():
-    rec = ob.RecordVal((sv((0, ob.StrVal("a"))), sv()))
-    outer = sv((0, rec))
+    rec = (ob.SetVal(["a"]), ob.SetVal())
+    outer = ob.SetVal([rec])
     assert ob.to_jsonable(outer) == [[["a"], []]]
     assert ob.json_text(outer) == '[[["a"], []]]'
 

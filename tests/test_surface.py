@@ -26,6 +26,10 @@ ALLOWED = {
     "doctree.dump_sexpr": "the tree observer of test_doctree's parse tests",
     "elog.unary_query": "the store observer of test_elog and test_rpn",
     "elog.monadic_collapse": "A8 and test_elog's collapse tests",
+    "objects.to_jsonable": (
+        "the value observer of A1-A3, A5, A10, test_corpus, test_rpn, test_hel, "
+        "test_elog and test_objects, and of README's Library snippet"
+    ),
 }
 
 
