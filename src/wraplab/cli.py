@@ -18,7 +18,7 @@ from . import elog, hel
 from . import objects as ob
 from . import rpn
 from .doctree import DocTree, MalformedInput, parse_document, serialize
-from .pathrange import PathSyntaxError, RangeError, RangeSyntaxError
+from .pathrange import RangeError, TextError
 from .testkit import TreeGenSpec, bchain_doc, gen_tree, items_doc, shrink_tree
 
 
@@ -68,13 +68,10 @@ def load_document(path: str) -> DocTree:
         raise DocumentError(f"{path}: {e}") from None
 
 
-# what a wrapper text can fail with; a range regex with two words of one
-# length fails with a RangeError, and a text nested deeper than the parsers
-# recurse fails with RecursionError
-_PARSE_ERRORS = (
-    rpn.RpnSyntaxError, hel.HelError, elog.ElogError, PathSyntaxError,
-    RangeSyntaxError, RangeError, RecursionError,
-)
+# what a wrapper text can fail with: a fault in the text, which names its
+# place, a program or a variable statement that reads but is not valid,
+# and a text nested deeper than the parsers recurse
+_PARSE_ERRORS = (TextError, elog.ElogError, hel.HelError, RecursionError)
 
 
 class Wrapper:
@@ -220,7 +217,7 @@ def cmd_diff(args) -> int:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 return a.value(tree, strict=False) != b.value(tree, strict=False)
-        except (WrapperError, elog.ElogError, hel.HelError):
+        except WrapperError:
             return False
 
     for i in range(args.generate):

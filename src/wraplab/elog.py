@@ -57,12 +57,10 @@ from .doctree import DocTree
 from .pathrange import (
     STRING,
     TAG,
-    PathSyntaxError,
-    RangeError,
-    RangeSyntaxError,
     RawRegex,
     Range,
     StarRange,
+    TextError,
     apply_range,
     compile_path,
     holders,
@@ -81,16 +79,8 @@ class ElogError(Exception):
     pass
 
 
-class ElogSyntaxError(ElogError):
-    def __init__(
-        self, message: str, line: int | None = None, column: int | None = None
-    ):
-        if line is not None:
-            at = f"line {line}" if column is None else f"line {line}, column {column}"
-            message = f"{at}: {message}"
-        super().__init__(message)
-        self.line = line
-        self.column = column
+class ElogSyntaxError(TextError, ElogError):
+    pass
 
 
 class UnsafeRule(ElogError):
@@ -472,7 +462,7 @@ def _strip_comment(line: str) -> str:
     return line[: _CODE.match(line).end()]
 
 
-def _stopped(text: str, end: int, m, lineno: int, head: bool) -> ElogSyntaxError:
+def _stopped(text: str, end: int, m, head: bool) -> ElogSyntaxError:
     """The error for an atom match that stopped before its end."""
     name, _, _, a1, _, close, _, _ = m.groups()
     expected = (
@@ -484,10 +474,10 @@ def _stopped(text: str, end: int, m, lineno: int, head: bool) -> ElogSyntaxError
     )
     stop = m.end()
     got = repr(text[stop:end][:10]) if stop < end else "the end"
-    return ElogSyntaxError(f"expected {expected}, got {got}", lineno, stop + 1)
+    return ElogSyntaxError(f"expected {expected}, got {got}", column=stop + 1)
 
 
-def _read_atoms(text: str, end: int, lineno: int) -> tuple:
+def _read_atoms(text: str, end: int) -> tuple:
     """Read the rule in text[:end] left to right, one match per atom: the
     head, then the body atoms, as (name, brackets, args) tuples, and the
     text of a trailing rule range or None."""
@@ -497,11 +487,11 @@ def _read_atoms(text: str, end: int, lineno: int) -> tuple:
         m = _ATOM.match(text, pos, end)
         name, b1, b2, a1, a2, _, sep, rng = m.groups()
         if sep is None and rng is None:
-            raise _stopped(text, end, m, lineno, not atoms)
+            raise _stopped(text, end, m, not atoms)
         if not atoms and sep != ":-":
-            raise ElogSyntaxError("expected ':-'", lineno, m.end(6) + 1)
+            raise ElogSyntaxError("expected ':-'", column=m.end(6) + 1)
         if atoms and sep == ":-":
-            raise ElogSyntaxError("unexpected ':-'", lineno, m.start(7) + 1)
+            raise ElogSyntaxError("unexpected ':-'", column=m.start(7) + 1)
         atoms.append((
             name,
             () if b1 is None else (b1,) if b2 is None else (b1, b2),
@@ -512,22 +502,22 @@ def _read_atoms(text: str, end: int, lineno: int) -> tuple:
             return atoms, rng
 
 
-def _unquote(token: str, line: int) -> str:
+def _unquote(token: str) -> str:
     try:
         value = json.loads(token)
     except ValueError:
-        raise ElogSyntaxError(f"bad string literal {token}", line) from None
+        raise ElogSyntaxError(f"bad string literal {token}") from None
     if not isinstance(value, str):
-        raise ElogSyntaxError(f"bad string literal {token}", line)
+        raise ElogSyntaxError(f"bad string literal {token}")
     return value
 
 
-def _bracket_path(name: str, brackets: tuple, line: int):
+def _bracket_path(name: str, brackets: tuple):
     if not brackets:
-        raise ElogSyntaxError(f"{name} needs a [path] bracket", line)
+        raise ElogSyntaxError(f"{name} needs a [path] bracket")
     raw = brackets[0].strip()
     if raw.startswith('"'):
-        raw = _unquote(raw, line)
+        raw = _unquote(raw)
     return parse_path(raw)
 
 
@@ -535,9 +525,9 @@ def _bracket_range(brackets: tuple) -> Range:
     return parse_range(brackets[1]) if len(brackets) > 1 else StarRange()
 
 
-def _var_arg(name: str, tok: str, line: int) -> str:
+def _var_arg(name: str, tok: str) -> str:
     if not _VAR.fullmatch(tok):
-        raise ElogSyntaxError(f"{name}: expected a variable, got {tok!r}", line)
+        raise ElogSyntaxError(f"{name}: expected a variable, got {tok!r}")
     return tok
 
 
@@ -553,87 +543,84 @@ _COND_ARGS = {
 }
 
 
-def _parse_cond(atom: tuple, line: int):
+def _parse_cond(atom: tuple):
     n, brackets, args = atom
     argc, shape = _COND_ARGS[n]
     if brackets and n != "contains":
-        raise ElogSyntaxError(f"{n} takes no brackets", line)
+        raise ElogSyntaxError(f"{n} takes no brackets")
     if len(args) != argc:
-        raise ElogSyntaxError(f"{n} takes {shape}", line)
+        raise ElogSyntaxError(f"{n} takes {shape}")
     if n == "contains":
         return Contains(
-            _var_arg(n, args[0], line),
-            _var_arg(n, args[1], line),
-            _bracket_path(n, brackets, line),
+            _var_arg(n, args[0]),
+            _var_arg(n, args[1]),
+            _bracket_path(n, brackets),
             _bracket_range(brackets),
         )
-    x = _var_arg(n, args[0], line)
+    x = _var_arg(n, args[0])
     if n == "contains_s":
-        return ContainsStr(x, _unquote(args[1], line))
+        return ContainsStr(x, _unquote(args[1]))
     if n == "firstchild":
-        return FirstChild(x, _var_arg(n, args[1], line))
+        return FirstChild(x, _var_arg(n, args[1]))
     if n == "nextsibling":
-        return NextSibling(x, _var_arg(n, args[1], line))
+        return NextSibling(x, _var_arg(n, args[1]))
     if n == "lastsibling":
         return LastSibling(x)
     if n == "label":
         if not TAG.fullmatch(args[1]):
-            raise ElogSyntaxError(f"label: bad tag {args[1]!r}", line)
+            raise ElogSyntaxError(f"label: bad tag {args[1]!r}")
         return Label(x, args[1].lower())
     return Root(x)
 
 
-def _parse_rule(text: str, end: int, line: int):
+def _parse_rule(text: str, end: int):
     """The rule in text[:end]; text[end] is its final '.'."""
-    atoms, rule_range = _read_atoms(text, end, line)
+    atoms, rule_range = _read_atoms(text, end)
     (head, head_brackets, head_args), first = atoms[0], atoms[1]
     if head_brackets or len(head_args) != 2:
-        raise ElogSyntaxError("head must be p(V0, V)", line)
+        raise ElogSyntaxError("head must be p(V0, V)")
     if rule_range is not None:
         rule_range = parse_range(rule_range)
     name, brackets, args = first
-    v0var = _var_arg(head, head_args[0], line)
-    xvar = _var_arg(head, head_args[1], line)
+    v0var = _var_arg(head, head_args[0])
+    xvar = _var_arg(head, head_args[1])
     if len(args) != 2 or brackets:
-        raise ElogSyntaxError("first body atom must bind the parent", line)
+        raise ElogSyntaxError("first body atom must bind the parent")
 
     if name == "dom" and args == (v0var, xvar):
-        conds, refs = _conds_and_refs(atoms[2:], line)
+        conds, refs = _conds_and_refs(atoms[2:])
         return DomRule(head, v0var, xvar, conds, refs, rule_range)
 
     if args[0] != "_" or args[1] != v0var:
         raise ElogSyntaxError(
-            f"parent atom must be {name}(_, {v0var}) or dom({v0var}, "
-            f"{xvar})", line
+            f"parent atom must be {name}(_, {v0var}) or dom({v0var}, {xvar})"
         )
     if len(atoms) < 3:
-        raise ElogSyntaxError("chain rule needs a subelem atom", line)
+        raise ElogSyntaxError("chain rule needs a subelem atom")
     step, brackets, args = atoms[2]
     if step != "subelem":
-        raise ElogSyntaxError(f"expected subelem, got {step}", line)
+        raise ElogSyntaxError(f"expected subelem, got {step}")
     if args != (v0var, xvar):
-        raise ElogSyntaxError(
-            f"subelem must be subelem[...]({v0var}, {xvar})", line
-        )
-    path = _bracket_path(step, brackets, line)
+        raise ElogSyntaxError(f"subelem must be subelem[...]({v0var}, {xvar})")
+    path = _bracket_path(step, brackets)
     rng = _bracket_range(brackets)
-    conds, refs = _conds_and_refs(atoms[3:], line)
+    conds, refs = _conds_and_refs(atoms[3:])
     return ChainRule(
         head, v0var, xvar, name, path, rng, conds, refs, rule_range
     )
 
 
-def _conds_and_refs(atoms: list, line: int):
+def _conds_and_refs(atoms: list):
     conds = []
     refs = []
     for a in atoms:
         name, brackets, args = a
         if name in _COND_ARGS:
-            conds.append(_parse_cond(a, line))
+            conds.append(_parse_cond(a))
         elif len(args) == 2 and args[0] == "_" and not brackets:
-            refs.append(Ref(name, _var_arg(name, args[1], line)))
+            refs.append(Ref(name, _var_arg(name, args[1])))
         else:
-            raise ElogSyntaxError(f"unrecognized body atom {name}", line)
+            raise ElogSyntaxError(f"unrecognized body atom {name}")
     return tuple(conds), tuple(refs)
 
 
@@ -648,29 +635,31 @@ def parse_elog(text: str) -> ElogProgram:
             continue
         word = line.split(None, 1)[0]
         rest = line.lstrip()[len(word) :]
-        if word == "@aux":
-            names = rest.split()
-            aux.extend(names)
-        elif word == "@schema":
-            try:
-                schema = ob.parse_schema(rest.strip())
-            except ob.SchemaSyntaxError as exc:
-                raise ElogSyntaxError(f"{word}: {exc}", lineno) from None
-            names = ob.schema_predicates(schema)
-        elif word.startswith("@"):
-            raise ElogSyntaxError(f"unknown directive {word!r}", lineno)
-        elif not line.endswith("."):
-            raise ElogSyntaxError("rule must end with '.'", lineno)
-        else:
-            try:
-                rules.append(_parse_rule(line, len(line) - 1, lineno))
-            except (PathSyntaxError, RangeSyntaxError, RangeError) as e:
-                e.args = (f"line {lineno}: {e}",)  # the class and .length stay
-                raise
-            continue
-        for name in names:
-            if not ob.PREDICATE.fullmatch(name):
-                raise ElogSyntaxError(f"{word}: bad predicate name {name!r}", lineno)
+        try:
+            if word == "@aux":
+                names = rest.split()
+                aux.extend(names)
+            elif word == "@schema":
+                try:
+                    schema = ob.parse_schema(rest.strip())
+                except ob.SchemaSyntaxError as e:
+                    start = len(line) - len(rest.lstrip())  # the schema's offset
+                    column = None if e.pos is None else start + e.pos + 1
+                    raise ElogSyntaxError(f"{word}: {e.reason}", column=column) from None
+                names = ob.schema_predicates(schema)
+            elif word.startswith("@"):
+                raise ElogSyntaxError(f"unknown directive {word!r}")
+            elif not line.endswith("."):
+                raise ElogSyntaxError("rule must end with '.'")
+            else:
+                rules.append(_parse_rule(line, len(line) - 1))
+                continue
+            for name in names:
+                if not ob.PREDICATE.fullmatch(name):
+                    raise ElogSyntaxError(f"{word}: bad predicate name {name!r}")
+        except TextError as e:  # every fault on a line, a path's or a range's too
+            e.line = lineno
+            raise
         named.extend((name, lineno, word) for name in names)
     heads = {r.head for r in rules}
     for name, lineno, word in named:

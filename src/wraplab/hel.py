@@ -30,18 +30,15 @@ from dataclasses import dataclass, replace
 from . import rpn
 from .doctree import DocTree
 from .objects import SetVal
+from .pathrange import TextError
 
 
 class HelError(Exception):
     pass
 
 
-class HelSyntaxError(HelError):
-    def __init__(self, message: str, pos: int | None = None):
-        if pos is not None:
-            message = f"at {pos}: {message}"
-        super().__init__(message)
-        self.pos = pos
+class HelSyntaxError(TextError, HelError):
+    pass
 
 
 class VarUsedTwice(HelError):

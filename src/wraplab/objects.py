@@ -14,6 +14,8 @@ import json
 import re
 from dataclasses import dataclass
 
+from .pathrange import TextError
+
 
 class SetVal:
     """A set of values that lists its distinct values in the order they
@@ -151,7 +153,7 @@ def schema_to_text(schema) -> str:
     raise TypeError(f"not a schema: {schema!r}")
 
 
-class SchemaSyntaxError(Exception):
+class SchemaSyntaxError(TextError):
     pass
 
 
@@ -174,7 +176,7 @@ def parse_schema(text: str) -> ObjectSchema:
         nonlocal pos
         ws()
         if not text.startswith(s, pos):
-            raise SchemaSyntaxError(f"expected {s!r} at {pos} in {text!r}")
+            raise SchemaSyntaxError(f"expected {s!r}", pos)
         pos += len(s)
 
     def pred() -> str | None:  # None for '_'
@@ -211,10 +213,10 @@ def parse_schema(text: str) -> ObjectSchema:
                 entries.append(parse_set())
             expect(")")
             return RecordSchema(tuple(entries))
-        raise SchemaSyntaxError(f"expected 'str' or 'record' at {pos} in {text!r}")
+        raise SchemaSyntaxError("expected 'str' or 'record'", pos)
 
     node = parse_set()
     ws()
     if pos != n:
-        raise SchemaSyntaxError(f"trailing input at {pos} in {text!r}")
+        raise SchemaSyntaxError("trailing input", pos)
     return node

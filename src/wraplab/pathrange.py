@@ -16,9 +16,9 @@ k has a 1 at each selected position.
 The lexical rules that every wrapper parser shares live here too: ``TAG``,
 the document's tag-name rule, ``STRING``, the "..." literal, and ``scan``,
 the statement parser's quote- and bracket-aware loop (the program reader
-matches patterns built from ``STRING`` instead).  ``read_path`` reads a
-path in place inside a longer text, so its error offsets count from that
-text's start.
+matches patterns built from ``STRING`` instead).  So does ``TextError``,
+the base of every parser's error.  ``read_path`` reads a path in place
+inside a longer text, so its error offsets count from that text's start.
 """
 
 from __future__ import annotations
@@ -35,11 +35,29 @@ DENSITY_PROBE = 64  # lengths 0..63 are checked for at-most-one word
 _NONE: Mapping = MappingProxyType({})  # subelem's default: no context done
 
 
-class PathSyntaxError(Exception):
+class TextError(Exception):
+    """A fault in wrapper text: reason says what, and where is pos, an
+    offset into the text the reader was given, or a program's line and,
+    where known, column.  A reader that catches one may fill in a place
+    it lacks; only ``__str__`` writes a place."""
+
+    def __init__(self, reason: str, pos: int | None = None,
+                 line: int | None = None, column: int | None = None):
+        super().__init__(reason)
+        self.reason, self.pos, self.line, self.column = reason, pos, line, column
+
+    def __str__(self) -> str:
+        if self.line is not None:
+            col = "" if self.column is None else f", column {self.column}"
+            return f"line {self.line}{col}: {self.reason}"
+        return self.reason if self.pos is None else f"at {self.pos}: {self.reason}"
+
+
+class PathSyntaxError(TextError):
     pass
 
 
-class RangeSyntaxError(Exception):
+class RangeSyntaxError(TextError):
     pass
 
 
@@ -53,7 +71,7 @@ class NoWordOfLength(RangeError):
         self.length = length
 
 
-class MultipleWords(RangeError):
+class MultipleWords(TextError, RangeError):
     def __init__(self, length: int):
         super().__init__(f"range regex has several words of length {length}")
         self.length = length
@@ -181,9 +199,7 @@ class _PathParser:
     def parse(self) -> PathRegex:
         node = self._alt()
         if self.pos != len(self.text):
-            raise PathSyntaxError(
-                f"trailing input at {self.pos} in path {self.text!r}"
-            )
+            raise PathSyntaxError("trailing input", self.pos)
         return node
 
     def _ws(self) -> None:
@@ -230,7 +246,7 @@ class _PathParser:
                 return Epsilon()
             node = self._alt()
             if self._peek() != ")":
-                raise PathSyntaxError(f"missing ')' at {self.pos} in {self.text!r}")
+                raise PathSyntaxError("missing ')'", self.pos)
             self.pos += 1
             return node
         if c == "_" and not self.binary:
@@ -240,14 +256,12 @@ class _PathParser:
             if c != "" and c in "01":
                 self.pos += 1
                 return Atom(c)
-            raise PathSyntaxError(
-                f"expected 0 or 1 at {self.pos} in range regex {self.text!r}"
-            )
+            raise PathSyntaxError("expected 0 or 1", self.pos)
         m = TAG.match(self.text, self.pos)
         if m:
             self.pos = m.end()
             return Atom(m.group().lower())
-        raise PathSyntaxError(f"unexpected {c!r} at {self.pos} in path {self.text!r}")
+        raise PathSyntaxError(f"unexpected {c!r}", self.pos)
 
 
 def read_path(text: str, pos: int = 0) -> tuple:
@@ -257,7 +271,7 @@ def read_path(text: str, pos: int = 0) -> tuple:
     p = _PathParser(text)
     p.pos = pos
     if p._peek() == ")":
-        raise PathSyntaxError("empty path expression")
+        raise PathSyntaxError("empty path expression", p.pos)
     return p._alt(), p.pos
 
 
@@ -536,8 +550,8 @@ def parse_range(text: str) -> Range:
     if body[:6].lower() == "regex:":
         try:
             pattern = parse_binary_regex(body[len("regex:") :])
-        except PathSyntaxError as exc:
-            raise RangeSyntaxError(str(exc)) from None
+        except PathSyntaxError as exc:  # its offset counts in the regex alone
+            raise RangeSyntaxError(exc.reason) from None
         rng = RawRegex(pattern)
         validate_raw_range(rng)
         return rng

@@ -48,11 +48,10 @@ from .pathrange import (
     Atom,
     Concat,
     Range,
-    RangeError,
-    RangeSyntaxError,
     RawRegex,
     Star,
     StarRange,
+    TextError,
     Wildcard,
     apply_range,
     group_end,
@@ -65,13 +64,8 @@ from .pathrange import (
 )
 
 
-class RpnSyntaxError(Exception):
-    def __init__(self, message: str, pos: int | None = None):
-        self.reason = message  # without the offset
-        if pos is not None:
-            message = f"at {pos}: {message}"
-        super().__init__(message)
-        self.pos = pos
+class RpnSyntaxError(TextError):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +184,7 @@ class _StmtParser:
         try:
             value = json.loads(m.group())
         except ValueError:
-            self.error(f"bad string literal {m.group()}")
+            self.error("bad string literal")
         self.pos = m.end()
         return value
 
@@ -298,8 +292,9 @@ class _StmtParser:
                     var, rng = self._var_range(inside)
                 else:
                     rng = parse_range(inside)
-            except (RangeSyntaxError, RangeError) as e:
-                e.args = (f"at {at}: {e}",)  # the class and .length stay
+            except TextError as e:
+                if e.pos is None:  # a range fault: its place is the '['
+                    e.pos = at
                 raise
         conds: tuple = ()
         if not self.hel and self.peek() == "{":
@@ -398,7 +393,7 @@ def statement_to_text(stmt: Chain, dialect: str = "rpn") -> str:
 # types
 
 
-def typecheck(stmt: Chain) -> ob.Type:
+def typecheck(stmt: Chain) -> ob.RpnType:
     """Total; conditions contribute nothing."""
     if isinstance(stmt.end, Txt):
         return ob.TSet(ob.TStr())

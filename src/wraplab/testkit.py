@@ -148,6 +148,24 @@ def edit_doc(source: str, rng: random.Random) -> str:
     return source
 
 
+def edit_wrapper(source: str, rnd: random.Random, chars: str, words: tuple) -> str:
+    """source after one to three seeded edits: an insert of one of chars, a
+    delete, or one of words put in place of another found in source."""
+    found = "|".join(re.escape(w) for w in sorted(words, key=len, reverse=True))
+    for _ in range(rnd.randint(1, 3)):
+        i = rnd.randint(0, len(source))
+        op = rnd.random()
+        spans = [m.span() for m in re.finditer(found, source)]
+        if op < 0.4:
+            source = source[:i] + rnd.choice(chars) + source[i:]
+        elif op < 0.8 or not spans:
+            source = source[:i] + source[i + 1:]
+        else:
+            a, b = rnd.choice(spans)
+            source = source[:a] + rnd.choice(words) + source[b:]
+    return source
+
+
 # ---------------------------------------------------------------------------
 # derivative-based regex matching (own representation, own code path)
 

@@ -3,14 +3,16 @@
 import json
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
-from wraplab import elog
+from wraplab import elog, hel, rpn
 from wraplab.cli import detect_language, main, _styled
 from wraplab.doctree import MalformedInput, parse_document
 from wraplab.hel import SingleValueWarning
-from wraplab.testkit import edit_doc, naive_parse_document
+from wraplab.pathrange import TextError
+from wraplab.testkit import edit_doc, edit_wrapper, naive_parse_document
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 
@@ -160,7 +162,7 @@ RANGE_FAULTS = {  # wrapper -> (its text, the one line's text after the name)
     ),
     "path.elog": (
         _PROGRAM + "q(X0, X) :- p(_, X0), subelem[(b|)](X0, X).",
-        "line 3: unexpected ')' at 3 in path '(b|)'",
+        "line 3: unexpected ')'",
     ),
 }
 
@@ -173,6 +175,67 @@ def test_range_and_path_faults_name_their_place(wrapctl, tmp_path, name):
     w = tmp_path / name
     w.write_text(text)
     assert wrapctl("check", w) == (1, "", f"wrapctl: {w}: {message}\n")
+
+
+ONE_LINE_FAULTS = {  # statement -> the one line's text after the name
+    "a.(b|).txt\n": "at 5: unexpected ')'",  # the path alone, not the text
+    'html.body.table.tr{td[0].txt = "i\nem"}.td[1]txt': "at 31: bad string literal",
+}
+
+
+@pytest.mark.parametrize("text", ONE_LINE_FAULTS)
+def test_statement_faults_quote_no_line_break(wrapctl, tmp_path, text):
+    w = tmp_path / "w.rpn"
+    w.write_text(text)
+    rc, out, err = wrapctl("check", w)
+    assert (rc, out, err) == (1, "", f"wrapctl: {w}: {ONE_LINE_FAULTS[text]}\n")
+    assert "\\n" not in err and ".txt" not in err.removeprefix(f"wrapctl: {w}")
+
+
+STATEMENTS = sorted(
+    p for ext in ("rpn", "vhel", "hel") for p in CORPUS.glob(f"*/*.{ext}")
+)
+STATEMENT_PARSERS = {
+    ".rpn": rpn.parse_rpn, ".vhel": hel.parse_vhel, ".hel": hel.parse_hel,
+}
+STATEMENT_WORDS = (
+    "txt", "and", "where", "last", "regex:", "->", "_", "*", "!", "#", ";", ".",
+)
+STATEMENT_CHARS = '.()[]{}#!;:-=*|_",\\ aAi01\t\n'
+
+
+def test_edited_statements_fail_on_one_line_that_names_the_fault(wrapctl, tmp_path):
+    # seeded edits of every corpus statement: its parser rejects a text
+    # only with a TextError whose offset lies in the text, and wrapctl
+    # check exits 0, or 1 with one line that gives the error's reason
+    rnd = random.Random(11)
+    outcomes = Counter()
+    for _ in range(1200):
+        source = rnd.choice(STATEMENTS)
+        text = edit_wrapper(source.read_text(), rnd, STATEMENT_CHARS, STATEMENT_WORDS)
+        try:
+            STATEMENT_PARSERS[source.suffix](text)
+        except Exception as e:
+            assert isinstance(e, TextError), (text, e)
+            # only a blank statement has no offset
+            assert e.pos is None if not text.strip() else 0 <= e.pos <= len(text)
+            outcomes[type(e).__name__] += 1
+            rejected = e
+        else:
+            outcomes["accepted"] += 1
+            rejected = None
+        w = tmp_path / f"edited{source.suffix}"
+        w.write_text(text)
+        rc, out, err = wrapctl("check", w)
+        assert rc in (0, 1), text
+        if rc == 1:
+            assert out == "" and err.startswith(f"wrapctl: {w}: "), (text, err)
+            assert err.count("\n") == 1, (text, err)
+        if rejected is not None:
+            assert rc == 1 and rejected.reason in err, (text, err)
+    floors = {"accepted": 60, "RpnSyntaxError": 200, "HelSyntaxError": 120,
+              "RangeSyntaxError": 30, "PathSyntaxError": 15}
+    assert all(outcomes[kind] >= n for kind, n in floors.items()), outcomes
 
 
 def oracle_offset(source: str) -> int | None:

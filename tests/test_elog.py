@@ -2,7 +2,6 @@
 
 import pathlib
 import random
-import re
 from collections import Counter
 from importlib import resources
 
@@ -193,42 +192,31 @@ PROGRAM_WORDS = (
     "firstchild", "nextsibling", "lastsibling", "last", "regex:", "@aux",
     "@record", "@schema", "set", "record", "str",
 )
-PROGRAM_WORD = "|".join(
-    re.escape(w) for w in sorted(PROGRAM_WORDS, key=len, reverse=True)
-)
-
-
-def edit_program(source: str, rnd: random.Random) -> str:
-    """source after one to three seeded edits: an insert of a character
-    that matters to the program syntax, a delete, or one of its keywords
-    put in place of another."""
-    for _ in range(rnd.randint(1, 3)):
-        i = rnd.randint(0, len(source))
-        op = rnd.random()
-        words = [m.span() for m in re.finditer(PROGRAM_WORD, source)]
-        if op < 0.4:
-            source = source[:i] + rnd.choice("()[],.:-\"%_*|\\ aXY01#'\n") + source[i:]
-        elif op < 0.8 or not words:
-            source = source[:i] + source[i + 1:]
-        else:
-            a, b = rnd.choice(words)
-            source = source[:a] + rnd.choice(PROGRAM_WORDS) + source[b:]
-    return source
+PROGRAM_CHARS = "()[],.:-\"%_*|\\ aXY01#'\n"
 
 
 def test_edited_programs_fail_only_with_program_errors(tmp_path, capsys):
     # seeded edits of every shipped program: parse_elog raises nothing but
-    # program errors, and a sample of the rejected texts leaves wrapctl run
-    # with exit 1 and the error as its one line
+    # program errors, each syntax fault a TextError that names its line,
+    # and a sample of the rejected texts leaves wrapctl run with exit 1 and
+    # the error as its one line
     rnd = random.Random(5)
     outcomes = Counter()
     w = tmp_path / "edited.elog"
     for _ in range(10000):
-        text = edit_program(rnd.choice(PROGRAM_TEXTS), rnd)
+        text = testkit.edit_wrapper(
+            rnd.choice(PROGRAM_TEXTS), rnd, PROGRAM_CHARS, PROGRAM_WORDS
+        )
         try:
             elog.parse_elog(text)
         except PROGRAM_ERRORS as e:
             outcomes[type(e).__name__] += 1
+            syntax = not isinstance(e, elog.ElogError) or isinstance(
+                e, elog.ElogSyntaxError
+            )
+            assert isinstance(e, pr.TextError) == syntax, (text, e)
+            if syntax:
+                assert 1 <= e.line <= len(text.splitlines()), (text, e)
             if sum(outcomes.values()) - outcomes["accepted"] <= 40:
                 w.write_text(text)
                 rc = main(["run", str(w), str(CORPUS / "pipeline" / "page.doc")])

@@ -11,8 +11,10 @@ criterion that needs it.
 """
 
 import ast
+import importlib
 import pathlib
 import re
+import typing
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wraplab"
@@ -91,3 +93,21 @@ def test_the_scan_sees_functions_classes_and_methods():
 def test_every_public_engine_name_is_used_outside_tests():
     # an allowed name that src/ or bench/ comes to use leaves the list too
     assert sorted(_unused()) == sorted(ALLOWED)
+
+
+def test_every_public_engine_annotation_resolves():
+    # from __future__ import annotations leaves annotations unevaluated, so
+    # one naming what its module does not define shows only here
+    failed = []
+    for module in ENGINES:
+        mod = importlib.import_module(f"wraplab.{module}")
+        for qualified, _, _, _ in _definitions(module):
+            obj = mod
+            for part in qualified.split(".")[1:]:
+                obj = getattr(obj, part)
+            obj = getattr(obj, "fget", getattr(obj, "func", obj))  # properties
+            try:
+                typing.get_type_hints(obj)
+            except Exception as e:
+                failed.append(f"{qualified}: {e!r}")
+    assert failed == []
