@@ -70,6 +70,7 @@ from .pathrange import (
     path_to_text,
     range_to_text,
     subelem,
+    walk,
 )
 
 BUILTINS = ("root", "dom")
@@ -882,7 +883,7 @@ class _Eval:
         self._recursive = frozenset().union(
             *(comp for comp, recursive in self.analysis.components if recursive)
         )
-        # per shared automaton, each node's subelem list; no caller mutates one
+        # per shared automaton, each node's hit list; no caller mutates one
         self._sub: dict = {aut: {} for aut in self._shared_automata()}
         # second-argument projection of each predicate; a dom-rule
         # predicate's node set itself
@@ -917,11 +918,11 @@ class _Eval:
         return {aut for aut, n in uses.items() if n > 1}
 
     def _navigation(self, path):
-        """subelem from a node along path, for a contains atom.  When the
+        """The hits from a node along path, for a contains atom.  When the
         automaton is shared (see _shared_automata), each node's list is
         kept, and a walk takes over the kept list of a node nested in its
         start that it enters in the start state, whichever navigation kept
-        it (see subelem)."""
+        it (see walk)."""
         aut, tree = compile_path(path), self.tree
         kept = self._sub.get(aut)
         if kept is None:
@@ -930,7 +931,7 @@ class _Eval:
         def hits(v0: int) -> list[int]:
             found = kept.get(v0)
             if found is None:
-                found = kept[v0] = subelem(tree, v0, aut, kept)
+                found = walk(tree, (v0,), aut, kept)[0]
             return found
 
         return hits
@@ -1170,22 +1171,18 @@ class _Eval:
     def _expand(self, plan: _Plan, parents) -> None:
         """Apply the rule at parents, in id order; None for a dom rule.  A
         chain rule checks the conditions on the parent alone first, then
-        navigates the parents that pass deepest first into one map, so that
-        a parent's walk takes over the hits of a parent nested in it (see
-        subelem): the shared automaton's kept lists, or a map of its own.
-        It fires them in id order."""
+        walks the parents that pass at once, so that a parent's pass takes
+        over the hits of a parent nested in it (see walk), sharing the
+        shared automaton's kept lists.  It fires them in id order."""
         if parents is None:
             self._fire(plan, None, plan.targets())
             return
         if plan.parent is not None:
             parents = [v0 for v0 in parents if plan.parent([None, v0])]
-        aut, tree, rng = plan.nav, self.tree, plan.rule.rng
-        done = self._sub.get(aut, {})
-        for v0 in reversed(parents):
-            if v0 not in done:
-                done[v0] = subelem(tree, v0, aut, done)
-        for v0 in parents:
-            self._fire(plan, v0, apply_range(done[v0], rng))
+        rng = plan.rule.rng
+        lists = walk(self.tree, parents, plan.nav, self._sub.get(plan.nav))
+        for v0, hits in zip(parents, lists):
+            self._fire(plan, v0, apply_range(hits, rng))
 
     def _component(self, comp: frozenset) -> None:
         rules = self.analysis.rules

@@ -12,20 +12,21 @@ the patom that binds that variable, and drops the variables.  The result
 is a variable-free statement in the condition-chain dialect, where
 conditions filter nodes BEFORE the range selects among them.
 
-The variable-free form evaluates through the rpn module's walker,
-``_follow``, with conditions first and the range second; a condition's
-targets come from the same walker.  ``eval_vf`` keeps every navigated
-node whose conditions hold.  ``eval_cut`` additionally treats
-``!``-marked conditions as scan stoppers: once a navigated node violates
-a marked condition, no later sibling match survives.  Condition paths are
-expected to reach at most one node; by default a wider set is an error, in
-lenient mode it degrades to an existential check and a warning.
+The variable-free form evaluates through the rpn module's walker, with
+conditions first and the range second; a condition's targets come from
+the same walker, which follows its chain from all the nodes it is asked
+at at once.  ``eval_vf`` keeps every navigated node whose conditions
+hold.  ``eval_cut`` additionally treats ``!``-marked conditions as scan
+stoppers: once a navigated node violates a marked condition, no later
+sibling match survives.  Condition paths are expected to reach at most
+one node; by default a wider set is an error, in lenient mode it
+degrades to an existential check and a warning.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import rpn
 from .doctree import DocTree
@@ -186,36 +187,27 @@ def desugar(stmt: HelStatement):
 # evaluation of the variable-free form
 
 
-def _vf_holds(strict: bool):
-    """The condition semantics of the variable-free form: the condition's
-    chain should reach at most one node, whose text must equal the string."""
-
-    def holds(tree: DocTree, v: int, cond) -> bool:
-        targets = rpn._follow(cond, tree, [v], holds, False, False)
-        if len(targets) > 1:
-            detail = (
-                f"condition path reaches {len(targets)} nodes under node {v}; "
-                "it should reach at most one"
-            )
-            if strict:
-                raise SingleValueViolation(detail)
-            warnings.warn(detail, SingleValueWarning, stacklevel=3)
-            return any(tree.txt_equals(u, cond.end.s) for u in targets)
-        return bool(targets) and tree.txt_equals(targets[0], cond.end.s)
-
-    return holds
+def _too_many(strict: bool, v: int, n: int) -> Exception:
+    """The answer of a condition whose chain reaches n > 1 nodes from v:
+    the violation, or in lenient mode the warning given where the answer is
+    asked, which is then whether one of the nodes has the text."""
+    detail = (
+        f"condition path reaches {n} nodes under node {v}; "
+        "it should reach at most one"
+    )
+    return SingleValueViolation(detail) if strict else SingleValueWarning(detail)
 
 
 def eval_vf(stmt, tree: DocTree, v: int | None = None, strict: bool = True) -> SetVal:
     """Conditions filter the navigated nodes first, the range selects among
     the survivors.  Cut marks are ignored here."""
-    return rpn._evaluate(stmt, tree, v, _vf_holds(strict), range_first=False, cut=False)
+    return rpn._evaluate(stmt, tree, v, partial(_too_many, strict))
 
 
 def eval_cut(stmt, tree: DocTree, v: int | None = None, strict: bool = True) -> SetVal:
     """Like eval_vf, but a node violating a '!'-marked condition stops the
     scan: no later navigated node survives, whatever its own conditions."""
-    return rpn._evaluate(stmt, tree, v, _vf_holds(strict), range_first=False, cut=True)
+    return rpn._evaluate(stmt, tree, v, partial(_too_many, strict), cut=True)
 
 
 def has_cut(stmt: rpn.Chain) -> bool:

@@ -1,11 +1,12 @@
 """Regular path expressions and position ranges over document trees.
 
-subelem is the single navigation primitive every wrapper language here is
-built on: from a start node v0 it selects descendants v whose downward label
-word (labels strictly below v0 along the unique path, ending at v's own
-label) belongs to a regular language, then a range picks positions out of
-the document-ordered hit list.  The start node itself is selected exactly
-when the empty word is in the language.
+walk is the single navigation primitive every wrapper language here is
+built on: from each start node v0 of a list it selects descendants v whose
+downward label word (labels strictly below v0 along the unique path, ending
+at v's own label) belongs to a regular language; a range then picks
+positions out of each document-ordered hit list.  A start node itself is
+selected exactly when the empty word is in the language.  subelem is the
+walk from one start node.
 
 Ranges come in structured forms (star, index, interval, unions, last) that
 select by direct indexing and never fail, and as raw regular expressions
@@ -25,14 +26,11 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .doctree import DocTree
 
 DENSITY_PROBE = 64  # lengths 0..63 are checked for at-most-one word
-_NONE: Mapping = MappingProxyType({})  # subelem's default: no context done
 
 
 class TextError(Exception):
@@ -261,7 +259,8 @@ class _PathParser:
         if m:
             self.pos = m.end()
             return Atom(m.group().lower())
-        raise PathSyntaxError(f"unexpected {c!r}", self.pos)
+        reason = f"unexpected {c!r}" if c else "unexpected end of path"
+        raise PathSyntaxError(reason, self.pos)
 
 
 def read_path(text: str, pos: int = 0) -> tuple:
@@ -341,6 +340,8 @@ class PathAutomaton:
     first reached: 0 is the empty (dead) set and ``start`` is 1.
     ``delta[s]`` caches state s's transitions by tag, so ``step``, the
     subset construction, runs once per (state, tag) pair ever taken.
+    ``stop[s]`` says that s has no labelled move, so that no node below one
+    in state s matches: s is dead, or terminal if it accepts.
     """
 
     start = 1
@@ -355,6 +356,7 @@ class PathAutomaton:
         self._ids = {self._sets[0]: 0}
         self.delta: list[dict[str, int]] = [{}]
         self.accept = [False]
+        self.stop = [True]
         self._state(self._closure[start])
         # for bottom-up passes: sets of NFA states as bitmasks
         self.start_bit = 1 << start
@@ -431,6 +433,7 @@ class PathAutomaton:
             self._sets.append(key)
             self.delta.append({})
             self.accept.append(key[1])
+            self.stop.append(not key[0])
         return d
 
     def step(self, state: int, tag: str) -> int:
@@ -699,50 +702,72 @@ def apply_range(seq: list, rng: Range) -> list:
 # the navigation primitive
 
 
-def subelem(tree: DocTree, v0: int, path, done: Mapping = _NONE) -> list[int]:
-    """Descendants of v0 (and v0 itself on the empty word) whose downward
-    label word matches, in document order.
+def walk(tree: DocTree, contexts, path, done: dict | None = None) -> list:
+    """Each context's hits, in the contexts' order: its descendants (and
+    itself on the empty word) whose downward label word matches, in
+    document order.  contexts are in document order, without repeats.
 
-    One preorder pass over v0's id interval: a node's DFA state is its
-    parent's stepped on its tag, and a dead state skips the whole subtree.
-    The states live in the tree's scratch list, indexed by node id; a node
-    the pass reaches has v0 or an earlier reached node as its parent, so
-    it only reads what this call wrote, and the call costs what it visits.
+    One preorder pass over a context's id interval: a node's DFA state is
+    its parent's stepped on its tag.  A state with no labelled move stops
+    the pass at the node, which is a hit if the state accepts, and it goes
+    on after the node's subtree.  The states live in the tree's scratch
+    list, indexed by node id; a node the pass reaches has the context or an
+    earlier reached node as its parent, so it only reads what this pass
+    wrote, and the pass costs what it visits.
 
-    done maps contexts already navigated on the same automaton and tree to
-    their hit lists.  A node c of done that the pass enters in the start
-    state is not walked: every word below c runs from v0 as it runs from
-    c, so the pass takes done[c] for c's interval and goes on after it
-    (the staircase join's pruning of nested contexts; Grust, van Keulen
-    and Teubner, VLDB 2003).  Navigating nested contexts deepest first
-    into one map so costs what the walks do not share plus the hits.
+    The contexts are walked deepest first, into done, which maps the
+    contexts walked so far on the same automaton and tree to their hit
+    lists; a caller may pass one in to share it between walks.  A context
+    already in done is not walked again, and a node of done that a pass
+    enters in the start state is not walked either: every word below it
+    runs from the context as from the node, so the pass takes its list and
+    goes on after its subtree (the staircase join's pruning of nested
+    contexts; Grust, van Keulen and Teubner, VLDB 2003).  So the walk costs
+    what the contexts' passes do not share plus the hits.
     """
     aut = compile_path(path)
-    delta, accept, step, start = aut.delta, aut.accept, aut.step, aut.start
+    delta, accept, stop, step = aut.delta, aut.accept, aut.stop, aut.step
+    start = aut.start
     tags, parents, ends = tree.tags, tree.parents, tree.ends
-    out = [v0] if accept[start] else []
-    last = ends[v0]
     states = tree.scratch
-    states[v0] = start
-    splice = start if done else -1  # with nothing done, no state splices
-    v = v0 + 1
-    while v <= last:
-        s = states[parents[v]]
-        tag = tags[v]
-        d = delta[s].get(tag)
-        if d is None:
-            d = step(s, tag)
-        if not d:
-            v = ends[v] + 1
-        elif d == splice and v in done:
-            out += done[v]
-            v = ends[v] + 1
-        else:
-            states[v] = d
-            if accept[d]:
-                out.append(v)
-            v += 1
-    return out
+    if done is None:
+        done = {}
+    lists = []
+    for v0 in reversed(contexts):
+        out = done.get(v0)
+        if out is None:
+            out = [v0] if accept[start] else []
+            last = ends[v0]
+            states[v0] = start
+            splice = start if done else -1  # with nothing done, no state splices
+            v = v0 + 1
+            while v <= last:
+                s = states[parents[v]]
+                tag = tags[v]
+                d = delta[s].get(tag)
+                if d is None:
+                    d = step(s, tag)
+                if stop[d]:
+                    if accept[d]:
+                        out.append(v)
+                    v = ends[v] + 1
+                elif d == splice and v in done:
+                    out += done[v]
+                    v = ends[v] + 1
+                else:
+                    states[v] = d
+                    if accept[d]:
+                        out.append(v)
+                    v += 1
+            done[v0] = out
+        lists.append(out)
+    lists.reverse()
+    return lists
+
+
+def subelem(tree: DocTree, v0: int, path) -> list[int]:
+    """The hits of one context: see walk."""
+    return walk(tree, (v0,), path)[0]
 
 
 def holders(tree: DocTree, path: PathRegex, rng: Range, test) -> list[int]:

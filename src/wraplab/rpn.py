@@ -18,14 +18,14 @@ cut mark.  One parse loop serves all three dialects.  It reads record
 entries, condition blocks and regex path groups in place, so an error
 offset counts from the start of the statement, and it takes tags and
 keywords by ``pathrange.TAG``, in any case.  One renderer and one walker,
-``_follow``, serve statements and conditions alike, each a loop over the
-path atoms.  The walker carries the set of reached nodes from step to
-step, so a step navigates from each node once; it takes the condition
-semantics, the order (range then filter, or filter then range) and
-whether cut marks stop the filter scan.  ``eval_rpn`` here and the hel
-module's ``eval_vf`` and ``eval_cut`` only choose those three.  The
-path-expression condition search, ``_cond_holds``, keeps the links it
-waits on in an explicit stack.
+``_Walker``, serve statements and conditions alike, each a loop over the
+path atoms.  The walker works on frontiers: a step maps the nodes the
+last one reached, all at once, to what it keeps from each, a condition
+is decided once for all the nodes it is asked at, and a record entry is
+evaluated once at all the nodes its chain reached.  It takes the
+condition semantics, with the order (range then filter, or filter then
+range), and whether cut marks stop the filter scan.  ``eval_rpn`` here
+and the hel module's ``eval_vf`` and ``eval_cut`` only choose those.
 
 Statements translate to datalog programs whose derived atoms reproduce the
 evaluator's output; the last predicate of every chain carries a schema
@@ -36,8 +36,8 @@ universal dom-rule.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
-from functools import partial
 
 from . import elog
 from . import objects as ob
@@ -48,6 +48,7 @@ from .pathrange import (
     Atom,
     Concat,
     Range,
+    RangeError,
     RawRegex,
     Star,
     StarRange,
@@ -61,6 +62,7 @@ from .pathrange import (
     read_path,
     scan,
     subelem,
+    walk,
 )
 
 
@@ -406,114 +408,244 @@ def typecheck(stmt: Chain) -> ob.RpnType:
 # evaluation
 
 
-def _cond_holds(tree: DocTree, v: int, cond: Chain, memo: dict) -> bool:
-    """Whether cond holds at v: some node its first link keeps at v passes
-    the link's own conditions and the later links.
-
-    A goal is a link of a condition at a node, and memo keeps each goal's
-    answer for one evaluation.  A goal's search tries the nodes its link
-    keeps in document order, and at each the link's conditions, then the
-    next link, left to right; it stops at the first witness.  Searches
-    wait on an explicit stack, one frame per undecided goal, so a
-    condition of any length is searched in a loop."""
-    stack: list = []  # frames [goal key, subgoals, candidates, candidate, subgoal]
-    c, i, w = cond, 0, v  # the goal to decide
-    while True:
-        if i == len(c.patoms):
-            held = tree.txt_equals(w, c.end.s)
-        else:
-            key = (id(c), i, w)
-            held = memo.get(key)
-            if held is None:  # search it: open a frame
-                pa = c.patoms[i]
-                goals = [(d, 0) for d in pa.conds] + [(c, i + 1)]
-                hits = apply_range(subelem(tree, w, pa.path), pa.range)
-                stack.append([key, goals, hits, 0, 0])
-        # hand the answer to the frames it decides, until one needs a goal
-        while stack:
-            frame = stack[-1]
-            key, goals, hits, j, k = frame
-            if held is not None:
-                j, k = (j, k + 1) if held else (j + 1, 0)
-            if j < len(hits) and k < len(goals):
-                frame[3], frame[4] = j, k
-                (c, i), w = goals[k], hits[j]
-                break
-            held = memo[key] = j < len(hits)
-            stack.pop()
-        else:
-            return held
-
-
 def eval_rpn(stmt, tree: DocTree, v: int | None = None):
     """The range selects among the path matches first; conditions filter
     the selected nodes afterwards."""
-    holds = partial(_cond_holds, memo={})
-    return _evaluate(stmt, tree, v, holds, range_first=True, cut=False)
+    return _evaluate(stmt, tree, v)
 
 
-def _evaluate(
-    stmt, tree: DocTree, v: int | None, holds, range_first: bool, cut: bool
-):
-    """The value of stmt at v (default: the root) under the given order
-    and condition semantics; every evaluator entry point lands here.  A
-    record evaluates its entries at each node its chain ends on."""
+def _evaluate(stmt, tree: DocTree, v: int | None, wide=None, cut: bool = False):
+    """The value of stmt at v (default: the root); every evaluator entry
+    point lands here.  With wide None, the path-expression semantics.
+    Otherwise conditions filter before the range selects, and they have
+    the single-value semantics, where wide(v, n) is the answer of a
+    condition whose chain reaches n > 1 nodes from v: the error, or a
+    warning to give where the answer is asked.  With cut, a node failing a
+    '!'-marked condition ends the filter scan."""
     start = tree.root() if v is None else v
-    nodes, end = _follow(stmt, tree, [start], holds, range_first, cut), stmt.end
-    if isinstance(end, Txt):
-        return ob.SetVal([tree.txt(w) for w in nodes])
-    if isinstance(end, Record):
-        return ob.SetVal([
-            tuple(_evaluate(e, tree, w, holds, range_first, cut) for e in end.entries)
-            for w in nodes
-        ])
-    raise TypeError(f"not a statement: {end!r}")
+    (value,) = _Walker(tree, wide, cut).values(stmt, [start])
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
-def _follow(chain, tree: DocTree, nodes: list, holds, range_first: bool, cut: bool):
-    """The nodes a statement's or a condition's path atoms reach from nodes.
+class _Walker:
+    """One evaluation, set at a time: a step maps a list of nodes, in
+    document order and without repeats, to what it keeps from each.
 
-    Each step maps the node list, which has no repeats and is in document
-    order, to the nodes its patom keeps from any of them, so a step
-    navigates from each node once however many paths reach it.  It
-    navigates them deepest first into one map, so that a node's walk
-    takes over the hits of a node nested in it (see subelem), and then
-    scans them in document order.
-    range_first applies the patom's range to a node's navigated nodes and
-    then checks holds(tree, w, cond) on the selected ones; otherwise the
-    conditions filter first and the range selects among the survivors.
-    With cut, a node failing a '!'-marked condition ends the filter scan."""
-    for pa in chain.patoms:
-        if len(nodes) == 1:  # nothing to share, and no map to pay for
-            navigated = [subelem(tree, nodes[0], pa.path)]
-        else:
-            done: dict = {}
-            for v in reversed(nodes):
-                done[v] = subelem(tree, v, pa.path, done)
-            navigated = [done[v] for v in nodes]
-        reached = []
-        for hits in navigated:
-            if not pa.conds:  # either order keeps the same nodes
-                reached += apply_range(hits, pa.range)
-            elif range_first:
-                reached += (
-                    w for w in apply_range(hits, pa.range)
-                    if all(holds(tree, w, c) for c in pa.conds)
-                )
+    A step walks from all its nodes at once (pathrange.walk), decides each
+    of its conditions once, at all the nodes it is asked at, and then scans
+    each node's hits in document order as the scan from that node alone
+    does.  Where that scan would raise, the error is kept as the node's
+    outcome, so each origin of a chain gets the first error of its own
+    scan, and the statement raises only the error the scan from its start
+    raises first.  A condition's answer at a node is True, False, or such
+    an error; a lenient answer's warning is given each time it is asked."""
+
+    def __init__(self, tree: DocTree, wide, cut: bool):
+        self.tree, self.wide, self.cut = tree, wide, cut
+        self.decide = self._witness if wide is None else self._single
+        self.warns: dict = {}  # (id(condition), node) -> its answer's warning
+
+    def values(self, stmt, origins: list) -> list:
+        """stmt's value at each of origins: a SetVal, or the error the
+        evaluation from that origin raises first.  A record evaluates each
+        entry once, at all the nodes the origins reach."""
+        reached, end = self.follow(stmt, origins), stmt.end
+        if isinstance(end, Txt):
+            txt = self.tree.txt
+            return [
+                r if isinstance(r, Exception) else ob.SetVal([txt(w) for w in r])
+                for r in reached
+            ]
+        if not isinstance(end, Record):
+            raise TypeError(f"not a statement: {end!r}")
+        nodes, columns = _union(reached), []
+        for e in end.entries:  # a loop: one frame per level of nested records
+            columns.append(dict(zip(nodes, self.values(e, nodes))))
+        out = []
+        for r in reached:
+            if not isinstance(r, Exception):
+                rows = [tuple(col[w] for col in columns) for w in r]
+                errors = [x for row in rows for x in row if isinstance(x, Exception)]
+                r = errors[0] if errors else ob.SetVal(rows)
+            out.append(r)
+        return out
+
+    def follow(self, chain, origins: list) -> list:
+        """For each of origins, the nodes chain's path atoms reach from it,
+        in document order, or the error its scan raises first."""
+        reached, nodes = [[v] for v in origins], origins
+        for pa in chain.patoms:
+            if not nodes:
+                break
+            kept = self._step(pa, nodes)
+            if len(reached) == 1:  # its nodes are all of them
+                reached = [_merge(kept)]
             else:
-                keep = []
+                by = dict(zip(nodes, kept))
+                reached = [
+                    r if isinstance(r, Exception)
+                    else by[r[0]] if len(r) == 1
+                    else _merge([by[u] for u in r])
+                    for r in reached
+                ]
+            nodes = _union(reached)
+        return reached
+
+    def _step(self, pa: Patom, nodes: list) -> list:
+        """What pa keeps from each of nodes, or the error the scan of the
+        node's hits raises first."""
+        hits, rng, conds = _navigate(self.tree, nodes, pa.path), pa.range, pa.conds
+        if not conds:  # either order keeps the same nodes
+            return [_select(h, rng) for h in hits]
+        if self.wide is None:  # the range, then the conditions
+            picked = [_select(h, rng) for h in hits]
+            answers = self._conditions(conds, _union(picked))[0]
+            return [self._keep(h, conds, answers) for h in picked]
+        if self.cut:
+            return [_select(self._cut_scan(h, conds), rng) for h in hits]
+        answers = self._conditions(conds, _union(hits))[0]
+        return [_select(self._keep(h, conds, answers), rng) for h in hits]
+
+    def _conditions(self, conds: tuple, nodes: list) -> tuple:
+        """Each condition's answers, decided at the nodes where the ones
+        before it held, as all() asks them; and the nodes where all held."""
+        answers = []
+        for c in conds:
+            held = self.decide(c, nodes)
+            answers.append(held)
+            nodes = [w for w in nodes if held[w] is True]
+        return answers, nodes
+
+    def _warn(self, c: Chain, w: int) -> None:
+        """Give the warning of c's lenient answer at w, if it has one."""
+        warning = self.warns.get((id(c), w))
+        if warning is not None:
+            warnings.warn(warning)
+
+    def _keep(self, hits, conds: tuple, answers: list):
+        """The hits at which every condition holds, asked in turn up to the
+        first that does not; or the first error asked, or hits' own."""
+        if isinstance(hits, Exception):
+            return hits
+        keep, warns = [], self.warns
+        for w in hits:
+            for c, held in zip(conds, answers):
+                if warns:
+                    self._warn(c, w)
+                a = held[w]
+                if a is not True:
+                    if a is not False:
+                        return a
+                    break
+            else:
+                keep.append(w)
+        return keep
+
+    def _cut_scan(self, hits: list, conds: tuple):
+        """The hits at which every condition holds, up to the first hit
+        that fails a '!'-marked one; every condition is asked at each hit,
+        as a one-node frontier.  Or the first error asked."""
+        keep = []
+        for w in hits:
+            held = []
+            for c in conds:
+                a = self.decide(c, [w])[w]
+                self._warn(c, w)
+                if isinstance(a, Exception):
+                    return a
+                held.append(a)
+            if all(held):
+                keep.append(w)
+            if not all(a for a, c in zip(held, conds) if c.cut):
+                break
+        return keep
+
+    def _witness(self, cond: Chain, nodes: list) -> dict:
+        """The path-expression semantics: cond holds at a node when some
+        node its first link keeps there passes the link's conditions and
+        the later links.  A forward pass decides each link's conditions at
+        every node the link keeps from the nodes before it; a backward pass
+        gives each node the answer of the first node its link keeps, in
+        document order, whose answer is not False: True, or the error the
+        search from it raises.  A range error at the node is its answer."""
+        links = []
+        for pa in cond.patoms:
+            hits = _navigate(self.tree, nodes, pa.path)
+            picked = [_select(h, pa.range) for h in hits]
+            answers, passed = self._conditions(pa.conds, _union(picked))
+            links.append((nodes, picked, answers))
+            nodes = passed
+        s, equals = cond.end.s, self.tree.txt_equals
+        held = {w: equals(w, s) for w in nodes}
+        for nodes, picked, answers in reversed(links):
+            after, held = held, {}
+            for u, hits in zip(nodes, picked):
+                if isinstance(hits, Exception):
+                    held[u] = hits
+                    continue
+                a = False
                 for w in hits:
-                    if cut:  # all run: a marked one may fail after another did
-                        held = [holds(tree, w, c) for c in pa.conds]
-                        if all(held):
-                            keep.append(w)
-                        if not all(ok for ok, c in zip(held, pa.conds) if c.cut):
+                    for b in answers:
+                        a = b[w]
+                        if a is not True:
                             break
-                    elif all(holds(tree, w, c) for c in pa.conds):
-                        keep.append(w)
-                reached += apply_range(keep, pa.range)
-        nodes = reached if len(nodes) == 1 else sorted(set(reached))
-    return nodes
+                    else:
+                        a = after[w]
+                    if a is not False:
+                        break
+                held[u] = a
+        return held
+
+    def _single(self, cond: Chain, nodes: list) -> dict:
+        """The single-value semantics: cond's chain, followed from a node as
+        a statement's is, should reach at most one node, whose text must
+        equal the string.  Reaching more answers wide's error, or with its
+        warning whether one of them has the text."""
+        s, equals, held = cond.end.s, self.tree.txt_equals, {}
+        for v, r in zip(nodes, self.follow(cond, nodes)):
+            if isinstance(r, Exception):
+                held[v] = r
+            elif len(r) > 1:
+                a = self.wide(v, len(r))
+                if isinstance(a, Warning):
+                    self.warns[id(cond), v] = a
+                    a = any(equals(u, s) for u in r)
+                held[v] = a
+            else:
+                held[v] = bool(r) and equals(r[0], s)
+        return held
+
+
+def _navigate(tree: DocTree, nodes: list, path) -> list:
+    """Each node's hits: subelem's for one node, one walk for more."""
+    if len(nodes) == 1:
+        return [subelem(tree, nodes[0], path)]
+    return walk(tree, nodes, path)
+
+
+def _select(hits, rng: Range):
+    """apply_range, or the error it raises, or hits if they are an error."""
+    if isinstance(hits, Exception):
+        return hits
+    try:
+        return apply_range(hits, rng)
+    except RangeError as e:
+        return e
+
+
+def _merge(parts: list):
+    """The union of node lists in document order, or the first error."""
+    for p in parts:
+        if isinstance(p, Exception):
+            return p
+    return parts[0] if len(parts) == 1 else sorted(set().union(*parts))
+
+
+def _union(outcomes: list) -> list:
+    """The union of the node lists among outcomes, in document order."""
+    return _merge([r for r in outcomes if not isinstance(r, Exception)])
 
 
 # ---------------------------------------------------------------------------

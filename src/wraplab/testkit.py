@@ -780,6 +780,7 @@ class StmtGenSpec:
     max_chain: int = 4
     max_depth: int = 3
     range_pool: tuple = ("*", "index", "interval", "union")
+    condition_range_pool: tuple | None = None  # None: range_pool
     condition_probability: float = 0.4
     cut_probability: float = 0.0
     tags: tuple = ("a", "b", "c", "d")
@@ -795,8 +796,8 @@ def gen_stmt(spec: StmtGenSpec) -> str:
         s = rng.choice(spec.text_pool)
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    def a_range() -> str:
-        kind = rng.choice(spec.range_pool)
+    def a_range(pool: tuple = spec.range_pool) -> str:
+        kind = rng.choice(pool)
         if kind == "*":
             return "[*]"
         if kind == "index":
@@ -810,6 +811,8 @@ def gen_stmt(spec: StmtGenSpec) -> str:
             return f"[{lo},{hi}]"
         if kind == "last":
             return "[last]"
+        if kind == "regex":
+            return f"[{rng.choice(_RAW_RANGES)}]"
         raise ValueError(f"unknown range pool entry {kind!r}")
 
     def a_path() -> str:
@@ -833,7 +836,7 @@ def gen_stmt(spec: StmtGenSpec) -> str:
         for _ in range(rng.randint(1, 2)):
             step = a_path()
             if rng.random() < 0.5:
-                step += a_range()
+                step += a_range(spec.condition_range_pool or spec.range_pool)
             if not helvf and depth > 0 and rng.random() < 0.15:
                 step += "{" + a_cond(depth - 1) + "}"
             steps.append(step)

@@ -164,6 +164,11 @@ RANGE_FAULTS = {  # wrapper -> (its text, the one line's text after the name)
         _PROGRAM + "q(X0, X) :- p(_, X0), subelem[(b|)](X0, X).",
         "line 3: unexpected ')'",
     ),
+    "end.rpn": ("(a.", "at 3: unexpected end of path"),
+    "end.elog": (
+        _PROGRAM + "q(X0, X) :- p(_, X0), subelem[a.](X0, X).",
+        "line 3: unexpected end of path",
+    ),
 }
 
 
@@ -337,34 +342,32 @@ def test_run_statement_on_a_large_document(wrapctl, tmp_path, shape):
         assert rc == 0
 
 
-DEEP_CONDITIONS = {  # statement, document, value, and whether to run the
-    # .rpn too: evaluated directly, a descendant condition at every level
-    # still costs the depth per node
-    "own_text": ('(_*.a){txt = "t"}.txt', "<a>t" * BIG + "</a>" * BIG, ["t"], True),
-    "descendant": (
-        '(_*.a){(_*.b).txt = "x"}.b.txt',
-        "<a>" * BIG + "<b>x</b>" + "</a>" * BIG,
-        ["x"],
-        False,
-    ),
+DEEP_A_B = "<a>" * BIG + "<b>x</b>" + "</a>" * BIG
+DEEP_CONDITIONS = {  # statement, its wrapper's suffix, document, value
+    "own_text": ('(_*.a){txt = "t"}.txt', "rpn", "<a>t" * BIG + "</a>" * BIG, ["t"]),
+    "descendant": ('(_*.a){(_*.b).txt = "x"}.b.txt', "rpn", DEEP_A_B, ["x"]),
+    "descendant_vhel": ('->a{->b.txt = "x"}.b.txt;', "vhel", DEEP_A_B, ["x"]),
 }
 
 
 @pytest.mark.parametrize("case", DEEP_CONDITIONS)
 def test_run_condition_on_a_deep_document(wrapctl, tmp_path, case):
-    stmt, doc, expect, direct = DEEP_CONDITIONS[case]
+    # a condition is decided once for all the a's its step reaches, each
+    # a's walk taking over the hits of the a nested in it, directly and
+    # through the translation's holders
+    stmt, suffix, doc, expect = DEEP_CONDITIONS[case]
     d = tmp_path / "deep.doc"
     d.write_text(doc)
-    w = tmp_path / "s.rpn"
+    w = tmp_path / f"s.{suffix}"
     w.write_text(stmt)
     rc, program, _ = wrapctl("translate", w, "--to", "elog")
     assert rc == 0
     p = tmp_path / "s.elog"
     p.write_text(program)
-    for wrapper, out_flags in [(p, ["--out", "json"])] + [(w, [])] * direct:
+    for wrapper, out_flags in [(p, ["--out", "json"]), (w, [])]:
         rc, out, err = wrapctl("run", wrapper, d, *out_flags)
-        assert (rc, err) == (0, "")
-        assert json.loads(out) == expect
+        assert (rc, err) == (0, ""), wrapper
+        assert json.loads(out) == expect, wrapper
 
 
 @pytest.mark.parametrize("shape", ["deep", "wide"])

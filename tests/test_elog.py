@@ -598,20 +598,20 @@ def test_quadratic_body_runs_at_most_once_per_parent(quadratic, body_runs):
 
 def test_quadratic_navigates_from_each_b_alone(quadratic, monkeypatch):
     # label(X0, b) is checked before navigating, so no other node of the
-    # dom parent's image is navigated from
-    calls = [0]
-    subelem = elog.subelem
+    # dom parent's image is handed to the walk
+    contexts = [0]
+    walk = elog.walk
 
-    def counted(*args):
-        calls[0] += 1
-        return subelem(*args)
+    def counted(tree, nodes, *args):
+        contexts[0] += len(nodes)
+        return walk(tree, nodes, *args)
 
-    monkeypatch.setattr(elog, "subelem", counted)
+    monkeypatch.setattr(elog, "walk", counted)
     for m, n in ((1, 5), (20, 50)):
-        calls[0] = 0
+        contexts[0] = 0
         store = elog.eval_fixpoint(quadratic, parse_document(bchain_doc(m, n)))
         assert len(store.pairs["p"]) == m * n
-        assert calls[0] == m
+        assert contexts[0] == m
 
 
 class _CountedList(list):

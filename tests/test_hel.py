@@ -375,6 +375,31 @@ def test_single_value_degrades_to_existential_in_lenient_mode(doc1):
     assert ob.to_jsonable(v) == ["item"]
 
 
+# the outer a (2) holds a b (9) after the inner a (3) and its b (4)
+NESTED_VIOLATIONS = "<r><a><a><b><c>1</c><c>2</c></b></a><b><c>3</c><c>4</c></b></a></r>"
+
+
+def test_strict_mode_names_the_violation_its_scan_meets_first():
+    # the b step scans the outer a's hits before the inner a's, so node 9
+    # fails first, though node 4 comes first in the document
+    w = hel.parse_vhel('r->a.b{c.txt = "1"}.c.txt;')
+    tree = parse_document(NESTED_VIOLATIONS)
+    with pytest.raises(hel.SingleValueViolation) as e:
+        hel.eval_vf(w, tree)
+    assert str(e.value) == (
+        "condition path reaches 2 nodes under node 9; it should reach at most one"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        v = hel.eval_vf(w, tree, strict=False)
+    assert ob.to_jsonable(v) == ["1", "2"]
+    assert [(c.category, str(c.message)) for c in caught] == [
+        (hel.SingleValueWarning, f"condition path reaches 2 nodes under node {n}; "
+         "it should reach at most one")
+        for n in (9, 4)
+    ]
+
+
 def test_single_valued_conditions_never_warn(doc1):
     d = hel.desugar(hel.parse_hel(ITEMS_HEL))
     with warnings.catch_warnings():

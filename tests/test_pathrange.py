@@ -172,7 +172,7 @@ def test_child_step_from_the_top_of_a_deep_chain_allocates_little():
 
 
 class _Done(dict):
-    """A done map that counts the walks it spliced into: subelem reads an
+    """A done map that counts the passes it spliced into: walk reads an
     item only to take over a nested context's hits."""
 
     spliced = 0
@@ -184,8 +184,8 @@ class _Done(dict):
 
 @pytest.mark.parametrize("profile", sorted(tk.TREE_PROFILES))
 def test_nested_contexts_share_one_walk(profile):
-    # contexts navigated deepest first into one map, as _follow and the
-    # chain rules do; each list must equal the context's own naive walk
+    # one walk over many contexts, as the statement walker and the chain
+    # rules make; each list must equal the context's own naive walk
     spliced = 0
     for seed in range(150):
         spec = tk.TreeGenSpec.profile(profile, seed, max_nodes=60)
@@ -197,10 +197,8 @@ def test_nested_contexts_share_one_walk(profile):
         p = pr.parse_path(text)
         contexts = sorted(rnd.sample(range(len(t)), rnd.randint(1, len(t))))
         done = _Done()
-        for v in reversed(contexts):
-            done[v] = pr.subelem(t, v, p, done)
-        for v in contexts:
-            assert dict.get(done, v) == tk.naive_subelem(t, v, p), (seed, text, v)
+        for v, hits in zip(contexts, pr.walk(t, contexts, p, done), strict=True):
+            assert hits == dict.get(done, v) == tk.naive_subelem(t, v, p), (seed, text, v)
         spliced += done.spliced
     assert spliced >= 100, spliced
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -12,6 +13,7 @@ from wraplab import elog, hel
 from wraplab import objects as ob
 from wraplab import pathrange as pr
 from wraplab import rpn
+from wraplab import testkit as tk
 from wraplab.doctree import parse_document
 from wraplab.pathrange import Atom, Index
 from wraplab.testkit import (
@@ -304,6 +306,48 @@ def test_sets_list_values_in_the_document_order_of_their_first_nodes(text, expec
     )
 
 
+def _deepest(make) -> int:
+    """The deepest nesting make(depth) whose text the parser reads."""
+    lo, hi = 1, 2000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            rpn.parse_rpn(make(mid))
+            lo = mid
+        except RecursionError:
+            hi = mid - 1
+    return lo
+
+
+def _nested_records(depth: int) -> str:
+    stmt = "b.txt"
+    for _ in range(depth):
+        stmt = f"b.(b.txt # {stmt})"
+    return f"a.(b.txt # {stmt})"
+
+
+def _nested_conditions(depth: int) -> str:
+    cond = 'b.txt = "x"'
+    for _ in range(depth):
+        cond = f'b{{{cond}}}.txt = "x"'
+    return f"a{{{cond}}}.txt"
+
+
+@pytest.mark.parametrize("make", [_nested_records, _nested_conditions])
+def test_wrappers_nested_as_deep_as_they_parse_evaluate(make):
+    # evaluation takes fewer frames per level of nesting than parsing
+    depth = _deepest(make)
+    assert depth > 100
+    w = rpn.parse_rpn(make(depth))
+    tree = parse_document("<a>" + "<b>" * 400 + "x" + "</b>" * 400 + "</a>")
+    value = ob.json_text(rpn.eval_rpn(w, tree))
+    if make is _nested_conditions:
+        assert value == '["x"]'
+    else:  # x at every level: [[["x"], [[["x"], ... ["x"]]]]]
+        assert value == '[[["x"], ' * (depth + 1) + '["x"]' + "]]" * (depth + 1)
+        assert ob.json_text(hel.eval_vf(w, tree)) == value
+
+
 def test_record_is_a_singleton_set(doc1):
     w = rpn.parse_rpn("html.body.table.tr[0].(td[0].txt # td[1].txt)")
     assert ob.to_jsonable(rpn.eval_rpn(w, doc1)) == [[["item"], ["A"]]]
@@ -569,6 +613,22 @@ def test_descendant_steps_read_linearly_many_tags(route):
     assert counts[1] / counts[0] <= 4.5, counts
 
 
+@pytest.mark.parametrize("dialect", ["rpn", "vhel"])
+def test_descendant_conditions_read_linearly_many_tags(dialect):
+    # a condition is decided once for all the a's its step reaches, so its
+    # walk from each a takes over the hits of the a nested in it
+    if dialect == "rpn":
+        w, run = rpn.parse_rpn('(_*.a){(_*.b).txt = "x"}.b.txt'), rpn.eval_rpn
+    else:
+        w, run = hel.parse_vhel('->a{->b.txt = "x"}.b.txt;'), hel.eval_vf
+    counts = []
+    for n in (1000, 4000):
+        tree = _nested_a(n, "<b>x</b>")
+        assert ob.to_jsonable(run(w, tree)) == ["x"]
+        counts.append(tree.tags.reads)
+    assert counts[1] / counts[0] <= 4.5, counts
+
+
 def test_condition_links_are_decided_once_per_node():
     # the condition fails at every a, so each search runs to its end; a
     # link's answer at a node is then reused by every search reaching it
@@ -579,6 +639,62 @@ def test_condition_links_are_decided_once_per_node():
         assert ob.to_jsonable(rpn.eval_rpn(w, tree)) == []
         counts.append(tree.tags.reads)
     assert counts[1] / counts[0] <= 4.5, counts
+
+
+FIRST_WITNESS_DOC = "<r><a><c><b>x</b></c><c><b>x</b><b>y</b></c></a></r>"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('r.a{c.b[regex:1].txt = "x"}.c.b.txt', ["x", "y"]),
+    ('r.a{c.b[regex:1].txt = "y"}.c.b.txt', "NoWordOfLength"),
+], ids=["witness_first", "error_first"])
+def test_a_condition_search_stops_at_its_first_witness(text, expected):
+    # regex:1 has no word of length 2, the b's of the second c: the search
+    # for "x" stops at the first c, the one for "y" reaches the second
+    tree, w = parse_document(FIRST_WITNESS_DOC), rpn.parse_rpn(text)
+    got = _outcome(lambda: rpn.eval_rpn(w, tree))
+    assert got == _outcome(lambda: naive_rpn(tree, w))
+    assert got == (expected if isinstance(expected, str) else frozenset(expected))
+
+
+def _outcome(evaluate):
+    """evaluate()'s plain value, or the name of the range error it raises."""
+    try:
+        return plain(evaluate())
+    except (pr.RangeError, tk.NoWordOfLength, tk.MultipleWords) as e:
+        return type(e).__name__
+
+
+def _has_regex_condition(chain) -> bool:
+    return any(
+        isinstance(cpa.range, pr.RawRegex) or _has_regex_condition(c)
+        for pa in chain.patoms for c in pa.conds for cpa in c.patoms
+    ) or isinstance(chain.end, rpn.Record) and any(
+        map(_has_regex_condition, chain.end.entries)
+    )
+
+
+def test_regex_ranged_conditions_match_the_naive_oracle():
+    # a condition link's regex range raises at a node only where the search
+    # reaches it: the evaluator and the oracle give one value or both raise
+    outcomes = Counter()
+    for seed in range(1200):
+        spec = TreeGenSpec.profile("one_tag", seed, max_nodes=40)
+        tree = gen_tree(spec)
+        w = rpn.parse_rpn(gen_stmt(StmtGenSpec(
+            seed=seed, tags=spec.tags, max_chain=1, max_depth=1,
+            range_pool=("*", "index"), condition_range_pool=("regex",),
+            condition_probability=1.0, text_pool=("", "x", "xx"),
+        )))
+        regex = _has_regex_condition(w)
+        for v in tree.nodes():
+            if tree.label(v) == "#text":
+                continue
+            got = _outcome(lambda: rpn.eval_rpn(w, tree, v))
+            assert got == _outcome(lambda: naive_rpn(tree, w, v)), (seed, v)
+            kind = "raised" if isinstance(got, str) else "value" if got else "empty"
+            outcomes[regex, kind] += 1
+    assert outcomes[True, "value"] >= 40 and outcomes[True, "raised"] >= 800, outcomes
 
 
 @pytest.mark.parametrize("profile", ["deep", "one_tag"])
