@@ -630,8 +630,8 @@ def test_descendant_conditions_read_linearly_many_tags(dialect):
 
 
 def test_condition_links_are_decided_once_per_node():
-    # the condition fails at every a, so each search runs to its end; a
-    # link's answer at a node is then reused by every search reaching it
+    # the condition fails at every a, so each search runs to its end; each
+    # link is decided once, at all the nodes the link before it keeps
     w = rpn.parse_rpn('(_*.a){(_*.a).(_*.a).(_*.b).txt = "x"}.txt')
     counts = []
     for n in (40, 80):
@@ -669,8 +669,6 @@ def _has_regex_condition(chain) -> bool:
     return any(
         isinstance(cpa.range, pr.RawRegex) or _has_regex_condition(c)
         for pa in chain.patoms for c in pa.conds for cpa in c.patoms
-    ) or isinstance(chain.end, rpn.Record) and any(
-        map(_has_regex_condition, chain.end.entries)
     )
 
 
