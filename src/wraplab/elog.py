@@ -36,7 +36,7 @@ A dom rule is evaluated one of two ways.  When it lies outside a
 recursive component, has no range regex, and its body is solved as checks
 on X, then ``contains[pi][rho](X, Y)``, then atoms that never mention X,
 ``pathrange.holders`` derives the nodes whose range-selected matches
-include a Y satisfying those atoms in one pass over the document, for a
+include a Y satisfying those atoms for the whole document at once, for a
 finite path or the ``*`` range; the checks on X and the rule range then
 select from that image in document order.  Every other dom rule runs its
 body at each node of the document.
@@ -69,7 +69,6 @@ from .pathrange import (
     parse_range,
     path_to_text,
     range_to_text,
-    subelem,
     walk,
 )
 
@@ -480,13 +479,14 @@ def _stopped(text: str, end: int, m, head: bool) -> ElogSyntaxError:
 
 def _read_atoms(text: str, end: int) -> tuple:
     """Read the rule in text[:end] left to right, one match per atom: the
-    head, then the body atoms, as (name, brackets, args) tuples, and the
-    text of a trailing rule range or None."""
+    head, then the body atoms, as (name, brackets, args) tuples, and a
+    trailing rule range or None.  Each bracket group, and the rule range,
+    is its body's text and the index in text where the body starts."""
     atoms = []
     pos = 0
     while True:
         m = _ATOM.match(text, pos, end)
-        name, b1, b2, a1, a2, _, sep, rng = m.groups()
+        name, _, _, a1, a2, _, sep, rng = m.groups()
         if sep is None and rng is None:
             raise _stopped(text, end, m, not atoms)
         if not atoms and sep != ":-":
@@ -495,12 +495,12 @@ def _read_atoms(text: str, end: int) -> tuple:
             raise ElogSyntaxError("unexpected ':-'", column=m.start(7) + 1)
         atoms.append((
             name,
-            () if b1 is None else (b1,) if b2 is None else (b1, b2),
+            tuple((m[g], m.start(g)) for g in (2, 3) if m[g] is not None),
             (a1.strip(),) if a2 is None else (a1.strip(), a2.strip()),
         ))
         pos = m.end()
         if sep != "," and sep != ":-":
-            return atoms, rng
+            return atoms, None if rng is None else (rng, m.start(8))
 
 
 def _unquote(token: str) -> str:
@@ -514,16 +514,33 @@ def _unquote(token: str) -> str:
 
 
 def _bracket_path(name: str, brackets: tuple):
+    """The path in an atom's first group.  A fault in a bare path names the
+    column of its character, one in a literal the literal's column."""
     if not brackets:
         raise ElogSyntaxError(f"{name} needs a [path] bracket")
-    raw = brackets[0].strip()
-    if raw.startswith('"'):
-        raw = _unquote(raw)
-    return parse_path(raw)
+    body, at = brackets[0]
+    raw = body.strip()
+    at += len(body) - len(body.lstrip())  # raw's index in the line
+    quoted = raw.startswith('"')
+    try:
+        return parse_path(_unquote(raw) if quoted else raw)
+    except TextError as e:
+        e.column = at + 1 + (0 if quoted or e.pos is None else e.pos)
+        raise
+
+
+def _group_range(group: tuple) -> Range:
+    """The range in a group; a fault in it names the group's '['."""
+    body, at = group
+    try:
+        return parse_range(body)
+    except TextError as e:
+        e.column = at  # the '[' is at index at - 1
+        raise
 
 
 def _bracket_range(brackets: tuple) -> Range:
-    return parse_range(brackets[1]) if len(brackets) > 1 else StarRange()
+    return _group_range(brackets[1]) if len(brackets) > 1 else StarRange()
 
 
 def _var_arg(name: str, tok: str) -> str:
@@ -581,7 +598,7 @@ def _parse_rule(text: str, end: int):
     if head_brackets or len(head_args) != 2:
         raise ElogSyntaxError("head must be p(V0, V)")
     if rule_range is not None:
-        rule_range = parse_range(rule_range)
+        rule_range = _group_range(rule_range)
     name, brackets, args = first
     v0var = _var_arg(head, head_args[0])
     xvar = _var_arg(head, head_args[1])
@@ -918,23 +935,15 @@ class _Eval:
         return {aut for aut, n in uses.items() if n > 1}
 
     def _navigation(self, path):
-        """The hits from a node along path, for a contains atom.  When the
-        automaton is shared (see _shared_automata), each node's list is
-        kept, and a walk takes over the kept list of a node nested in its
-        start that it enters in the start state, whichever navigation kept
-        it (see walk)."""
+        """The hits from a node along path, for a contains atom: a walk
+        from the node.  When the automaton is shared (see
+        _shared_automata), the walks keep each node's list, so a node is
+        walked once, and a walk takes over the kept list of a node nested
+        in its start that it enters in the start state, whichever
+        navigation kept it (see walk)."""
         aut, tree = compile_path(path), self.tree
         kept = self._sub.get(aut)
-        if kept is None:
-            return lambda v0: subelem(tree, v0, aut)
-
-        def hits(v0: int) -> list[int]:
-            found = kept.get(v0)
-            if found is None:
-                found = walk(tree, (v0,), aut, kept)[0]
-            return found
-
-        return hits
+        return lambda v0: walk(tree, (v0,), aut, kept)[0]
 
     def parents_of(self, rule) -> list[int]:
         if rule.parent == "root":

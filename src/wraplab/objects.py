@@ -60,10 +60,9 @@ Value = object  # str | tuple | SetVal
 
 
 def to_jsonable(value: Value):
-    """The value as nested lists of strings, as json_text writes it."""
-    if isinstance(value, str):
-        return value
-    return [to_jsonable(v) for v in value]
+    """The value as nested lists of strings, as json_text writes it; read
+    back from that text, so no nesting depth recurses in Python."""
+    return json.loads(json_text(value))
 
 
 def json_text(value: Value) -> str:

@@ -6,7 +6,9 @@ downward label word (labels strictly below v0 along the unique path, ending
 at v's own label) belongs to a regular language; a range then picks
 positions out of each document-ordered hit list.  A start node itself is
 selected exactly when the empty word is in the language.  subelem is the
-walk from one start node.
+walk from one start node, and holders derives a condition's node set for a
+whole document with one walk, or, for a ``*`` range over an infinite
+language, with one bottom-up pass.
 
 Ranges come in structured forms (star, index, interval, unions, last) that
 select by direct indexing and never fail, and as raw regular expressions
@@ -772,17 +774,20 @@ def subelem(tree: DocTree, v0: int, path) -> list[int]:
 
 def holders(tree: DocTree, path: PathRegex, rng: Range, test) -> list[int]:
     """In id order, the nodes x for which some node of
-    ``apply_range(subelem(tree, x, path), rng)`` passes test, in one pass.
+    ``apply_range(subelem(tree, x, path), rng)`` passes test.
 
     A finite path language, whose longest word has L labels, takes one
-    top-down pass: every node carries the DFA runs still alive there, one
-    per context at most L above it, so each context gathers its hits in
-    document order in O(N·L); the range, which must be structured, then
-    selects per context.  Any other path needs the ``*`` range: one
-    bottom-up pass over the ids in descending order gives each node the
-    bitmask of NFA states from which its subtree completes a match at a
-    node passing test, ORed into its parent's through its own tag with
-    ``PathAutomaton.pre``, in O(N).  test runs at most once per node.
+    walk.  Its contexts are every node when the path matches the empty
+    word, and otherwise the parents of the nodes whose tag steps the start
+    state to a live one, the only nodes with a hit.  A context's pass stops
+    below any node whose state has no labelled move, so it visits its
+    nodes at most L levels down, and the walk costs O(N·L); the range,
+    which must be structured, then selects per context.  Any other path
+    needs the ``*`` range: one bottom-up pass over the ids in descending
+    order gives each node the bitmask of NFA states from which its subtree
+    completes a match at a node passing test, ORed into its parent's
+    through its own tag with ``PathAutomaton.pre``, in O(N).  test runs at
+    most once per node.
     """
     aut = compile_path(path)
     tags, parents = tree.tags, tree.parents
@@ -808,39 +813,17 @@ def holders(tree: DocTree, path: PathRegex, rng: Range, test) -> list[int]:
         out.reverse()
         return out
 
-    delta, accept, step, start = aut.delta, aut.accept, aut.step, aut.start
-    hits: defaultdict = defaultdict(list)  # context -> its hits in order
-    if accept[start]:
-        for x in range(n):
-            hits[x].append(x)
-    # per node: (context, state) of the runs alive there, besides the one
-    # that starts at the node itself
-    runs: list = [()] * n
-    first = delta[start]
-    for v in range(1, n):
-        p, tag = parents[v], tags[v]
-        d = first.get(tag)
-        if d is None:
-            d = step(start, tag)
-        prev = runs[p]
-        if not (d or prev):
-            continue
-        live = [(p, d)] if d else []
-        if d and accept[d]:
-            hits[p].append(v)
-        for x, s in prev:
-            d = delta[s].get(tag)
-            if d is None:
-                d = step(s, tag)
-            if d:
-                live.append((x, d))
-                if accept[d]:
-                    hits[x].append(v)
-        if live:
-            runs[v] = live
+    start = aut.start
+    if aut.accept[start]:
+        contexts = range(n)
+    else:  # the parents of the nodes whose tag leaves the start state alive
+        first = aut.delta[start]
+        live = {
+            t for t in set(tags) if (first[t] if t in first else aut.step(start, t))
+        }
+        contexts = sorted({parents[v] for v in range(1, n) if tags[v] in live})
     out, passed = [], {}
-    for x in sorted(hits):
-        seq = hits[x]
+    for x, seq in zip(contexts, walk(tree, contexts, aut)):
         for i in _positions(rng, len(seq)):
             y = seq[i]
             ok = passed.get(y)

@@ -142,7 +142,8 @@ def test_ambiguous_regex_range_fails_at_parse_on_one_line(
         "translate": ("translate", w, "--to", "elog"),
         "diff": ("diff", w, w, d),
     }[command]
-    at = "line 1" if ext == "elog" else "at 3"  # the offset of '[regex:...]'
+    # the place of '[regex:...]'
+    at = "line 1, column 35" if ext == "elog" else "at 3"
     assert wrapctl(*argv) == (
         1, "", f"wrapctl: {w}: {at}: range regex has several words of length 2\n"
     )
@@ -158,16 +159,16 @@ RANGE_FAULTS = {  # wrapper -> (its text, the one line's text after the name)
     ),
     "range.elog": (
         _PROGRAM + "q(X0, X) :- p(_, X0), subelem[b](X0, X), contains[c][0,x](X, Y).",
-        "line 3: bad range item 'x'",
+        "line 3, column 53: bad range item 'x'",
     ),
     "path.elog": (
         _PROGRAM + "q(X0, X) :- p(_, X0), subelem[(b|)](X0, X).",
-        "line 3: unexpected ')'",
+        "line 3, column 34: unexpected ')'",
     ),
     "end.rpn": ("(a.", "at 3: unexpected end of path"),
     "end.elog": (
         _PROGRAM + "q(X0, X) :- p(_, X0), subelem[a.](X0, X).",
-        "line 3: unexpected end of path",
+        "line 3, column 33: unexpected end of path",
     ),
 }
 
@@ -175,7 +176,7 @@ RANGE_FAULTS = {  # wrapper -> (its text, the one line's text after the name)
 @pytest.mark.parametrize("name", RANGE_FAULTS)
 def test_range_and_path_faults_name_their_place(wrapctl, tmp_path, name):
     # a statement's offset counts from its start, whatever group the range
-    # is in; a program's faults name their line
+    # is in; a program's faults name their line and column
     text, message = RANGE_FAULTS[name]
     w = tmp_path / name
     w.write_text(text)

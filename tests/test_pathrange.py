@@ -224,12 +224,15 @@ def _naive_holders(t, p, rng, test) -> list:
 @given(
     st.sampled_from(sorted(tk.TREE_PROFILES)),
     st.integers(0, 10**6),
-    st.integers(0, 10**6),
+    st.one_of(  # gen_path_text draws no (), so the empty word is added here
+        st.integers(0, 10**6).map(lambda seed: tk.gen_path_text(seed, max_depth=3)),
+        st.sampled_from(["()", "(a|())", "(_._|())"]),
+    ),
     st.sampled_from(["*", "0", "1", "1-2", "0,2", "last"]),
 )
-def test_holders_match_per_node_selection(profile, tree_seed, path_seed, rng_text):
+def test_holders_match_per_node_selection(profile, tree_seed, path_text, rng_text):
     t = tk.gen_tree(tk.TreeGenSpec.profile(profile, tree_seed, max_nodes=40))
-    p = pr.parse_path(tk.gen_path_text(path_seed, max_depth=3))
+    p = pr.parse_path(path_text)
     rng = pr.parse_range(rng_text if pr.is_finite(p) else "*")
     for test in (lambda y: True, lambda y: t.tags[y] in ("a", "#text")):
         assert pr.holders(t, p, rng, test) == _naive_holders(t, p, rng, test)
@@ -241,6 +244,48 @@ def test_holders_call_the_test_once_per_node():
         seen = []
         pr.holders(t, pr.parse_path(text), pr.StarRange(), lambda y: seen.append(y) or False)
         assert len(seen) == len(set(seen)) == len(t)
+
+
+class _CountedList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def _chain_or_list(shape: str, n: int) -> DocTree:
+    """n nodes below the root, tagged a, a, b in turn: one chain, or a
+    list of a and b items, each over one a or b."""
+    tags = ["#doc"] + ["aab"[i % 3] for i in range(n)]
+    if shape == "deep":
+        parents = [None, *range(n)]
+    else:
+        parents = [None] + [0 if i % 2 == 0 else i for i in range(n)]
+    return DocTree.from_parents(tags, parents, [""] * (n + 1))
+
+
+@pytest.mark.parametrize("shape", ["deep", "wide"])
+@pytest.mark.parametrize("text", ["a.a[0]", "a.b[last]", "(a|())[0]", "_._[1]"])
+def test_finite_holders_read_linearly_many_tags(shape, text):
+    # each context's walk stops below its hits' level, so no node is read
+    # from more contexts than the path has labels
+    path, rng = text.rsplit("[", 1)
+    p, r = pr.parse_path(path), pr.parse_range(rng.rstrip("]"))
+    test = lambda y: y % 2 == 0
+    counts = []
+    for n in (1000, 4000):
+        t = _chain_or_list(shape, n)
+        expected = [
+            x for x in t.nodes()
+            if any(map(test, pr.apply_range(pr.subelem(t, x, p), r)))
+        ]
+        t.tags = tags = _CountedList(t.tags)
+        assert pr.holders(t, p, r, test) == expected
+        counts.append(tags.reads)
+    assert counts[1] / counts[0] <= 4.5, counts
 
 
 def _rows(n: int) -> str:

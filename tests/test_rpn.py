@@ -340,12 +340,16 @@ def test_wrappers_nested_as_deep_as_they_parse_evaluate(make):
     assert depth > 100
     w = rpn.parse_rpn(make(depth))
     tree = parse_document("<a>" + "<b>" * 400 + "x" + "</b>" * 400 + "</a>")
-    value = ob.json_text(rpn.eval_rpn(w, tree))
+    val = rpn.eval_rpn(w, tree)
+    value, expected = ob.json_text(val), ["x"]
     if make is _nested_conditions:
         assert value == '["x"]'
     else:  # x at every level: [[["x"], [[["x"], ... ["x"]]]]]
         assert value == '[[["x"], ' * (depth + 1) + '["x"]' + "]]" * (depth + 1)
         assert ob.json_text(hel.eval_vf(w, tree)) == value
+        for _ in range(depth + 1):
+            expected = [[["x"], expected]]
+    assert ob.to_jsonable(val) == expected
 
 
 def test_record_is_a_singleton_set(doc1):
