@@ -1,8 +1,9 @@
-"""wrapctl: run, translate, check, diff, and benchmark tree wrappers.
+"""wrapctl: run, translate, check, and diff tree wrappers.
 
 Languages are detected by file extension alone: .rpn and .vhel hold one
 statement, .hel one statement with variables, .elog a datalog program,
-.doc a document.  Wrapper problems exit with 1, document problems with 2.
+.doc a document.  Wrapper problems and usage errors exit with 1, document
+problems with 2.
 """
 
 from __future__ import annotations
@@ -10,16 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 import warnings
-from importlib import resources
 
 from . import elog, hel
 from . import objects as ob
 from . import rpn
 from .doctree import DocTree, MalformedInput, parse_document, serialize
 from .pathrange import RangeError, TextError
-from .testkit import TreeGenSpec, bchain_doc, gen_tree, items_doc, shrink_tree
+from .testkit import TreeGenSpec, gen_tree, shrink_tree
 
 
 class WrapperError(Exception):
@@ -108,15 +107,6 @@ class Wrapper:
         ) as e:
             raise WrapperError(f"{self.path}: {e}") from None
 
-    def value(self, tree: DocTree, strict: bool = True, cut: bool = False):
-        _, val = self.evaluate(tree, strict=strict, cut=cut)
-        if val is None:
-            raise WrapperError(
-                f"{self.path}: program has no output schema, so it yields "
-                "atoms rather than an object"
-            )
-        return val
-
 
 # ---------------------------------------------------------------------------
 # commands
@@ -156,15 +146,13 @@ def cmd_translate(args) -> int:
         except ValueError as e:
             raise WrapperError(f"{w.path}: {e}") from None
         return 0
-    if args.to == "elog":
-        translate = rpn.translate_rpn if w.lang == "rpn" else hel.translate_vf
-        try:  # a nested condition is translated one recursive call per level
-            prog, _, _ = translate(w.ast)
-        except (ValueError, elog.ElogError, RecursionError) as e:
-            raise WrapperError(f"{w.path}: {e}") from None
-        sys.stdout.write(elog.serialize_elog(prog))
-        return 0
-    raise WrapperError(f"unsupported target {args.to!r}")
+    translate = rpn.translate_rpn if w.lang == "rpn" else hel.translate_vf
+    try:  # a nested condition is translated one recursive call per level
+        prog, _, _ = translate(w.ast)
+    except (ValueError, elog.ElogError, RecursionError) as e:
+        raise WrapperError(f"{w.path}: {e}") from None
+    sys.stdout.write(elog.serialize_elog(prog))
+    return 0
 
 
 def cmd_check(args) -> int:
@@ -182,11 +170,15 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _diff_pair(a: Wrapper, b: Wrapper, tree: DocTree, label: str) -> bool:
+def _lenient(w: Wrapper, tree: DocTree):
+    """w's value on tree, evaluated lenient, without its warnings."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        va = a.value(tree, strict=False)
-        vb = b.value(tree, strict=False)
+        return w.evaluate(tree, strict=False)[1]
+
+
+def _diff_pair(a: Wrapper, b: Wrapper, tree: DocTree, label: str) -> bool:
+    va, vb = _lenient(a, tree), _lenient(b, tree)
     if va == vb:
         return False
     print(_styled(f"divergence on {label}:", "31"))
@@ -214,9 +206,7 @@ def cmd_diff(args) -> int:
 
     def disagree(tree: DocTree) -> bool:
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return a.value(tree, strict=False) != b.value(tree, strict=False)
+            return _lenient(a, tree) != _lenient(b, tree)
         except WrapperError:
             return False
 
@@ -232,36 +222,21 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.family not in ("quadratic", "parity"):
-        raise WrapperError(f"unknown benchmark family {args.family!r}")
-    if args.m < 1 or args.n < 1:
-        raise WrapperError("m and n must be at least 1")
-    program = elog.parse_elog(
-        (resources.files("wraplab") / "assets" / f"{args.family}.elog").read_text()
-    )
-    if args.family == "quadratic":
-        tree = parse_document(bchain_doc(args.m, args.n))
-        label = f"quadratic m={args.m} n={args.n}"
-    else:
-        tree = parse_document(items_doc(args.n))
-        label = f"parity n={args.n}"
-    start = time.perf_counter()
-    store = elog.eval_fixpoint(program, tree)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    count = sum(len(pairs) for pairs in store.pairs.values())
-    print(f"{label}: {count} atoms in {elapsed:.1f} ms")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument surface
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its usage errors exit 1 on one wrapctl: line, like a wrapper's."""
+
+    def error(self, message):
+        command = self.prog.partition(" ")[2]  # "run" in "wrapctl run"
+        raise WrapperError(f"{command}: {message}" if command else message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wrapctl", description="run, translate, check, diff, and "
-        "benchmark tree wrappers"
+    parser = _Parser(
+        prog="wrapctl", description="run, translate, check, and diff tree wrappers"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -304,20 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_diff)
 
-    p = sub.add_parser("bench", help="time a program family")
-    p.add_argument("--family", default="quadratic",
-                   help="quadratic (m b elements over n leaves) or parity "
-                   "(n list items)")
-    p.add_argument("-m", type=int, default=3)
-    p.add_argument("-n", type=int, default=2)
-    p.set_defaults(fn=cmd_bench)
-
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (WrapperError, DocumentError) as e:
         print(f"wrapctl: {e}", file=sys.stderr)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 from . import elog
 from . import objects as ob
@@ -423,7 +424,9 @@ def _evaluate(stmt, tree: DocTree, v: int | None, wide=None, cut: bool = False):
     warning to give where the answer is asked.  With cut, a node failing a
     '!'-marked condition ends the filter scan."""
     start = tree.root() if v is None else v
-    (value,) = _Walker(tree, wide, cut).values(stmt, [start])
+    (value,), heard = _Walker(tree, wide, cut).values(stmt, [start])
+    for warning in heard.get(start, ()):
+        warnings.warn(warning)
     if isinstance(value, Exception):
         raise value
     return value
@@ -440,50 +443,62 @@ class _Walker:
     outcome, so each origin of a chain gets the first error of its own
     scan, and the statement raises only the error the scan from its start
     raises first.  A condition's answer at a node is True, False, or such
-    an error; a lenient answer's warning is given each time it is asked."""
+    an error.  The warnings of lenient answers go with the outcomes that
+    ask them, so the statement gives those its scan gives, in that order."""
 
     def __init__(self, tree: DocTree, wide, cut: bool):
         self.tree, self.wide, self.cut = tree, wide, cut
         self.decide = self._witness if wide is None else self._single
-        self.warns: dict = {}  # (id(condition), node) -> its answer's warning
+        self.warns: dict = {}  # (id(condition), node) -> its answer's warnings
 
-    def values(self, stmt, origins: list) -> list:
+    def values(self, stmt, origins: list) -> tuple:
         """stmt's value at each of origins: a SetVal, or the error the
         evaluation from that origin raises first.  A record evaluates each
-        entry once, at all the nodes the origins reach."""
-        reached, end = self.follow(stmt, origins), stmt.end
+        entry once, at all the nodes the origins reach.  And by origin, its
+        scan's warnings."""
+        (reached, heard), end = self.follow(stmt, origins), stmt.end
         if isinstance(end, Txt):
             txt = self.tree.txt
             return [
                 r if isinstance(r, Exception) else ob.SetVal([txt(w) for w in r])
                 for r in reached
-            ]
+            ], heard
         if not isinstance(end, Record):
             raise TypeError(f"not a statement: {end!r}")
-        nodes, columns = _union(reached), []
+        nodes, columns, said = _union(reached), [], []
         for e in end.entries:  # a loop: one frame per level of nested records
-            columns.append(dict(zip(nodes, self.values(e, nodes))))
+            col, h = self.values(e, nodes)
+            columns.append(dict(zip(nodes, col)))
+            said.append(h)
+        entries = list(zip(columns, said)) if any(said) else ()
         out = []
-        for r in reached:
+        for v, r in zip(origins, reached):
             if not isinstance(r, Exception):
                 rows = [tuple(col[w] for col in columns) for w in r]
                 errors = [x for row in rows for x in row if isinstance(x, Exception)]
+                if entries:  # the scan asks them row by row
+                    asked = ((c[w], h.get(w, ())) for w in r for c, h in entries)
+                    _hear(heard, v, asked)
                 r = errors[0] if errors else ob.SetVal(rows)
             out.append(r)
-        return out
+        return out, heard
 
-    def follow(self, chain, origins: list) -> list:
+    def follow(self, chain, origins: list) -> tuple:
         """For each of origins, the nodes chain's path atoms reach from it,
-        in document order, or the error its scan raises first."""
-        reached, nodes = [[v] for v in origins], origins
+        in document order, or the error its scan raises first; and by
+        origin, its scan's warnings."""
+        reached, nodes, heard = [[v] for v in origins], origins, {}
         for pa in chain.patoms:
             if not nodes:
                 break
-            kept = self._step(pa, nodes)
+            kept, said = self._step(pa, nodes)
+            by = dict(zip(nodes, kept)) if said or len(reached) > 1 else None
+            for v, r in zip(origins, reached) if said else ():
+                if not isinstance(r, Exception):
+                    _hear(heard, v, ((by[u], said[u]) for u in r))
             if len(reached) == 1:  # its nodes are all of them
                 reached = [_merge(kept)]
             else:
-                by = dict(zip(nodes, kept))
                 reached = [
                     r if isinstance(r, Exception)
                     else by[r[0]] if len(r) == 1
@@ -491,22 +506,29 @@ class _Walker:
                     for r in reached
                 ]
             nodes = _union(reached)
-        return reached
+        return reached, heard
 
-    def _step(self, pa: Patom, nodes: list) -> list:
+    def _step(self, pa: Patom, nodes: list) -> tuple:
         """What pa keeps from each of nodes, or the error the scan of the
-        node's hits raises first."""
+        node's hits raises first; and by node, its scan's warnings, or None
+        where no answer warns."""
         hits, rng, conds = _navigate(self.tree, nodes, pa.path), pa.range, pa.conds
         if not conds:  # either order keeps the same nodes
-            return [_select(h, rng) for h in hits]
+            return [_select(h, rng) for h in hits], None
         if self.wide is None:  # the range, then the conditions
             picked = [_select(h, rng) for h in hits]
             answers = self._conditions(conds, _union(picked))[0]
-            return [self._keep(h, conds, answers) for h in picked]
-        if self.cut:
-            return [_select(self._cut_scan(h, conds), rng) for h in hits]
-        answers = self._conditions(conds, _union(hits))[0]
-        return [_select(self._keep(h, conds, answers), rng) for h in hits]
+            return [self._keep(h, conds, answers) for h in picked], None
+        if self.cut:  # it decides each answer as it asks
+            scan = self._cut_scan
+        else:
+            answers = self._conditions(conds, _union(hits))[0]
+            if not self.warns:  # no answer warns: no warnings to carry
+                return [_select(self._keep(h, conds, answers), rng) for h in hits], None
+            scan = partial(self._keep, answers=answers)
+        said = {u: [] for u in nodes}
+        kept = [_select(scan(h, conds, heard=said[u]), rng) for u, h in zip(nodes, hits)]
+        return kept, said if self.warns else None
 
     def _conditions(self, conds: tuple, nodes: list) -> tuple:
         """Each condition's answers, decided at the nodes where the ones
@@ -518,22 +540,17 @@ class _Walker:
             nodes = [w for w in nodes if held[w] is True]
         return answers, nodes
 
-    def _warn(self, c: Chain, w: int) -> None:
-        """Give the warning of c's lenient answer at w, if it has one."""
-        warning = self.warns.get((id(c), w))
-        if warning is not None:
-            warnings.warn(warning)
-
-    def _keep(self, hits, conds: tuple, answers: list):
+    def _keep(self, hits, conds: tuple, answers: list, heard=None):
         """The hits at which every condition holds, asked in turn up to the
-        first that does not; or the first error asked, or hits' own."""
+        first that does not; or the first error asked, or hits' own.  Each
+        asked answer's warnings go on heard."""
         if isinstance(hits, Exception):
             return hits
         keep, warns = [], self.warns
         for w in hits:
             for c, held in zip(conds, answers):
-                if warns:
-                    self._warn(c, w)
+                if heard is not None:
+                    heard += warns.get((id(c), w), ())
                 a = held[w]
                 if a is not True:
                     if a is not False:
@@ -543,16 +560,17 @@ class _Walker:
                 keep.append(w)
         return keep
 
-    def _cut_scan(self, hits: list, conds: tuple):
+    def _cut_scan(self, hits: list, conds: tuple, heard: list):
         """The hits at which every condition holds, up to the first hit
         that fails a '!'-marked one; every condition is asked at each hit,
-        as a one-node frontier.  Or the first error asked."""
+        as a one-node frontier.  Or the first error asked.  Each asked
+        answer's warnings go on heard."""
         keep = []
         for w in hits:
             held = []
             for c in conds:
                 a = self.decide(c, [w])[w]
-                self._warn(c, w)
+                heard += self.warns.get((id(c), w), ())
                 if isinstance(a, Exception):
                     return a
                 held.append(a)
@@ -602,19 +620,21 @@ class _Walker:
         """The single-value semantics: cond's chain, followed from a node as
         a statement's is, should reach at most one node, whose text must
         equal the string.  Reaching more answers wide's error, or with its
-        warning whether one of them has the text."""
+        warning whether one of them has the text, after the chain's own."""
         s, equals, held = cond.end.s, self.tree.txt_equals, {}
-        for v, r in zip(nodes, self.follow(cond, nodes)):
+        reached, heard = self.follow(cond, nodes)
+        for v, r in zip(nodes, reached):
             if isinstance(r, Exception):
                 held[v] = r
             elif len(r) > 1:
                 a = self.wide(v, len(r))
                 if isinstance(a, Warning):
-                    self.warns[id(cond), v] = a
+                    heard.setdefault(v, []).append(a)
                     a = any(equals(u, s) for u in r)
                 held[v] = a
             else:
                 held[v] = bool(r) and equals(r[0], s)
+        self.warns.update(((id(cond), v), h) for v, h in heard.items() if h)
         return held
 
 
@@ -641,6 +661,16 @@ def _merge(parts: list):
         if isinstance(p, Exception):
             return p
     return parts[0] if len(parts) == 1 else sorted(set().union(*parts))
+
+
+def _hear(heard: dict, v: int, parts) -> None:
+    """Add to v's warnings those of (outcome, warnings) parts, taken in
+    scan order up to and with the first whose outcome is an error."""
+    said = heard.setdefault(v, [])
+    for outcome, warns in parts:
+        said += warns
+        if isinstance(outcome, Exception):
+            return
 
 
 def _union(outcomes: list) -> list:

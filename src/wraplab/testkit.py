@@ -267,14 +267,6 @@ def _deriv(r, a: str) -> tuple:
     raise TypeError(r)
 
 
-def word_matches(r, word) -> bool:
-    for a in word:
-        r = _deriv(r, a)
-        if r == _EMPTY:
-            return False
-    return _nullable(r)
-
-
 def naive_subelem(tree: DocTree, v0: int, path) -> list[int]:
     """Walk every downward path from v0 explicitly, carrying the regex's
     derivative by the labels read so far; document order.  path is an engine

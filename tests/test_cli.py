@@ -721,39 +721,6 @@ def test_diff_rejects_schemaless_programs(wrapctl):
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def test_bench_counts_quadratic_atoms(wrapctl):
-    rc, out, _ = wrapctl("bench", "-m", 3, "-n", 2)
-    assert rc == 0
-    assert out.startswith("quadratic m=3 n=2: 6 atoms in ")
-    rc, out, _ = wrapctl("bench", "-m", 1, "-n", 1)
-    assert rc == 0
-    assert out.startswith("quadratic m=1 n=1: 1 atoms in ")
-
-
-def test_bench_counts_parity_atoms(wrapctl):
-    # odd or even for the list, each item and each item's text; the mark
-    # only for an even count
-    rc, out, _ = wrapctl("bench", "--family", "parity", "-n", 4)
-    assert rc == 0
-    assert out.startswith("parity n=4: 10 atoms in ")
-    rc, out, _ = wrapctl("bench", "--family", "parity", "-n", 3)
-    assert rc == 0
-    assert out.startswith("parity n=3: 7 atoms in ")
-
-
-def test_bench_rejects_bad_parameters(wrapctl):
-    rc, _, err = wrapctl("bench", "--family", "cubic")
-    assert rc == 1 and "cubic" in err
-    rc, _, err = wrapctl("bench", "-m", 0)
-    assert rc == 1 and "at least 1" in err
-    rc, _, err = wrapctl("bench", "--family", "parity", "-n", 0)
-    assert rc == 1 and "at least 1" in err
-
-
-# ---------------------------------------------------------------------------
 # plumbing
 
 
@@ -783,6 +750,41 @@ def test_output_is_plain_when_not_a_terminal(wrapctl):
     assert "\x1b[" not in out
 
 
-def test_usage_errors_come_from_argparse():
-    with pytest.raises(SystemExit):
-        main(["translate", "x.rpn"])
+def test_usage_errors_come_from_argparse(wrapctl):
+    # argparse finds them; each exits 1 on one line, as a wrapper's fault does
+    rc, out, err = wrapctl("translate", "x.rpn")
+    assert (rc, out) == (1, "")
+    assert err == "wrapctl: translate: the following arguments are required: --to\n"
+
+
+@pytest.mark.parametrize("argv, names", [
+    ((), "required: command"),
+    (("frobnicate",), "'frobnicate'"),
+    (("bench", "-m", 3), "'bench'"),
+    (("run", "x.rpn"), "run: the following arguments are required: document"),
+    (("translate",), "translate: the following arguments are required: wrapper"),
+    (("check",), "check: the following arguments are required: wrapper"),
+    (("diff", "a.rpn"), "diff: the following arguments are required: wrapper_b"),
+    (("run", "x.rpn", "y.doc", "--out", "xml"), "argument --out: invalid choice"),
+    (("translate", "x.rpn", "--to", "hel"), "argument --to: invalid choice"),
+    (("diff", "a.rpn", "b.rpn", "--generate", "x"), "invalid int value: 'x'"),
+    (("run", "x.rpn", "y.doc", "--strict", "--lenient"), "not allowed with"),
+    (("check", "x.rpn", "--cut"), "unrecognized arguments: --cut"),
+], ids=[
+    "no-command", "unknown-command", "bench", "run-document", "translate-wrapper",
+    "check-wrapper", "diff-wrapper-b", "out-choice", "to-choice", "generate-int",
+    "strict-and-lenient", "unknown-flag",
+])
+def test_every_usage_error_exits_1_on_one_line(wrapctl, argv, names):
+    rc, out, err = wrapctl(*argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("wrapctl: ") and err.count("\n") == 1
+    assert names in err
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["-h"], ["run", "--help"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wrapctl")

@@ -17,6 +17,8 @@ from wraplab.pathrange import (
     Index,
     Interval,
     Last,
+    NoWordOfLength,
+    RangeError,
     RangeSyntaxError,
     Star,
     Wildcard,
@@ -398,6 +400,49 @@ def test_strict_mode_names_the_violation_its_scan_meets_first():
          "it should reach at most one")
         for n in (9, 4)
     ]
+
+
+def _warned(fn, stmt, tree):
+    """fn's value or range error on tree, evaluated lenient, and the nodes
+    its warnings name, in the order given."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = ob.to_jsonable(fn(stmt, tree, strict=False))
+        except RangeError as e:
+            out = e
+    return out, [int(str(c.message).split("under node ")[1].split(";")[0])
+                 for c in caught]
+
+
+def test_lenient_mode_warns_only_before_the_first_error():
+    # the record's one row raises in its first entry, where d[regex:0*1]
+    # finds no d; a condition in a later entry reaches 3 nodes under node
+    # 15, but the scan from the root stops at the error before it asks
+    text = gen_stmt(StmtGenSpec(
+        seed=987, language="helvf", range_pool=("*", "index", "regex"),
+        condition_probability=0.6, max_depth=3,
+    ))
+    tree = gen_tree(TreeGenSpec.profile("default", 987, max_nodes=40))
+    out, nodes = _warned(hel.eval_vf, hel.parse_vhel(text), tree)
+    assert isinstance(out, NoWordOfLength)
+    assert str(out) == "range regex has no word of length 0"
+    assert nodes == []
+
+
+@pytest.mark.parametrize("doc, text, value, nodes", [
+    # the scan asks a record's entries row by row: the second entry of the
+    # first row (node 5), then the first entry of the second (node 9)
+    ("<r><a><x><y/></x><z><q/><q/></z></a><a><x><y/><y/></x><z><q/></z></a></r>",
+     'r.a(x{y.txt = ""}.txt # z{q.txt = ""}.txt);', [[[""], [""]]], [5, 9]),
+    # both rows' second entries reach b (8), whose c (9) warns once per row
+    ("<r><a><x><q><a><x><q><b><c><d/><d/></c></b></q></x></a></q></x></a></r>",
+     'r->a.x(y.txt # q->b.c{d.txt = ""}.txt);', [[[], [""]]], [9, 9]),
+], ids=["rows", "shared"])
+def test_lenient_warnings_come_in_scan_order(doc, text, value, nodes):
+    stmt, tree = hel.parse_vhel(text), parse_document(doc)
+    for fn in (hel.eval_vf, hel.eval_cut):
+        assert _warned(fn, stmt, tree) == (value, nodes)
 
 
 def test_single_valued_conditions_never_warn(doc1):

@@ -13,7 +13,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
 BLOCK = re.compile(r"^```(\w*)\n(.*?)^```$", re.S | re.M)
 WRAPPER_OR_DOCUMENT = re.compile(r".*\.(rpn|vhel|hel|elog|doc)")
-TIMING = re.compile(r"\d+(?:\.\d+)? ms$", re.M)
 
 
 def _tour() -> list:
@@ -55,8 +54,6 @@ def test_tour_command_prints_what_readme_shows(command, capsys, monkeypatch):
     main(argv)  # a found divergence exits 1, as README says
     out, err = capsys.readouterr()
     assert err == ""
-    if argv[0] == "bench":  # the time varies: compare up to the number
-        out, shown = TIMING.sub("<n> ms", out), TIMING.sub("<n> ms", shown)
     if shown.endswith("...\n"):  # a trailing '...' line matches any rest
         shown = shown[: -len("...\n")]
         out = out[: len(shown)]
