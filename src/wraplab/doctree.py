@@ -14,6 +14,9 @@ Two tag names are reserved: the synthetic root is labeled ``#doc`` and text
 is stored in leaf nodes labeled ``#text``.  Text content is kept verbatim;
 no whitespace trimming or entity decoding happens anywhere.
 
+A node's text, the concatenation of the text leaves below it, is one slice
+of all the texts joined in id order, built on the first text read.
+
 Parsing is one pass over the tokens of one compiled alternation,
 ``_TOKEN``, whose matches cover the whole source: a text run; an open tag,
 which is scanned once and is either self-closing, or open, or a whole
@@ -26,8 +29,7 @@ pattern again up to the failing token.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
-from itertools import compress, islice
+from itertools import accumulate, islice
 
 ROOT_TAG = "#doc"
 TEXT_TAG = "#text"
@@ -49,6 +51,11 @@ class DocTree:
     node itself for a leaf) are read-only lists indexed by node id.
     ``scratch``, also indexed by node id, is working space that a walk
     over the tree may overwrite; nothing may rely on what it holds.
+
+    ``txt(v)`` is ``_text[_starts[v] : _starts[ends[v] + 1]]``: ``_text``
+    joins ``texts`` and ``_starts[v]`` sums the lengths before v, both
+    built in O(N) on the first text read.  That slice is v's subtree text
+    only because every node but a #text leaf has the empty text.
     """
 
     def __init__(self, tags: list, parents: list, texts: list, ends: list):
@@ -58,9 +65,7 @@ class DocTree:
         self.ends = ends
         self._by_label: dict[str, list[int]] | None = None
         self._prev: list | None = None
-        self._text_ids = list(compress(range(len(texts)), texts))  # #text leaves
-        self._txt_cache: dict[int, str] = {}
-        self._txt_lens: list[int] | None = None  # prefix sums over _text_ids
+        self._text, self._starts = "", None  # set by _index_text
         self.scratch = [0] * len(tags)
 
     @classmethod
@@ -148,30 +153,19 @@ class DocTree:
 
     def txt(self, v: int) -> str:
         """Concatenation of all text below v (and at v), in document order."""
-        cached = self._txt_cache.get(v)
-        if cached is None:
-            ids, texts = self._text_ids, self.texts
-            lo = bisect_left(ids, v)
-            hi = bisect_right(ids, self.ends[v], lo)
-            cached = "".join([texts[t] for t in ids[lo:hi]])
-            self._txt_cache[v] = cached
-        return cached
+        starts = self._starts or self._index_text()
+        return self._text[starts[v] : starts[self.ends[v] + 1]]
 
     def txt_equals(self, v: int, s: str) -> bool:
-        """Whether txt(v) == s, joining the text only when its length,
-        read off prefix sums over the #text lengths, is len(s)."""
-        cached = self._txt_cache.get(v)
-        if cached is not None:
-            return cached == s
-        lens = self._txt_lens
-        if lens is None:
-            lens = self._txt_lens = [0]
-            for t in self._text_ids:
-                lens.append(lens[-1] + len(self.texts[t]))
-        ids = self._text_ids
-        lo = bisect_left(ids, v)
-        hi = bisect_right(ids, self.ends[v], lo)
-        return lens[hi] - lens[lo] == len(s) and self.txt(v) == s
+        """Whether txt(v) == s, compared in place in the joined text."""
+        starts = self._starts or self._index_text()
+        lo, hi = starts[v], starts[self.ends[v] + 1]
+        return hi - lo == len(s) and self._text.startswith(s, lo)
+
+    def _index_text(self) -> list[int]:
+        self._text = "".join(self.texts)
+        self._starts = list(accumulate(map(len, self.texts), initial=0))
+        return self._starts
 
 
 _NAME = r"[A-Za-z][A-Za-z0-9-]*"

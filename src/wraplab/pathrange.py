@@ -663,20 +663,14 @@ def unique_word(rng: RawRegex, k: int) -> str:
     return _binary_dfa(rng).word(k)
 
 
-def _positions(rng: Range, k: int) -> list[int]:
-    if isinstance(rng, StarRange):
-        return list(range(k))
-    if isinstance(rng, Index):
-        return [rng.i] if rng.i < k else []
-    if isinstance(rng, Interval):
-        return list(range(rng.lo, min(rng.hi, k - 1) + 1))
+def _positions(rng: Range, k: int) -> list[int] | range:
+    if isinstance(rng, (StarRange, Index, Interval, Last)):
+        return apply_range(range(k), rng)
     if isinstance(rng, IntervalUnion):
         picked = set()
         for lo, hi in rng.intervals:
             picked.update(range(lo, min(hi, k - 1) + 1))
         return sorted(picked)
-    if isinstance(rng, Last):
-        return [k - 1] if k else []
     if isinstance(rng, RawRegex):
         try:
             word = unique_word(rng, k)
@@ -692,11 +686,19 @@ def apply_range(seq: list, rng: Range) -> list:
     """Select positions of a duplicate-free document-ordered sequence.
 
     The ``*`` range returns seq itself, not a copy, so callers must not
-    mutate the result.  Structured ranges never raise; raw regexes raise
-    NoWordOfLength / MultipleWords on density violations.
+    mutate the result; an index, an interval or ``last`` slices it.
+    Structured ranges never raise; raw regexes raise NoWordOfLength /
+    MultipleWords on density violations.
     """
-    if isinstance(rng, StarRange):
+    cls = type(rng)
+    if cls is StarRange:
         return seq
+    if cls is Index:
+        return seq[rng.i : rng.i + 1]
+    if cls is Interval:
+        return seq[rng.lo : rng.hi + 1]
+    if cls is Last:
+        return seq[-1:]
     return [seq[i] for i in _positions(rng, len(seq))]
 
 

@@ -222,6 +222,9 @@ class _StmtParser:
                 self.eat("->")
                 axis = "descendant"
             elif patoms:
+                nxt = self.peek()
+                if not cond and (nxt == "" or nxt == "(" and self.vf):
+                    self.error("expected '.txt' or a record of at least two entries")
                 self.eat(".")
                 end = self._txt_end(cond)
                 if end is None and not self.hel:

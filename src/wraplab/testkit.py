@@ -363,6 +363,10 @@ def _plain_union(parts) -> frozenset:
     return frozenset(out)
 
 
+def _naive_txt(tree: DocTree, v: int) -> str:
+    return "".join(tree.text_of(w) for w in [v, *tree.descendants(v)])
+
+
 def _conds_hold(tree: DocTree, v: int, conds) -> bool:
     return all(_naive_cond(tree, v, c) for c in conds)
 
@@ -370,7 +374,7 @@ def _conds_hold(tree: DocTree, v: int, conds) -> bool:
 def _naive_cond(tree: DocTree, v: int, cond, i: int = 0) -> bool:
     """Whether cond holds at v from its path atom i on."""
     if i == len(cond.patoms):
-        return tree.txt(v) == cond.end.s
+        return _naive_txt(tree, v) == cond.end.s
     pa = cond.patoms[i]
     hits = naive_select(naive_subelem(tree, v, pa.path), pa.range)
     return any(
@@ -388,7 +392,7 @@ def naive_rpn(tree: DocTree, stmt, v: int | None = None, i: int = 0):
     if i == len(stmt.patoms):
         if type(stmt.end).__name__ == "Record":
             return frozenset({tuple(naive_rpn(tree, e, v) for e in stmt.end.entries)})
-        return frozenset({tree.txt(v)})
+        return frozenset({_naive_txt(tree, v)})
     pa = stmt.patoms[i]
     sel = naive_select(naive_subelem(tree, v, pa.path), pa.range)
     keep = [w for w in sel if _conds_hold(tree, w, pa.conds)]
@@ -408,7 +412,7 @@ def naive_helvf(
         if type(stmt.end).__name__ == "Record":
             entries = stmt.end.entries
             return frozenset({tuple(naive_helvf(tree, e, v, cut) for e in entries)})
-        return frozenset({tree.txt(v)})
+        return frozenset({_naive_txt(tree, v)})
     pa, hits = stmt.patoms[i], []
     for w in naive_subelem(tree, v, pa.path):
         failed = [c for c in pa.conds if not _naive_cond(tree, w, c)]
@@ -539,7 +543,7 @@ def naive_fixpoint(program, tree: DocTree) -> tuple:
         if kind == "Contains":
             return env[c.y] in naive_select(hits(x, c.path), c.rng)
         if kind == "ContainsStr":
-            return "".join(tree.text_of(w) for w in [x, *tree.descendants(x)]) == c.s
+            return _naive_txt(tree, x) == c.s
         if kind == "FirstChild":
             return tree.children(x)[:1] == [env[c.y]]
         if kind == "NextSibling":

@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from wraplab.doctree import (
 )
 from wraplab.testkit import (
     DOC1,
+    TREE_PROFILES,
     TreeGenSpec,
     bchain_doc,
     edit_doc,
@@ -285,3 +287,39 @@ def test_generated_trees_navigate_by_their_parents(seed):
                 assert t.prevsibling(b) == a
         if kids:
             assert t.prevsibling(kids[0]) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(TREE_PROFILES)), st.integers(0, 10**6))
+def test_generated_trees_read_the_text_below_each_node(profile, seed):
+    t = gen_tree(TreeGenSpec.profile(profile, seed, max_nodes=25))
+    below: dict = {v: [v] for v in t.nodes()}
+    for v in reversed(t.nodes()):  # children before parents
+        if v:
+            below[t.parent(v)] += below[v]
+    for v in t.nodes():
+        text = "".join(t.text_of(w) for w in sorted(below[v]))
+        assert t.txt(v) == text
+        assert t.txt_equals(v, text)
+        assert not t.txt_equals(v, text + "x")
+        if text:
+            assert not t.txt_equals(v, text[:-1])
+            other = "y" if text[-1] != "y" else "z"
+            assert not t.txt_equals(v, text[:-1] + other)
+
+
+def test_text_tests_down_a_deep_chain_allocate_little():
+    # each a's text is one "t" per a at or below it; comparing it with an
+    # equal-length string must not build the node's text
+    n = 8000
+    t = parse_document("<a>t" * n + "</a>" * n)
+    t.txt(1)
+    lengths = [(v, (t.ends[v] - v + 1) // 2) for v in t.nodes_labeled("a")]
+    assert lengths[0] == (1, n) and lengths[-1][1] == 1
+    tracemalloc.start()
+    try:
+        assert all(t.txt_equals(v, "t" * k) for v, k in lengths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak

@@ -194,6 +194,11 @@ def test_vhel_rejects_regex_paths():
         ("a(b.txt # c txt);", "at 12: expected '.'", hel.parse_hel),
         ('a{b txt = "x"}.txt', "at 4: expected '.'", rpn.parse_rpn),
         ("a.(b.txt # c.d..txt)", "at 15: expected a tag", rpn.parse_rpn),
+        # a record has at least two entries: a lone group after a step can
+        # only be a record in the statement dialects, and is a path in rpn
+        ("a(b.txt);", "at 1: expected '.txt' or a record of at least two", hel.parse_vhel),
+        ("a(b.txt);", "at 1: expected '.txt' or a record of at least two", hel.parse_hel),
+        ("a.(b.txt)", "at 9: expected '.txt' or a record of at least two", rpn.parse_rpn),
     ],
 )
 def test_vhel_conditions_are_chains_without_records_or_nesting(text, message, parse):
