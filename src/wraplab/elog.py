@@ -302,33 +302,66 @@ def _binds(c, bound: set) -> str | None:
     return None
 
 
-def _orient(rule) -> list:
-    """The order a chain or dom rule's body is solved in, as (atom, var)
-    steps: again and again the first atom whose variables are all bound,
-    checked (var None), else the first that can enumerate an unbound
-    variable var.  Only which variables are bound decides, and the rule's
-    shape fixes those, so the order is the same at every target."""
+def _orient(rule, heads) -> list:
+    """Raise the rule's first fault, given the program's head predicates;
+    else return the order its body is solved in, as (atom, var) steps:
+    again and again the first atom whose variables are all bound, checked
+    (var None), else the first that can enumerate an unbound variable var.
+    Only which variables are bound decides, and the rule's shape fixes
+    those, so the order is the same at every target."""
+    where = f"rule for {rule.head!r}"
+    if rule.head in BUILTINS:
+        raise UnsafeRule(f"{where}: builtin predicates cannot be defined")
+    if isinstance(rule, ChainRule):
+        if rule.parent not in BUILTINS and rule.parent not in heads:
+            raise UnknownPredicate(f"{where}: no rules for parent {rule.parent!r}")
+    for ref in rule.refs:
+        if ref.pred in BUILTINS:
+            raise UnknownPredicate(
+                f"{where}: builtin {ref.pred!r} cannot be referenced"
+            )
+        if ref.pred not in heads:
+            raise UnknownPredicate(f"{where}: no rules for {ref.pred!r}")
+    atoms = [(c, _cond_vars(c)) for c in rule.conds + rule.refs]
+    used = {v for _, vs in atoms for v in vs}
+    if isinstance(rule, DomRule) and rule.v0var in used:
+        raise UnsafeRule(
+            f"{where}: the first argument of a dom rule is free and "
+            "cannot appear in conditions"
+        )
     bound = {rule.xvar} if isinstance(rule, DomRule) else {rule.v0var, rule.xvar}
-    rest = list(rule.conds + rule.refs)
+    # every variable must be linked to the head variables
+    linked, size = set(bound), 0
+    while size < len(linked):
+        size = len(linked)
+        for _, vs in atoms:
+            if not linked.isdisjoint(vs):
+                linked.update(vs)
+    stray = used - linked
+    if stray:
+        raise UnsafeRule(
+            f"{where}: variable {sorted(stray)[0]!r} is not connected to "
+            "the head variables"
+        )
     order = []
-    while rest:
-        for i, c in enumerate(rest):
-            if bound.issuperset(_cond_vars(c)):
+    while atoms:
+        for i, (c, vs) in enumerate(atoms):
+            if bound.issuperset(vs):
                 var = None
                 break
         else:
-            for i, c in enumerate(rest):
+            for i, (c, _) in enumerate(atoms):
                 var = _binds(c, bound)
                 if var is not None:
                     bound.add(var)
                     break
             else:
                 raise UnsafeRule(
-                    f"rule for {rule.head!r}: cannot orient "
-                    f"{', '.join(_cond_text(c) for c in rest)} from the bound "
-                    f"variables {', '.join(sorted(bound))}"
+                    f"{where}: cannot orient "
+                    f"{', '.join(_cond_text(c) for c, _ in atoms)} from the "
+                    f"bound variables {', '.join(sorted(bound))}"
                 )
-        del rest[i]
+        del atoms[i]
         order.append((c, var))
     return order
 
@@ -346,7 +379,7 @@ def _analyse(program: ElogProgram) -> _Analysis:
     edges = []  # the dependency graph: (head, predicate its rule uses)
     grounded = ranged = False
     for r in program.rules:
-        index.setdefault(r.head, []).append((r, _check_rule(r, heads)))
+        index.setdefault(r.head, []).append((r, _orient(r, heads)))
         # a dom rule's atoms hang from any node
         parent = r.parent if isinstance(r, ChainRule) else "dom"
         if parent not in BUILTINS:
@@ -383,50 +416,6 @@ def _analyse(program: ElogProgram) -> _Analysis:
         components,
         {p: tuple(ps) for p, ps in parents.items()},
     )
-
-
-def _check_rule(r, heads) -> list:
-    """Raise the rule's first fault, given the program's head predicates;
-    else return its orientation."""
-    where = f"rule for {r.head!r}"
-    if r.head in BUILTINS:
-        raise UnsafeRule(f"{where}: builtin predicates cannot be defined")
-    if isinstance(r, ChainRule):
-        if r.parent not in BUILTINS and r.parent not in heads:
-            raise UnknownPredicate(f"{where}: no rules for parent {r.parent!r}")
-    for ref in r.refs:
-        if ref.pred in BUILTINS:
-            raise UnknownPredicate(
-                f"{where}: builtin {ref.pred!r} cannot be referenced"
-            )
-        if ref.pred not in heads:
-            raise UnknownPredicate(f"{where}: no rules for {ref.pred!r}")
-    used = {v for c in r.conds + r.refs for v in _cond_vars(c)}
-    if isinstance(r, DomRule) and r.v0var in used:
-        raise UnsafeRule(
-            f"{where}: the first argument of a dom rule is free and "
-            "cannot appear in conditions"
-        )
-    # every variable must be linked to the head variables
-    linked = {r.xvar} if isinstance(r, DomRule) else {r.v0var, r.xvar}
-    pending = [set(_cond_vars(c)) for c in r.conds]
-    while True:
-        rest = []
-        for vs in pending:
-            if vs & linked:
-                linked |= vs
-            else:
-                rest.append(vs)
-        if len(rest) == len(pending):
-            break
-        pending = rest
-    stray = used - linked
-    if stray:
-        raise UnsafeRule(
-            f"{where}: variable {sorted(stray)[0]!r} is not connected to "
-            "the head variables"
-        )
-    return _orient(r)
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +647,8 @@ def parse_elog(text: str) -> ElogProgram:
                 names = rest.split()
                 aux.extend(names)
             elif word == "@schema":
+                if schema is not None:
+                    raise ElogSyntaxError(f"{word}: the program already has a schema")
                 try:
                     schema = ob.parse_schema(rest.strip())
                 except ob.SchemaSyntaxError as e:
@@ -672,9 +663,12 @@ def parse_elog(text: str) -> ElogProgram:
             else:
                 rules.append(_parse_rule(line, len(line) - 1))
                 continue
+            kept = ob.schema_predicates(schema) if schema is not None else ()
             for name in names:
                 if not ob.PREDICATE.fullmatch(name):
                     raise ElogSyntaxError(f"{word}: bad predicate name {name!r}")
+                if name in aux and name in kept:
+                    raise ElogSyntaxError(f"{word}: {name!r} is aux and in the schema")
         except TextError as e:  # every fault on a line, a path's or a range's too
             e.line = lineno
             raise
@@ -1229,7 +1223,6 @@ class _Eval:
 
 
 def eval_fixpoint(program: ElogProgram, tree: DocTree) -> AtomStore:
-    validate_program(program)
     return _Eval(program, tree).run()
 
 

@@ -1,4 +1,4 @@
-"""Complex-object values, their types, and output schemas.
+"""Complex-object values and output schemas, whose shapes are their types.
 
 Wrapper runs produce nested sets, records and strings, as plain values: a
 string is a ``str``, a record is a ``tuple`` of its entries, and a set is
@@ -71,39 +71,9 @@ def json_text(value: Value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# value types
-
-
-@dataclass(frozen=True)
-class TStr:
-    pass
-
-
-@dataclass(frozen=True)
-class TSet:
-    elem: object
-
-
-@dataclass(frozen=True)
-class TRecord:
-    entries: tuple
-
-
-RpnType = object  # TStr | TSet | TRecord
-
-
-def type_to_text(t: RpnType) -> str:
-    if isinstance(t, TStr):
-        return "Str"
-    if isinstance(t, TSet):
-        return f"SetOf({type_to_text(t.elem)})"
-    if isinstance(t, TRecord):
-        return f"RecordOf({', '.join(type_to_text(e) for e in t.entries)})"
-    raise TypeError(f"not a type: {t!r}")
-
-
-# ---------------------------------------------------------------------------
-# output schemas: the type tree with a predicate attached to each set
+# output schemas: a tree of sets, records and strings with a predicate
+# attached to each set.  A statement's type is the same tree with no
+# predicates, written SetOf(...), RecordOf(...) and Str.
 
 @dataclass(frozen=True)
 class StrSchema:
@@ -121,35 +91,53 @@ class RecordSchema:
     entries: tuple  # of SetSchema
 
 
-ObjectSchema = object  # SetSchema at the top level
-
-
-def schema_predicates(schema) -> list[str]:
-    """Predicates in schema order (record entries left to right)."""
-    out: list[str] = []
-
-    def walk(node) -> None:
+def _preorder(node):
+    """The tree's nodes in text order, each set and record followed later
+    by the ")" that closes it and each record entry but the last by ", ";
+    one loop over an explicit stack, so no depth recurses in Python."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
         if isinstance(node, SetSchema):
-            if node.pred is not None:
-                out.append(node.pred)
-            walk(node.elem)
+            stack += (")", node.elem)
         elif isinstance(node, RecordSchema):
-            for e in node.entries:
-                walk(e)
+            stack.append(")")
+            for e in reversed(node.entries[1:]):
+                stack += (e, ", ")
+            stack.append(node.entries[0])
+        elif not isinstance(node, (StrSchema, str)):
+            raise TypeError(f"not a schema node: {node!r}")
 
-    walk(schema)
-    return out
+
+def _text(node, leaf: str, set_open: str, record_open: str) -> str:
+    """The tree as text: leaf for each StrSchema, set_open with the set's
+    predicate, or _, formatted in, and record_open for each record."""
+    return "".join(
+        set_open.format(n.pred or "_") if isinstance(n, SetSchema)
+        else record_open if isinstance(n, RecordSchema)
+        else leaf if isinstance(n, StrSchema)
+        else n
+        for n in _preorder(node)
+    )
 
 
-def schema_to_text(schema) -> str:
-    if isinstance(schema, StrSchema):
-        return "str"
-    if isinstance(schema, SetSchema):
-        pred = schema.pred if schema.pred is not None else "_"
-        return f"set({pred}, {schema_to_text(schema.elem)})"
-    if isinstance(schema, RecordSchema):
-        return "record(" + ", ".join(schema_to_text(e) for e in schema.entries) + ")"
-    raise TypeError(f"not a schema: {schema!r}")
+def schema_to_text(schema: SetSchema) -> str:
+    return _text(schema, "str", "set({}, ", "record(")
+
+
+def type_to_text(t: SetSchema) -> str:
+    """A statement's type, a schema with no predicates, as SetOf(...),
+    RecordOf(...) and Str."""
+    return _text(t, "Str", "SetOf(", "RecordOf(")
+
+
+def schema_predicates(schema: SetSchema) -> list[str]:
+    """Predicates in schema order (record entries left to right)."""
+    return [
+        n.pred for n in _preorder(schema)
+        if isinstance(n, SetSchema) and n.pred is not None
+    ]
 
 
 class SchemaSyntaxError(TextError):
@@ -162,7 +150,7 @@ PREDICATE = re.compile(r"[a-z#][a-z0-9_#-]*'*")
 _NAME = re.compile(r"[^\s,()]*")  # read as a name, then checked
 
 
-def parse_schema(text: str) -> ObjectSchema:
+def parse_schema(text: str) -> SetSchema:
     pos = 0
     n = len(text)
 

@@ -399,12 +399,14 @@ def statement_to_text(stmt: Chain, dialect: str = "rpn") -> str:
 # types
 
 
-def typecheck(stmt: Chain) -> ob.RpnType:
-    """Total; conditions contribute nothing."""
+def typecheck(stmt: Chain) -> ob.SetSchema:
+    """The statement's output schema with no predicates.  Total;
+    conditions contribute nothing."""
     if isinstance(stmt.end, Txt):
-        return ob.TSet(ob.TStr())
+        return ob.SetSchema(None, ob.StrSchema())
     if isinstance(stmt.end, Record):
-        return ob.TSet(ob.TRecord(tuple(typecheck(e) for e in stmt.end.entries)))
+        entries = tuple(typecheck(e) for e in stmt.end.entries)
+        return ob.SetSchema(None, ob.RecordSchema(entries))
     raise TypeError(f"not a statement: {stmt!r}")
 
 

@@ -1,4 +1,5 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run.
+"""Prints one PASS/FAIL line per acceptance criterion after the run, and
+holds what several test modules share (``from conftest import ...``).
 
 Criteria live in test_acceptance.py as test_a<N>_* functions; each may
 attach a human-readable detail via the built-in record_property fixture.
@@ -29,3 +30,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus):
         word = "PASS" if outcome == "passed" else "FAIL"
         suffix = f" ({detail})" if detail else ""
         terminalreporter.write_line(f"{crit}: {word}{suffix}")
+
+
+class CountedList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)

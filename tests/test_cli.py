@@ -308,6 +308,18 @@ def test_bad_directive_names_fail_on_one_line(wrapctl, tmp_path, directive):
         assert f"line 1: {BAD_DIRECTIVES[directive]}" in err
 
 
+def test_aux_predicate_in_the_schema_fails_on_one_line(wrapctl, tmp_path):
+    # its atoms would be spliced out before rendering, leaving the set empty
+    w = tmp_path / "clash.elog"
+    w.write_text(
+        "@aux p1\n@schema set(p1, str)\n"
+        "p1(X0, X) :- root(_, X0), subelem[_][*](X0, X).\n"
+    )
+    rc, out, err = wrapctl("run", w, corpus("programs", "chain.doc"), "--out", "json")
+    assert (rc, out) == (1, "")
+    assert err == f"wrapctl: {w}: line 2: @schema: 'p1' is aux and in the schema\n"
+
+
 BIG = 100_000
 # the deep document nests BIG b elements, each with an a leaf before the
 # next b; the wide one is a list of BIG items
@@ -492,6 +504,23 @@ def test_run_prints_a_deeply_nested_record_value(wrapctl, tmp_path, depth):
     d = tmp_path / "deep.doc"
     d.write_text("<a>" + "<b>" * 400 + "x" + "</b>" * 400 + "</a>")
     assert wrapctl("run", w, d) == (0, f'[[["x"], {value}]]\n', "")
+
+
+@pytest.mark.parametrize("ext", ["rpn", "vhel"])
+def test_check_and_translate_a_deeply_nested_record(wrapctl, tmp_path, ext):
+    # x.(a.txt # x.(a.txt # ... b.txt)): the type and the schema are written
+    # by one loop, not by recursive calls per level
+    depth = 300
+    dot, end = (".", "") if ext == "rpn" else ("", ";")
+    stmt, ty = "b.txt", "SetOf(Str)"
+    for _ in range(depth):
+        stmt, ty = f"x{dot}(a.txt # {stmt})", f"SetOf(RecordOf(SetOf(Str), {ty}))"
+    w = tmp_path / f"deep.{ext}"
+    w.write_text(stmt + end)
+    assert wrapctl("check", w) == (0, f"OK: type {ty}\n", "")
+    rc, out, err = wrapctl("translate", w, "--to", "elog")
+    assert (rc, err) == (0, "")
+    assert out.count("record(set(") == depth
 
 
 def _long_rpn_condition(tmp_path):

@@ -8,6 +8,7 @@ corpus stays an executable record of the three languages agreeing.
 import json
 import pathlib
 import warnings
+from importlib import resources
 
 import pytest
 
@@ -115,6 +116,16 @@ def test_parity_program_atoms():
     store = elog.eval_fixpoint(prog, tree)
     expected = (CORPUS / "parity" / "parity.expected.atoms").read_text().strip()
     assert elog.dump_atoms(store) == expected
+
+
+@pytest.mark.parametrize("asset, copy", [
+    ("parity.elog", "parity/parity.elog"),
+    ("quadratic.elog", "programs/quad.elog"),
+])
+def test_packaged_programs_match_their_corpus_copies(asset, copy):
+    # the benchmark runs the packaged programs, the goldens above their copies
+    packaged = resources.files("wraplab") / "assets" / asset
+    assert packaged.read_bytes() == (CORPUS / copy).read_bytes()
 
 
 def test_pipeline_program_value():

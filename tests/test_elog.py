@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CountedList
 from wraplab import elog
 from wraplab.cli import main
 from wraplab import pathrange as pr
@@ -99,11 +100,12 @@ def test_serialize_parse_round_trip(quadratic, parity):
     # '-' and '#' are predicate-name characters in rules and directives alike
     named = elog.parse_elog(
         "@aux p#1\n"
-        "@schema set(a-b, record(set(p#1, str)))\n"
+        "@schema set(a-b, record(set(p#2, str)))\n"
         "a-b(X0, X) :- root(_, X0), subelem[_][*](X0, X).\n"
         "p#1(X0, X) :- a-b(_, X0), subelem[_][*](X0, X).\n"
+        "p#2(X0, X) :- p#1(_, X0), subelem[_][*](X0, X).\n"
     )
-    assert ob.schema_predicates(named.schema) == ["a-b", "p#1"]
+    assert ob.schema_predicates(named.schema) == ["a-b", "p#2"]
     assert elog.parse_elog(elog.serialize_elog(named)) == named
 
 
@@ -298,9 +300,32 @@ def test_directives_name_rule_heads(directive, err):
         elog.parse_elog("% names\n" + directive + "\n" + RULE_P1)
 
 
+RULE_P2 = "p2(X0, X) :- p1(_, X0), subelem[b][*](X0, X).\n"
+
+
 def test_directives_may_precede_their_rules_and_use_tabs():
-    prog = elog.parse_elog("@aux\tp1\n@schema  set(p1, str)\n" + RULE_P1)
-    assert (prog.aux, prog.schema) == ({"p1"}, ob.SetSchema("p1", ob.StrSchema()))
+    prog = elog.parse_elog("@aux\tp1\n@schema  set(p2, str)\n" + RULE_P1 + RULE_P2)
+    assert (prog.aux, prog.schema) == ({"p1"}, ob.SetSchema("p2", ob.StrSchema()))
+
+
+def test_aux_directives_accumulate():
+    prog = elog.parse_elog("@aux p1\n" + RULE_P1 + "@aux p2\n" + RULE_P2)
+    assert prog.aux == {"p1", "p2"}
+
+
+@pytest.mark.parametrize(
+    "first, later, reason",
+    [
+        ("@aux p1", "@schema set(p1, str)", "'p1' is aux and in the schema"),
+        ("@schema set(p1, str)", "@aux p2 p1", "'p1' is aux and in the schema"),
+        ("@schema set(p1, str)", "@schema set(p2, str)",
+         "the program already has a schema"),
+    ],
+)
+def test_conflicting_directives_fail_on_the_later_line(first, later, reason):
+    with pytest.raises(elog.ElogSyntaxError) as e:
+        elog.parse_elog(first + "\n" + RULE_P1 + later + "\n" + RULE_P2)
+    assert str(e.value) == f"line 3: {later.split()[0]}: {reason}"
 
 
 def test_variable_connected_through_chain_is_safe():
@@ -616,16 +641,6 @@ def test_quadratic_navigates_from_each_b_alone(quadratic, monkeypatch):
         assert contexts[0] == m
 
 
-class _CountedList(list):
-    """A list that counts its item reads."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return super().__getitem__(i)
-
-
 def test_quadratic_reads_as_many_tags_as_it_derives_atoms(quadratic):
     # each b's walk enters the b below it in the start state of b*.l and
     # takes over its hits, so the tags read grow with the answer, 16x here,
@@ -633,7 +648,7 @@ def test_quadratic_reads_as_many_tags_as_it_derives_atoms(quadratic):
     counts = []
     for m, n in ((50, 50), (200, 200)):
         tree = parse_document(bchain_doc(m, n))
-        tree.tags = tags = _CountedList(tree.tags)
+        tree.tags = tags = CountedList(tree.tags)
         store = elog.eval_fixpoint(quadratic, tree)
         assert len(store.pairs["p"]) == m * n
         counts.append(tags.reads)
@@ -662,9 +677,9 @@ def test_each_rule_is_oriented_once_per_program(monkeypatch):
     calls = [0]
     orient = elog._orient
 
-    def counted(rule):
+    def counted(rule, heads):
         calls[0] += 1
-        return orient(rule)
+        return orient(rule, heads)
 
     monkeypatch.setattr(elog, "_orient", counted)
     prog = elog.parse_elog(asset("parity.elog"))

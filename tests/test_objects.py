@@ -51,7 +51,8 @@ def test_jsonable_nesting():
 
 
 def test_type_rendering():
-    t = ob.TSet(ob.TRecord((ob.TSet(ob.TStr()), ob.TSet(ob.TStr()))))
+    leaf = ob.SetSchema(None, ob.StrSchema())
+    t = ob.SetSchema(None, ob.RecordSchema((leaf, leaf)))
     assert ob.type_to_text(t) == "SetOf(RecordOf(SetOf(Str), SetOf(Str)))"
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CountedList
 from wraplab import doctree, hel
 from wraplab import pathrange as pr
 from wraplab import rpn
@@ -246,16 +247,6 @@ def test_holders_call_the_test_once_per_node():
         assert len(seen) == len(set(seen)) == len(t)
 
 
-class _CountedList(list):
-    """A list that counts its item reads."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return super().__getitem__(i)
-
-
 def _chain_or_list(shape: str, n: int) -> DocTree:
     """n nodes below the root, tagged a, a, b in turn: one chain, or a
     list of a and b items, each over one a or b."""
@@ -282,7 +273,7 @@ def test_finite_holders_read_linearly_many_tags(shape, text):
             x for x in t.nodes()
             if any(map(test, pr.apply_range(pr.subelem(t, x, p), r)))
         ]
-        t.tags = tags = _CountedList(t.tags)
+        t.tags = tags = CountedList(t.tags)
         assert pr.holders(t, p, r, test) == expected
         counts.append(tags.reads)
     assert counts[1] / counts[0] <= 4.5, counts

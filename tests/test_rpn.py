@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CountedList
 from wraplab import elog, hel
 from wraplab import objects as ob
 from wraplab import pathrange as pr
@@ -45,11 +46,11 @@ def plain(val):
 
 
 def conforms(val, ty) -> bool:
-    if isinstance(ty, ob.TStr):
+    if isinstance(ty, ob.StrSchema):
         return isinstance(val, str)
-    if isinstance(ty, ob.TSet):
+    if isinstance(ty, ob.SetSchema):
         return isinstance(val, ob.SetVal) and all(conforms(v, ty.elem) for v in val)
-    if isinstance(ty, ob.TRecord):
+    if isinstance(ty, ob.RecordSchema):
         return (
             isinstance(val, tuple)
             and len(val) == len(ty.entries)
@@ -547,16 +548,6 @@ def test_translation_matches_direct_evaluation(seed):
     assert val == rpn.eval_rpn(w, tree)
 
 
-class _CountedList(list):
-    """A list that counts its item reads."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return super().__getitem__(i)
-
-
 def test_translated_descendant_condition_reads_linearly_many_tags():
     # c1 holds at every a, each over the one b: derived per node, every a
     # would walk the whole chain below it
@@ -565,7 +556,7 @@ def test_translated_descendant_condition_reads_linearly_many_tags():
     counts = []
     for n in (1000, 4000):
         tree = parse_document("<a>" * n + "<b>x</b>" + "</a>" * n)
-        tree.tags = tags = _CountedList(tree.tags)
+        tree.tags = tags = CountedList(tree.tags)
         store = elog.eval_fixpoint(prog, tree)
         assert elog.unary_query(store, "p2") == {n + 1}
         assert len(store.unary["c1"]) == n + 1  # the root and every a
@@ -575,7 +566,7 @@ def test_translated_descendant_condition_reads_linearly_many_tags():
 
 def _nested_a(n: int, inner: str):
     tree = parse_document("<a>" * n + inner + "</a>" * n)
-    tree.tags = _CountedList(tree.tags)
+    tree.tags = CountedList(tree.tags)
     return tree
 
 
