@@ -538,46 +538,44 @@ def _var_arg(name: str, tok: str) -> str:
     return tok
 
 
-# condition name -> (its argument count, the arity it says in errors)
-_COND_ARGS = {
-    "contains": (2, "(x, y)"),
-    "contains_s": (2, "(x, s)"),
-    "firstchild": (2, "(x, y)"),
-    "nextsibling": (2, "(x, y)"),
-    "lastsibling": (1, "(x)"),
-    "label": (2, "(x, tag)"),
-    "root": (1, "(x)"),
+def _cond_arg(name: str, kind: str, tok: str) -> str:
+    """A condition's written argument: a variable, a string literal or a tag."""
+    if kind == "s":
+        return _unquote(tok)
+    if kind == "tag":
+        if not TAG.fullmatch(tok):
+            raise ElogSyntaxError(f"{name}: bad tag {tok!r}")
+        return tok.lower()
+    return _var_arg(name, tok)
+
+
+# condition name -> its class and the kinds of its written arguments, which
+# name its fields in order; contains reads [path][range] into its last two
+_CONDS = {
+    "contains": (Contains, ("x", "y")),
+    "contains_s": (ContainsStr, ("x", "s")),
+    "firstchild": (FirstChild, ("x", "y")),
+    "nextsibling": (NextSibling, ("x", "y")),
+    "lastsibling": (LastSibling, ("x",)),
+    "label": (Label, ("x", "tag")),
+    "root": (Root, ("x",)),
 }
+_COND_NAMES = {cls: n for n, (cls, _) in _CONDS.items()}
 
 
 def _parse_cond(atom: tuple):
     n, brackets, args = atom
-    argc, shape = _COND_ARGS[n]
-    if brackets and n != "contains":
+    cls, kinds = _CONDS[n]
+    if brackets and cls is not Contains:
         raise ElogSyntaxError(f"{n} takes no brackets")
-    if len(args) != argc:
-        raise ElogSyntaxError(f"{n} takes {shape}")
-    if n == "contains":
-        return Contains(
-            _var_arg(n, args[0]),
-            _var_arg(n, args[1]),
-            _bracket_path(n, brackets),
-            _bracket_range(brackets),
-        )
-    x = _var_arg(n, args[0])
-    if n == "contains_s":
-        return ContainsStr(x, _unquote(args[1]))
-    if n == "firstchild":
-        return FirstChild(x, _var_arg(n, args[1]))
-    if n == "nextsibling":
-        return NextSibling(x, _var_arg(n, args[1]))
-    if n == "lastsibling":
-        return LastSibling(x)
-    if n == "label":
-        if not TAG.fullmatch(args[1]):
-            raise ElogSyntaxError(f"label: bad tag {args[1]!r}")
-        return Label(x, args[1].lower())
-    return Root(x)
+    if len(args) != len(kinds):
+        raise ElogSyntaxError(f"{n} takes ({', '.join(kinds)})")
+    fields = [_var_arg(n, args[0])]  # every condition's first argument is a variable
+    if len(args) > 1:
+        fields.append(_cond_arg(n, kinds[1], args[1]))
+    if cls is Contains:
+        fields += (_bracket_path(n, brackets), _bracket_range(brackets))
+    return cls(*fields)
 
 
 def _parse_rule(text: str, end: int):
@@ -622,7 +620,7 @@ def _conds_and_refs(atoms: list):
     refs = []
     for a in atoms:
         name, brackets, args = a
-        if name in _COND_ARGS:
+        if name in _CONDS:
             conds.append(_parse_cond(a))
         elif len(args) == 2 and args[0] == "_" and not brackets:
             refs.append(Ref(name, _var_arg(name, args[1])))
@@ -683,26 +681,16 @@ def parse_elog(text: str) -> ElogProgram:
 
 
 def _cond_text(c) -> str:
-    if isinstance(c, Contains):
-        return (
-            f"contains[{path_to_text(c.path)}][{range_to_text(c.rng)}]"
-            f"({c.x}, {c.y})"
-        )
-    if isinstance(c, ContainsStr):
-        return f"contains_s({c.x}, {json.dumps(c.s, ensure_ascii=False)})"
-    if isinstance(c, FirstChild):
-        return f"firstchild({c.x}, {c.y})"
-    if isinstance(c, NextSibling):
-        return f"nextsibling({c.x}, {c.y})"
-    if isinstance(c, LastSibling):
-        return f"lastsibling({c.x})"
-    if isinstance(c, Label):
-        return f"label({c.x}, {c.tag})"
-    if isinstance(c, Root):
-        return f"root({c.x})"
     if isinstance(c, Ref):
         return f"{c.pred}(_, {c.var})"
-    raise TypeError(f"not a condition: {c!r}")
+    n = _COND_NAMES[type(c)]
+    args = ", ".join(
+        json.dumps(c.s, ensure_ascii=False) if k == "s" else getattr(c, k)
+        for k in _CONDS[n][1]
+    )
+    if isinstance(c, Contains):
+        n += f"[{path_to_text(c.path)}][{range_to_text(c.rng)}]"
+    return f"{n}({args})"
 
 
 def _rule_text(r) -> str:
@@ -1399,19 +1387,24 @@ def to_complex_object(store: AtomStore, schema, tree: DocTree):
             )
     groups = {p: store.pairs[p].by_parent for p in allowed if p in store.pairs}
 
-    def render(anchor: int, node):
-        if isinstance(node, ob.StrSchema):
-            return tree.txt(anchor)
-        if isinstance(node, ob.RecordSchema):
-            return tuple(render(anchor, e) for e in node.entries)
-        if isinstance(node, ob.SetSchema):
-            if node.pred is None:
-                return ob.SetVal([render(anchor, node.elem)])
-            members = sorted(groups.get(node.pred, {}).get(anchor, ()))
-            return ob.SetVal([render(w, node.elem) for w in members])
-        raise TypeError(f"not a schema node: {node!r}")
+    def render(node: ob.SetSchema, anchors: list) -> list:
+        """The set's value at each of anchors.  Its elements are rendered
+        once, at the members of all the anchors, so a record nested n deep
+        takes n frames."""
+        by = groups.get(node.pred, {})
+        members = [[a] if node.pred is None else sorted(by.get(a, ())) for a in anchors]
+        nodes, elem = sorted(set().union(*members)), node.elem
+        if isinstance(elem, ob.RecordSchema):
+            columns = []
+            for e in elem.entries:  # a loop: one frame per level
+                columns.append(render(e, nodes))
+            values = zip(*columns)
+        else:
+            values = map(tree.txt, nodes)
+        at = dict(zip(nodes, values))
+        return [ob.SetVal([at[w] for w in m]) for m in members]
 
-    return render(tree.root(), schema)
+    return render(schema, [tree.root()])[0]
 
 
 def run_pipeline(program: ElogProgram, tree: DocTree):

@@ -103,7 +103,7 @@ def vhel_to_text(stmt) -> str:
 
 
 # ---------------------------------------------------------------------------
-# variables: binding paths, validation, desugaring
+# variables: bindings, validation, desugaring
 
 
 def _patoms(chain: rpn.Chain):
@@ -115,60 +115,47 @@ def _patoms(chain: rpn.Chain):
             yield from _patoms(e)
 
 
-def binding_paths(chain: rpn.Chain) -> list[tuple]:
-    """Every root-to-leaf sequence of patoms, one per record entry."""
-    if isinstance(chain.end, rpn.Record):
-        return [chain.patoms + p for e in chain.end.entries for p in binding_paths(e)]
-    return [chain.patoms]
-
-
-def validate_vars(stmt: HelStatement) -> None:
-    seen = set()
-    for pa in _patoms(stmt.chain):
-        if pa.var is None:
-            continue
-        if pa.var in seen:
-            raise VarUsedTwice(f"index variable {pa.var!r} is bound twice")
-        seen.add(pa.var)
-    paths = binding_paths(stmt.chain)
-    for cond in stmt.where:
-        var_positions = [j for j, pa in enumerate(cond.patoms) if pa.var is not None]
-        if not var_positions:
-            raise PrefixMismatch(f"condition {_cond_text(cond)!r} binds no index variable")
-        for j in var_positions:
-            if cond.patoms[j].var not in seen:
-                raise VarUnbound(
-                    f"index variable {cond.patoms[j].var!r} is not bound in the chain"
-                )
-        prefix = cond.patoms[: max(var_positions) + 1]
-        if not any(_prefix_matches(prefix, p) for p in paths):
-            raise PrefixMismatch(
-                f"condition {_cond_text(cond)!r} repeats no chain path up to its "
-                "rightmost variable"
-            )
-
-
 def _cond_text(cond) -> str:
     return rpn.statement_to_text(cond, "vhel")
 
 
-def _prefix_matches(prefix: list, path: tuple) -> bool:
-    """Tags, axes and variable positions (with names) must coincide;
-    plain ranges are navigation detail and stay out of the comparison."""
-    if len(path) < len(prefix):
-        return False
-    return all(a.path == b.path and a.var == b.var for a, b in zip(prefix, path))
-
-
 def desugar(stmt: HelStatement):
-    """Erase the variables: each condition's remainder after its rightmost
-    variable becomes a condition of the patom binding that variable."""
-    validate_vars(stmt)
+    """Erase the variables: each condition must repeat the chain's steps
+    from the root through the step binding its rightmost variable, in tags,
+    axes and variables (plain ranges are navigation detail); its remainder
+    after that variable becomes a condition of the binding step."""
+    bound: dict = {}  # variable -> the chain's patoms from the root through its binder
+
+    def bind(chain: rpn.Chain, above: tuple) -> None:  # in text order
+        for i, pa in enumerate(chain.patoms):
+            if pa.var is not None:
+                if pa.var in bound:
+                    raise VarUsedTwice(f"index variable {pa.var!r} is bound twice")
+                bound[pa.var] = above + chain.patoms[: i + 1]
+        if isinstance(chain.end, rpn.Record):
+            for e in chain.end.entries:
+                bind(e, above + chain.patoms)
+
+    bind(stmt.chain, ())
     pending: dict = {}
-    for cond in stmt.where:  # each binds a variable: validate_vars checked
-        i = max(j for j, pa in enumerate(cond.patoms) if pa.var is not None)
+    for cond in stmt.where:
+        at = [j for j, pa in enumerate(cond.patoms) if pa.var is not None]
+        if not at:
+            raise PrefixMismatch(f"condition {_cond_text(cond)!r} binds no index variable")
+        for pa in cond.patoms:
+            if pa.var is not None and pa.var not in bound:
+                raise VarUnbound(f"index variable {pa.var!r} is not bound in the chain")
+        i, var = at[-1], cond.patoms[at[-1]].var
+        prefix = bound[var]
+        if len(prefix) != i + 1 or any(
+            a.path != b.path or a.var != b.var for a, b in zip(cond.patoms, prefix)
+        ):
+            raise PrefixMismatch(
+                f"condition {_cond_text(cond)!r} repeats no chain path up to its "
+                "rightmost variable"
+            )
         remainder = rpn.Chain(cond.patoms[i + 1 :], cond.end)
-        pending.setdefault(cond.patoms[i].var, []).append(remainder)
+        pending.setdefault(var, []).append(remainder)
 
     def erase(chain: rpn.Chain) -> rpn.Chain:
         end = chain.end

@@ -361,7 +361,7 @@ def _patom_text(pa: Patom, dialect: str, axis_prefix: bool) -> str:
         s = "(" + path_to_text(pa.path) + ")"
         sep = "." if axis_prefix else ""
     else:
-        raise ValueError(f"path {pa.path!r} has no condition-chain syntax")
+        raise ValueError(f"path {path_to_text(pa.path)!r} has no condition-chain syntax")
     out = sep + s
     if pa.var is not None:
         rng = "" if pa.range == StarRange() else ":" + range_to_text(pa.range)
@@ -377,7 +377,15 @@ def _patom_text(pa: Patom, dialect: str, axis_prefix: bool) -> str:
 
 def statement_to_text(stmt: Chain, dialect: str = "rpn") -> str:
     """The text of a statement, or of a condition: both are chains of path
-    atoms, one ending in txt or a record and the other in a text test."""
+    atoms, one ending in txt or a record and the other in a text test.
+    ValueError for what .vhel cannot read: a nested condition, a regex path."""
+    if dialect == "vhel" and isinstance(stmt.end, TxtEq) and any(
+        pa.conds for pa in stmt.patoms
+    ):
+        raise ValueError(
+            f"condition {statement_to_text(stmt)!r} nests a condition: "
+            ".vhel conditions do not nest"
+        )
     parts = ["!"] if stmt.cut else []
     for i, pa in enumerate(stmt.patoms):
         parts.append(_patom_text(pa, dialect, axis_prefix=i > 0))

@@ -523,6 +523,29 @@ def test_check_and_translate_a_deeply_nested_record(wrapctl, tmp_path, ext):
     assert out.count("record(set(") == depth
 
 
+def test_a_deeply_nested_record_runs_through_its_translation(wrapctl, tmp_path):
+    # r.x.(a.txt # x.(a.txt # ... b.txt)): rendering takes one call per set
+    # of the schema, not recursive calls per record value
+    depth = 300
+    stmt = "b.txt"
+    for _ in range(depth):
+        stmt = f"x.(a.txt # {stmt})"
+    w = tmp_path / "deep.rpn"
+    w.write_text("r." + stmt)
+    d = tmp_path / "deep.doc"
+    d.write_text("<r>" + "<x><a>y</a>" * depth + "<b>z</b>" + "</x>" * depth + "</r>")
+    rc, direct, err = wrapctl("run", w, d)
+    assert (rc, err) == (0, "")
+    rc, out, err = wrapctl("translate", w, "--to", "elog")
+    assert (rc, err) == (0, "")
+    prog = tmp_path / "deep.elog"
+    prog.write_text(out)
+    assert wrapctl("run", prog, d, "--out", "json") == (0, direct, "")
+    rc, out, err = wrapctl("run", prog, d, "--out", "atoms")
+    assert (rc, err) == (0, "")
+    assert out.count("\n") == 2 * depth + 1  # an x and an a atom per level, a b
+
+
 def _long_rpn_condition(tmp_path):
     w = tmp_path / "cond.rpn"
     w.write_text("a{" + "b." * LONG + 'txt = "x"}.txt')
@@ -561,6 +584,18 @@ def test_translate_rpn_to_vhel_makes_ranges_explicit(wrapctl):
     )
     assert rc == 0
     assert out.strip() == 'html.body.table.tr[*]{td[0].txt = "item"}.td[1].txt;'
+
+
+@pytest.mark.parametrize("text, message", [
+    ('b{c{c.txt = ""}.txt = "xy"}.txt',
+     """condition 'c{c.txt = ""}.txt = "xy"' nests a condition: """
+     ".vhel conditions do not nest"),
+    ("r.(a|b).txt", "path 'a|b' has no condition-chain syntax"),
+], ids=["nested_condition", "regex_path"])
+def test_translate_to_vhel_refuses_what_vhel_cannot_read(wrapctl, tmp_path, text, message):
+    w = tmp_path / "w.rpn"
+    w.write_text(text)
+    assert wrapctl("translate", w, "--to", "vhel") == (1, "", f"wrapctl: {w}: {message}\n")
 
 
 def test_translate_to_elog_output_reparses(wrapctl):

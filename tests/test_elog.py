@@ -279,6 +279,40 @@ def test_rejected_programs(text, err):
         elog.parse_elog(text)
 
 
+@pytest.mark.parametrize(
+    "text, err, message",
+    [
+        (
+            "p(X0,X) :- root(_,X0), subelem[a](X0,X).\n"
+            "p(X0,X) :- dom(X0,X), label(X, a).",
+            elog.UnsafeRule,
+            "predicate 'p' mixes dom rules with other rule shapes",
+        ),
+        (
+            "p(X0,X) :- root(_,X0), subelem[a](X0,X), dom(_, X).",
+            elog.UnknownPredicate,
+            "rule for 'p': builtin 'dom' cannot be referenced",
+        ),
+        (
+            "p(X0,X) :- root(_,X0).",
+            elog.ElogSyntaxError,
+            "line 1: chain rule needs a subelem atom",
+        ),
+        (
+            "p(X0,X) :- root(_,X0), subelem[a](X0,X), contains_s(X, 1).",
+            elog.ElogSyntaxError,
+            "line 1: bad string literal 1",
+        ),
+    ],
+    ids=["mixed_shapes", "dom_reference", "no_subelem", "number_literal"],
+)
+def test_rejected_programs_give_their_message(text, err, message):
+    with pytest.raises(err) as e:
+        elog.parse_elog(text)
+    assert type(e.value) is err
+    assert str(e.value) == message
+
+
 RULE_P1 = "p1(X0, X) :- root(_, X0), subelem[a][*](X0, X).\n"
 
 

@@ -235,36 +235,43 @@ def test_generated_vf_statements_round_trip(seed):
     assert hel.parse_vhel(hel.vhel_to_text(w)) == w
 
 
+def test_path_statements_are_written_as_vhel_or_refused():
+    # a regex path or a condition nested in a condition has no .vhel text:
+    # writing refuses it, and every text it writes reads back
+    outcomes = {"written": 0, "refused": 0}
+    for seed in range(3000):
+        w = rpn.parse_rpn(gen_stmt(StmtGenSpec(seed=seed)))
+        try:
+            text = hel.vhel_to_text(w)
+        except ValueError:
+            outcomes["refused"] += 1
+            continue
+        assert hel.parse_vhel(text) == w, seed
+        outcomes["written"] += 1
+    assert min(outcomes.values()) >= 500, outcomes
+
+
 # ---------------------------------------------------------------------------
 # variables
-
-
-def test_binding_paths_include_the_witness():
-    s = hel.parse_hel(ITEMS_HEL)
-    expected = [
-        hel.parse_hel(text).chain.patoms
-        for text in ("html.body.table.tr[0].td[0].txt;", "html.body.table.tr[i].td[1].txt;")
-    ]
-    assert hel.binding_paths(s.chain) == expected
 
 
 def test_variable_bound_twice():
     s = hel.parse_hel("a[i].b[i].txt;")
     with pytest.raises(hel.VarUsedTwice):
-        hel.validate_vars(s)
+        hel.desugar(s)
 
 
 def test_variable_bound_twice_across_entries():
     s = hel.parse_hel("a(b[i].txt # c[i].txt);")
     with pytest.raises(hel.VarUsedTwice):
-        hel.validate_vars(s)
+        hel.desugar(s)
 
 
 def test_condition_variable_unbound():
     s = hel.parse_hel('html.body.table.tr[i:*].td[1].txt '
                       'where html.body.table.tr[j].td[0].txt = "item";')
     with pytest.raises(hel.VarUnbound):
-        hel.validate_vars(s)
+        hel.desugar(s)
 
 
 @pytest.mark.parametrize(
@@ -280,22 +287,24 @@ def test_condition_variable_unbound():
         "a[i].txt where a[i].b.c[i].txt = \"x\";",
         # child step where the chain walks a descendant step
         "a->b[i].c.txt where a.b[i].txt = \"x\";",
+        # the chain's variable on an earlier step is left out
+        "a[i].b[j].txt where a.b[j].txt = \"x\";",
     ],
 )
 def test_prefix_mismatches(text):
     with pytest.raises(hel.PrefixMismatch):
-        hel.validate_vars(hel.parse_hel(text))
+        hel.desugar(hel.parse_hel(text))
 
 
 def test_prefix_mismatch_names_the_condition():
     s = hel.parse_hel('a.c[i].txt where a.b[i:1-2].txt = "x";')
     with pytest.raises(hel.PrefixMismatch, match=r"'a\.b\[i:1-2\]\.txt = \"x\"'"):
-        hel.validate_vars(s)
+        hel.desugar(s)
 
 
 def test_plain_ranges_in_the_prefix_are_not_compared():
     s = hel.parse_hel('a[0].b[i].txt where a[7].b[i].txt = "x";')
-    hel.validate_vars(s)  # navigation detail may differ
+    hel.desugar(s)  # navigation detail may differ
 
 
 def test_desugar_matches_the_listing():
@@ -418,6 +427,23 @@ def _warned(fn, stmt, tree):
             out = e
     return out, [int(str(c.message).split("under node ")[1].split(";")[0])
                  for c in caught]
+
+
+@pytest.mark.parametrize("evaluate, parse, text, doc", [
+    # the range over r's two a's fails, and the conditions keep its error
+    (rpn.eval_rpn, rpn.parse_rpn, 'r.a[regex:1]{b.txt = "x"}.txt',
+     "<r><a><b>x</b></a><a/></r>"),
+    # the cut scan asks the condition at the a, whose two b's the range fails
+    (hel.eval_cut, hel.parse_vhel, 'r.a{!b[regex:1].txt = "x"}.txt;',
+     "<r><a><b/><b/></a></r>"),
+    # so does the single-value chain of a plain scan
+    (hel.eval_vf, hel.parse_vhel, 'r.a{b[regex:1].txt = "x"}.txt;',
+     "<r><a><b/><b/></a></r>"),
+], ids=["range_before_conditions", "cut_scan", "condition_chain"])
+def test_range_errors_in_the_walk_reach_the_caller(evaluate, parse, text, doc):
+    with pytest.raises(NoWordOfLength) as e:
+        evaluate(parse(text), parse_document(doc))
+    assert str(e.value) == "range regex has no word of length 2"
 
 
 def test_lenient_mode_warns_only_before_the_first_error():
