@@ -140,18 +140,15 @@ def cmd_translate(args) -> int:
     w = Wrapper(args.wrapper)
     if w.lang == "elog":
         raise WrapperError("datalog programs are a target, not a source")
-    if args.to == "vhel":
-        try:
-            print(hel.vhel_to_text(w.ast))
-        except ValueError as e:
-            raise WrapperError(f"{w.path}: {e}") from None
-        return 0
-    translate = rpn.translate_rpn if w.lang == "rpn" else hel.translate_vf
-    try:  # a nested condition is translated one recursive call per level
-        prog, _, _ = translate(w.ast)
+    try:  # a nested condition is rendered and translated one call per level
+        if args.to == "vhel":
+            out = hel.vhel_to_text(w.ast) + "\n"
+        else:
+            translate = rpn.translate_rpn if w.lang == "rpn" else hel.translate_vf
+            out = elog.serialize_elog(translate(w.ast)[0])
     except (ValueError, elog.ElogError, RecursionError) as e:
         raise WrapperError(f"{w.path}: {e}") from None
-    sys.stdout.write(elog.serialize_elog(prog))
+    sys.stdout.write(out)
     return 0
 
 
@@ -177,9 +174,16 @@ def _lenient(w: Wrapper, tree: DocTree):
         return w.evaluate(tree, strict=False)[1]
 
 
+def _differ(a: Wrapper, b: Wrapper, va, vb) -> bool:
+    try:  # values compare one recursive call per nesting level
+        return va != vb
+    except RecursionError as e:
+        raise WrapperError(f"{a.path}, {b.path}: cannot compare values: {e}") from None
+
+
 def _diff_pair(a: Wrapper, b: Wrapper, tree: DocTree, label: str) -> bool:
     va, vb = _lenient(a, tree), _lenient(b, tree)
-    if va == vb:
+    if not _differ(a, b, va, vb):
         return False
     print(_styled(f"divergence on {label}:", "31"))
     print(f"  {a.path}: {ob.json_text(va)}")
@@ -206,9 +210,10 @@ def cmd_diff(args) -> int:
 
     def disagree(tree: DocTree) -> bool:
         try:
-            return _lenient(a, tree) != _lenient(b, tree)
+            va, vb = _lenient(a, tree), _lenient(b, tree)
         except WrapperError:
             return False
+        return _differ(a, b, va, vb)
 
     for i in range(args.generate):
         tree = gen_tree(TreeGenSpec(seed=args.seed + i))

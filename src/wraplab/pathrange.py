@@ -327,138 +327,114 @@ def path_to_text(node: PathRegex, sep: str = ".") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Thompson construction, determinised lazily
+# Glushkov's position automaton, determinised lazily
+
+
+def _bits(mask: int):
+    """The indices of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class PathAutomaton:
-    """Thompson NFA, determinised on demand.
+    """Glushkov's position automaton, determinised on demand.
 
-    A DFA state is a set of NFA states reached so far, keyed by its
-    important states, those with a labelled move, and whether it accepts
-    (Aho, Lam, Sethi & Ullman, *Compilers*, section 3.9): two sets that
-    agree on both move and accept alike, so they are one state.  Thus
-    ``b*.l`` steps from ``start`` back to ``start`` on ``b``, and ``_*.b``
-    on every tag but ``b``.  States are numbered in the order they were
-    first reached: 0 is the empty (dead) set and ``start`` is 1.
+    Each ``Atom`` and ``Wildcard`` of the path is a position, and p's
+    follow set holds the positions that may be read right after p, plus
+    the end bit ``final_mask``, the one past every position, when a word
+    may end at p (Berry & Sethi, *From regular expressions to deterministic
+    automata*, TCS 1986).  There are no ε-moves.  A DFA state is a bitmask
+    of the positions that may be read next, with the end bit when it
+    accepts; ``start_mask`` is the start state's.  Thus ``b*.l`` steps from ``start`` back to ``start`` on ``b``, and
+    ``_*.b`` on every tag but ``b``.  States are numbered in the order they
+    were first reached: 0 is the empty (dead) mask and ``start`` is 1.
     ``delta[s]`` caches state s's transitions by tag, so ``step``, the
     subset construction, runs once per (state, tag) pair ever taken.
-    ``stop[s]`` says that s has no labelled move, so that no node below one
-    in state s matches: s is dead, or terminal if it accepts.
+    ``stop[s]`` says that s has no position, so that no node below one in
+    state s matches: s is dead, or terminal if it accepts.
     """
 
     start = 1
 
     def __init__(self, ast: PathRegex):
-        self._eps: list[list[int]] = []
-        self._moves: list[list[tuple[str | None, int]]] = []
-        start, accept = self._build(ast)
-        self._closure = self._closures()
-        self._final = accept
-        self._sets: list = [(frozenset(), False)]
-        self._ids = {self._sets[0]: 0}
+        self._reads: defaultdict = defaultdict(int)  # tag or None ('_') -> positions
+        self._follow: list[int] = []
+        nullable, first, last = self._build(ast)
+        self.final_mask = end = 1 << len(self._follow)
+        for p in _bits(last):
+            self._follow[p] |= end
+        self._keys: list[int] = [0]
+        self._ids = {0: 0}
         self.delta: list[dict[str, int]] = [{}]
         self.accept = [False]
         self.stop = [True]
-        self._state(self._closure[start])
-        # for bottom-up passes: sets of NFA states as bitmasks
-        self.start_bit = 1 << start
-        self.final_mask = sum(
-            1 << q for q, c in enumerate(self._closure) if accept in c
-        )
+        self.start_mask = first | end if nullable else first
+        self._state(self.start_mask)
         self.back: defaultdict = defaultdict(dict)  # tag -> mask -> mask
 
-    def _new_state(self) -> int:
-        self._eps.append([])
-        self._moves.append([])
-        return len(self._eps) - 1
-
-    def _build(self, ast) -> tuple[int, int]:
-        if isinstance(ast, Atom):
-            s, t = self._new_state(), self._new_state()
-            self._moves[s].append((ast.tag, t))
-            return s, t
-        if isinstance(ast, Wildcard):
-            s, t = self._new_state(), self._new_state()
-            self._moves[s].append((None, t))
-            return s, t
+    def _build(self, ast) -> tuple[bool, int, int]:
+        """Number ast's positions and fill their follow sets; return whether
+        ast matches the empty word, and its first and last positions."""
+        follow = self._follow
+        if isinstance(ast, (Atom, Wildcard)):
+            p = 1 << len(follow)
+            follow.append(0)
+            self._reads[ast.tag if isinstance(ast, Atom) else None] |= p
+            return False, p, p
         if isinstance(ast, Epsilon):
-            s, t = self._new_state(), self._new_state()
-            self._eps[s].append(t)
-            return s, t
+            return True, 0, 0
         if isinstance(ast, Concat):
-            first, last = None, None
+            nullable, first, last = True, 0, 0
             for item in ast.items:
-                s, t = self._build(item)
-                if first is None:
-                    first = s
-                else:
-                    self._eps[last].append(s)
-                last = t
-            if first is None:
-                return self._build(Epsilon())
-            return first, last
+                n, f, l = self._build(item)
+                for p in _bits(last):
+                    follow[p] |= f
+                first |= f if nullable else 0
+                last = last | l if n else l
+                nullable = nullable and n
+            return nullable, first, last
         if isinstance(ast, Alt):
-            s, t = self._new_state(), self._new_state()
+            nullable, first, last = False, 0, 0
             for item in ast.items:
-                a, b = self._build(item)
-                self._eps[s].append(a)
-                self._eps[b].append(t)
-            return s, t
+                n, f, l = self._build(item)
+                nullable, first, last = nullable or n, first | f, last | l
+            return nullable, first, last
         if isinstance(ast, Star):
-            s, t = self._new_state(), self._new_state()
-            a, b = self._build(ast.item)
-            self._eps[s] += [a, t]
-            self._eps[b] += [a, t]
-            return s, t
+            _, first, last = self._build(ast.item)
+            for p in _bits(last):
+                follow[p] |= first
+            return True, first, last
         raise TypeError(f"not a path node: {ast!r}")
 
-    def _closures(self) -> list[frozenset]:
-        out = []
-        for s in range(len(self._eps)):
-            seen = {s}
-            stack = [s]
-            while stack:
-                for d in self._eps[stack.pop()]:
-                    if d not in seen:
-                        seen.add(d)
-                        stack.append(d)
-            out.append(frozenset(seen))
-        return out
-
-    def _state(self, nfa: set) -> int:
-        """The DFA state of a closed set of NFA states, new or not."""
-        moves = self._moves
-        key = (frozenset(q for q in nfa if moves[q]), self._final in nfa)
+    def _state(self, key: int) -> int:
+        """The DFA state of a mask of positions and end bit, new or not."""
         d = self._ids.get(key)
         if d is None:
-            d = self._ids[key] = len(self._sets)
-            self._sets.append(key)
+            d = self._ids[key] = len(self._keys)
+            self._keys.append(key)
             self.delta.append({})
-            self.accept.append(key[1])
-            self.stop.append(not key[0])
+            self.accept.append(key >= self.final_mask)
+            self.stop.append(not key & (self.final_mask - 1))
         return d
 
     def step(self, state: int, tag: str) -> int:
-        """Determinise the transition from DFA state on tag and cache it."""
-        nxt: set = set()
-        for s in self._sets[state][0]:
-            for lab, d in self._moves[s]:
-                if lab is None or lab == tag:
-                    nxt |= self._closure[d]
+        """Determinise the transition from DFA state on tag and cache it:
+        the union of the follow sets of its positions that read tag."""
+        reads, nxt = self._reads, 0
+        for p in _bits(self._keys[state] & (reads.get(tag, 0) | reads[None])):
+            nxt |= self._follow[p]
         d = self.delta[state][tag] = self._state(nxt)
         return d
 
     def pre(self, tag: str, mask: int) -> int:
-        """The NFA states from which one move on tag, after their closure,
-        lands in mask; cached in ``back``."""
+        """The positions that read tag and whose follow set meets mask;
+        cached in ``back``."""
         out = 0
-        for q, c in enumerate(self._closure):
-            if any(
-                (lab is None or lab == tag) and mask >> d & 1
-                for p in c
-                for lab, d in self._moves[p]
-            ):
-                out |= 1 << q
+        for p in _bits(self._reads.get(tag, 0) | self._reads[None]):
+            if self._follow[p] & mask:
+                out |= 1 << p
         self.back[tag][mask] = out
         return out
 
@@ -466,7 +442,7 @@ class PathAutomaton:
         """The complete DFA over a fixed alphabet: row s lists state s's
         successor on each symbol in turn."""
         rows: list[list[int]] = []
-        while len(rows) < len(self._sets):
+        while len(rows) < len(self._keys):
             s = len(rows)
             rows.append([self.step(s, a) for a in alphabet])
         return rows
@@ -786,10 +762,12 @@ def holders(tree: DocTree, path: PathRegex, rng: Range, test) -> list[int]:
     nodes at most L levels down, and the walk costs O(N·L); the range,
     which must be structured, then selects per context.  Any other path
     needs the ``*`` range: one bottom-up pass over the ids in descending
-    order gives each node the bitmask of NFA states from which its subtree
-    completes a match at a node passing test, ORed into its parent's
-    through its own tag with ``PathAutomaton.pre``, in O(N).  test runs at
-    most once per node.
+    order gives each node the bitmask of the positions that, read at one of
+    its children, lead on to a match at a node passing test, with the end
+    bit when the node itself passes; the children's masks reach their
+    parent through their tags with ``PathAutomaton.pre``, and a node holds
+    when its mask meets the start state's.  This takes O(N), and test runs
+    at most once per node.
     """
     aut = compile_path(path)
     tags, parents = tree.tags, tree.parents
@@ -798,14 +776,14 @@ def holders(tree: DocTree, path: PathRegex, rng: Range, test) -> list[int]:
         if not isinstance(rng, StarRange):
             raise ValueError("a ranged infinite path has no one-pass holders")
         back, pre = aut.back, aut.pre
-        final, start_bit = aut.final_mask, aut.start_bit
+        final, start_mask = aut.final_mask, aut.start_mask
         masks = [0] * n
         out = []
         for v in range(n - 1, -1, -1):
             m = masks[v]
             if test(v):
                 m |= final
-            if m & start_bit:
+            if m & start_mask:
                 out.append(v)
             p = parents[v]
             if m and p is not None:

@@ -7,6 +7,8 @@ attach a human-readable detail via the built-in record_property fixture.
 
 import re
 
+from wraplab import objects as ob
+
 _CRITERION = re.compile(r"test_acceptance\.py::test_(a\d+)_")
 _results: dict[str, tuple[str, str]] = {}
 
@@ -40,3 +42,22 @@ class CountedList(list):
     def __getitem__(self, i):
         self.reads += 1
         return super().__getitem__(i)
+
+
+def plain(val):
+    """The value as the naive oracles answer: each set a frozenset."""
+    if isinstance(val, ob.SetVal):
+        return frozenset(plain(v) for v in val)
+    if isinstance(val, tuple):
+        return tuple(plain(e) for e in val)
+    return val
+
+
+def _covered(a, b) -> bool:
+    """Whether plain value a is contained in b: each set's members are
+    covered by members of b's set, and records entry by entry."""
+    if isinstance(a, frozenset) and isinstance(b, frozenset):
+        return all(any(_covered(x, y) for y in b) for x in a)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(_covered(x, y) for x, y in zip(a, b))
+    return a == b

@@ -13,6 +13,7 @@ import warnings
 
 import pytest
 
+from conftest import _covered, plain
 from wraplab import elog, hel, rpn
 from wraplab import objects as ob
 from wraplab import pathrange as pr
@@ -39,15 +40,6 @@ ITEMS_HEL = (
     ' where html.body.table.tr[i].td[0].txt = "item";'
 )
 ITEMS_VHEL = 'html.body.table(tr[0].td[0].txt # tr[*]{td[0].txt = "item"}.td[1].txt);'
-
-
-def plain(val):
-    """The value as the naive oracles answer: each set a frozenset."""
-    if isinstance(val, ob.SetVal):
-        return frozenset(plain(v) for v in val)
-    if isinstance(val, tuple):
-        return tuple(plain(e) for e in val)
-    return val
 
 
 def quiet_vf(stmt, tree):
@@ -225,14 +217,6 @@ def test_a9_navigation_and_range_primitives(record_property):
     record_property(
         "detail", "10000 navigation cases, direct indexing, density probe"
     )
-
-
-def _covered(a, b) -> bool:
-    if isinstance(a, frozenset) and isinstance(b, frozenset):
-        return all(any(_covered(x, y) for y in b) for x in a)
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(_covered(x, y) for x, y in zip(a, b))
-    return a == b
 
 
 def test_a10_cut_evaluation_is_a_sound_restriction(record_property):

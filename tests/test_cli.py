@@ -598,6 +598,30 @@ def test_translate_to_vhel_refuses_what_vhel_cannot_read(wrapctl, tmp_path, text
     assert wrapctl("translate", w, "--to", "vhel") == (1, "", f"wrapctl: {w}: {message}\n")
 
 
+def test_translate_to_vhel_refuses_the_deepest_condition_on_one_line(wrapctl, tmp_path):
+    # a{b{… b.txt = "x" …}.txt = "x"}.txt as deep as check reads it: the
+    # refusal quotes the nested condition, and writing it out may recurse
+    # deeper than reading it did
+    w = tmp_path / "deep.rpn"
+
+    def nest(depth: int) -> None:
+        cond = 'b.txt = "x"'
+        for _ in range(depth):
+            cond = f'b{{{cond}}}.txt = "x"'
+        w.write_text(f"a{{{cond}}}.txt")
+
+    lo, hi = 1, 2000  # the deepest nesting that check reads, by halving
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        nest(mid)
+        lo, hi = (mid, hi) if wrapctl("check", w)[0] == 0 else (lo, mid - 1)
+    assert lo > 100
+    nest(lo)
+    rc, out, err = wrapctl("translate", w, "--to", "vhel")
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"wrapctl: {w}: ") and err.count("\n") == 1
+
+
 def test_translate_to_elog_output_reparses(wrapctl):
     rc, out, _ = wrapctl(
         "translate", corpus("items_table", "second_cols.rpn"), "--to", "elog"
@@ -764,6 +788,39 @@ def test_diff_generate_passes_translated_twins(wrapctl, tmp_path):
     rc, out, _ = wrapctl("diff", src, twin, "--generate", 120, "--seed", 7)
     assert rc == 0
     assert out == "no divergence (120 documents, seeds 7..126)\n"
+
+
+def test_diff_of_a_deeply_nested_record_ends_on_one_line(wrapctl, tmp_path):
+    # r.x.(a.txt # x.(a.txt # … b.txt)) against its own translation: the two
+    # values are equal, but comparing them takes recursive calls per level
+    depth = 300
+    stmt = "b.txt"
+    for _ in range(depth):
+        stmt = f"x.(a.txt # {stmt})"
+    w = tmp_path / "deep.rpn"
+    w.write_text("r." + stmt)
+    d = tmp_path / "deep.doc"
+    d.write_text("<r>" + "<x><a>y</a>" * depth + "<b>z</b>" + "</x>" * depth + "</r>")
+    prog = tmp_path / "deep.elog"
+    prog.write_text(wrapctl("translate", w, "--to", "elog")[1])
+    rc, out, err = wrapctl("diff", w, prog, d)
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"wrapctl: {w}, {prog}: ") and err.count("\n") == 1
+    assert "recursion" in err
+
+
+def test_diff_generate_of_a_deeply_nested_record_ends_on_one_line(wrapctl, tmp_path):
+    # (z*).((z*).txt # (z*).(… (z*).txt)): z* matches the empty word alone
+    # on generated documents, so every one gets a value 300 levels deep
+    stmt = "(z*).txt"
+    for _ in range(300):
+        stmt = f"(z*).((z*).txt # {stmt})"
+    w = tmp_path / "deep.rpn"
+    w.write_text(stmt)
+    rc, out, err = wrapctl("diff", w, w, "--generate", "1")
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"wrapctl: {w}, {w}: ") and err.count("\n") == 1
+    assert "recursion" in err
 
 
 def test_diff_needs_a_document_or_a_budget(wrapctl):

@@ -205,8 +205,8 @@ def test_nested_contexts_share_one_walk(profile):
 
 
 def test_star_states_step_back_to_the_start():
-    # states are keyed by their labelled NFA states and acceptance, so a
-    # star's loop and an unmatched tag under _* return to start
+    # states are keyed by the positions they may read next and acceptance,
+    # so a star's loop and an unmatched tag under _* return to start
     b_l = pr.compile_path("b*.l")
     assert b_l.step(b_l.start, "b") == b_l.start
     desc = pr.compile_path("_*.b")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CountedList
+from conftest import CountedList, plain
 from wraplab import elog, hel
 from wraplab import objects as ob
 from wraplab import pathrange as pr
@@ -34,15 +34,6 @@ ITEMS = 'html.body.table.tr{td[0].txt = "item"}.td[1].txt'
 @pytest.fixture
 def doc1():
     return parse_document(DOC1)
-
-
-def plain(val):
-    """The value as the naive oracles answer: each set a frozenset."""
-    if isinstance(val, ob.SetVal):
-        return frozenset(plain(v) for v in val)
-    if isinstance(val, tuple):
-        return tuple(plain(e) for e in val)
-    return val
 
 
 def conforms(val, ty) -> bool:
@@ -351,6 +342,34 @@ def test_wrappers_nested_as_deep_as_they_parse_evaluate(make):
         for _ in range(depth + 1):
             expected = [[["x"], expected]]
     assert ob.to_jsonable(val) == expected
+
+
+@pytest.mark.parametrize(
+    "group", ["({})*", "({}|b)", "({}.b)"], ids=["star", "alt", "concat"]
+)
+def test_path_groups_nested_as_deep_as_they_parse_compile(group):
+    # r.(((…(a)*…)*)*), r.(((a|b)|b)…|b) and r.(((a.b).b)….b): the path's
+    # automaton is built from its AST with no more frames per level than
+    # the parser takes
+    def make(depth: int) -> str:
+        path = "a"
+        for _ in range(depth):
+            path = group.format(path)
+        return f"r.({path}).txt"
+
+    depth = _deepest(make)
+    assert depth > 100
+    w = rpn.parse_rpn(make(depth))
+    tree = parse_document(
+        "<r><a>u<a>v</a>" + "<b>" * depth + "x" + "</b>" * depth
+        + "</a><b>w</b><c>z</c></r>"
+    )
+    val = rpn.eval_rpn(w, tree)
+    assert val == elog.run_pipeline(rpn.translate_rpn(w)[0], tree)[1]
+    assert val  # each path matches somewhere in the document
+    path = w.patoms[1].path
+    for v in tree.nodes():
+        assert pr.subelem(tree, v, path) == tk.naive_subelem(tree, v, path)
 
 
 def test_record_is_a_singleton_set(doc1):
