@@ -174,16 +174,9 @@ def _lenient(w: Wrapper, tree: DocTree):
         return w.evaluate(tree, strict=False)[1]
 
 
-def _differ(a: Wrapper, b: Wrapper, va, vb) -> bool:
-    try:  # values compare one recursive call per nesting level
-        return va != vb
-    except RecursionError as e:
-        raise WrapperError(f"{a.path}, {b.path}: cannot compare values: {e}") from None
-
-
 def _diff_pair(a: Wrapper, b: Wrapper, tree: DocTree, label: str) -> bool:
     va, vb = _lenient(a, tree), _lenient(b, tree)
-    if not _differ(a, b, va, vb):
+    if ob.equal(va, vb):
         return False
     print(_styled(f"divergence on {label}:", "31"))
     print(f"  {a.path}: {ob.json_text(va)}")
@@ -213,7 +206,7 @@ def cmd_diff(args) -> int:
             va, vb = _lenient(a, tree), _lenient(b, tree)
         except WrapperError:
             return False
-        return _differ(a, b, va, vb)
+        return not ob.equal(va, vb)
 
     for i in range(args.generate):
         tree = gen_tree(TreeGenSpec(seed=args.seed + i))

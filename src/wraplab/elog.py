@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import defaultdict
 from collections.abc import Set
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -882,8 +882,8 @@ class _Eval:
         self._recursive = frozenset().union(
             *(comp for comp, recursive in self.analysis.components if recursive)
         )
-        # per shared automaton, each node's hit list; no caller mutates one
-        self._sub: dict = {aut: {} for aut in self._shared_automata()}
+        # per automaton, each node's hit list; no caller mutates one
+        self._sub: defaultdict = defaultdict(dict)
         # second-argument projection of each predicate; a dom-rule
         # predicate's node set itself
         self._image: dict[str, set] = {p: set() for p in self.analysis.heads}
@@ -894,37 +894,14 @@ class _Eval:
 
     # -- relation access ----------------------------------------------------
 
-    def _shared_automata(self) -> set:
-        """The automata a navigation may be asked for twice at one node, so
-        the only ones worth keeping subelem lists for: those that two or
-        more navigations of the program share.  A chain rule's step and a
-        dom rule's contains(X, Y), tried at each node, count once; any other
-        contains counts twice, since its first variable can take one node
-        at many targets.  A contains that holders derives in one pass does
-        not navigate per node and is not counted."""
-        uses: Counter = Counter()
-        for rs in self.analysis.rules.values():
-            for r, order in rs:
-                one_pass = None
-                if isinstance(r, ChainRule):
-                    uses[compile_path(r.path)] += 1
-                elif (k := self._one_pass(r, order)) is not None:
-                    one_pass = order[k][0]
-                for c in r.conds:
-                    if isinstance(c, Contains) and c is not one_pass:
-                        once = isinstance(r, DomRule) and c.x == r.xvar
-                        uses[compile_path(c.path)] += 1 if once else 2
-        return {aut for aut, n in uses.items() if n > 1}
-
     def _navigation(self, path):
         """The hits from a node along path, for a contains atom: a walk
-        from the node.  When the automaton is shared (see
-        _shared_automata), the walks keep each node's list, so a node is
+        from the node.  The walks keep each node's list, so a node is
         walked once, and a walk takes over the kept list of a node nested
         in its start that it enters in the start state, whichever
         navigation kept it (see walk)."""
         aut, tree = compile_path(path), self.tree
-        kept = self._sub.get(aut)
+        kept = self._sub[aut]
         return lambda v0: walk(tree, (v0,), aut, kept)[0]
 
     def parents_of(self, rule) -> list[int]:
@@ -1164,14 +1141,14 @@ class _Eval:
         chain rule checks the conditions on the parent alone first, then
         walks the parents that pass at once, so that a parent's pass takes
         over the hits of a parent nested in it (see walk), sharing the
-        shared automaton's kept lists.  It fires them in id order."""
+        automaton's kept lists.  It fires them in id order."""
         if parents is None:
             self._fire(plan, None, plan.targets())
             return
         if plan.parent is not None:
             parents = [v0 for v0 in parents if plan.parent([None, v0])]
         rng = plan.rule.rng
-        lists = walk(self.tree, parents, plan.nav, self._sub.get(plan.nav))
+        lists = walk(self.tree, parents, plan.nav, self._sub[plan.nav])
         for v0, hits in zip(parents, lists):
             self._fire(plan, v0, apply_range(hits, rng))
 

@@ -70,6 +70,31 @@ def json_text(value: Value) -> str:
     return json.dumps(value, ensure_ascii=False, default=list)
 
 
+def equal(a: Value, b: Value) -> bool:
+    """Whether two values are equal, in one loop over an explicit stack, so
+    no nesting depth recurses in Python: each distinct sub-value of both is
+    numbered bottom-up in one shared table, a string by itself, a record by
+    the tuple of its entries' numbers and a set by the frozenset of its
+    members' numbers."""
+    table, number = {}, {}  # key -> number, id(sub-value) -> number
+    stack = [(a, False), (b, False)]
+    while stack:
+        v, ready = stack.pop()
+        if id(v) in number:
+            continue
+        if isinstance(v, str):
+            key = v
+        elif not ready:  # its members first
+            stack.append((v, True))
+            stack += ((x, False) for x in v)
+            continue
+        else:
+            kind = tuple if isinstance(v, tuple) else frozenset
+            key = kind(number[id(x)] for x in v)
+        number[id(v)] = table.setdefault(key, len(table))
+    return number[id(a)] == number[id(b)]
+
+
 # ---------------------------------------------------------------------------
 # output schemas: a tree of sets, records and strings with a predicate
 # attached to each set.  A statement's type is the same tree with no

@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 from . import elog
 from . import objects as ob
@@ -379,9 +378,10 @@ def statement_to_text(stmt: Chain, dialect: str = "rpn") -> str:
     """The text of a statement, or of a condition: both are chains of path
     atoms, one ending in txt or a record and the other in a text test.
     ValueError for what .vhel cannot read: a nested condition, a regex path."""
-    if dialect == "vhel" and isinstance(stmt.end, TxtEq) and any(
-        pa.conds for pa in stmt.patoms
-    ):
+    if dialect == "vhel" and isinstance(stmt.end, TxtEq) and _nests(stmt):
+        # quote the innermost condition that nests one: it stays short
+        while inner := [c for pa in stmt.patoms for c in pa.conds if _nests(c)]:
+            stmt = inner[0]
         raise ValueError(
             f"condition {statement_to_text(stmt)!r} nests a condition: "
             ".vhel conditions do not nest"
@@ -401,6 +401,10 @@ def statement_to_text(stmt: Chain, dialect: str = "rpn") -> str:
     else:
         raise TypeError(f"not a statement: {stmt!r}")
     return "".join(parts)
+
+
+def _nests(cond: Chain) -> bool:
+    return any(pa.conds for pa in cond.patoms)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +456,14 @@ class _Walker:
     A step walks from all its nodes at once (pathrange.walk), decides each
     of its conditions once, at all the nodes it is asked at, and then scans
     each node's hits in document order as the scan from that node alone
-    does.  Where that scan would raise, the error is kept as the node's
-    outcome, so each origin of a chain gets the first error of its own
-    scan, and the statement raises only the error the scan from its start
-    raises first.  A condition's answer at a node is True, False, or such
-    an error.  The warnings of lenient answers go with the outcomes that
-    ask them, so the statement gives those its scan gives, in that order."""
+    does.  A cut scan may end early, so it starts from empty answers and
+    decides each where it is first asked.  Where a scan would raise, the
+    error is kept as the node's outcome, so each origin of a chain gets the
+    first error of its own scan, and the statement raises only the error
+    the scan from its start raises first.  A condition's answer at a node
+    is True, False, or such an error.  The warnings of lenient answers go
+    with the outcomes that ask them, so the statement gives those its scan
+    gives, in that order."""
 
     def __init__(self, tree: DocTree, wide, cut: bool):
         self.tree, self.wide, self.cut = tree, wide, cut
@@ -529,18 +535,15 @@ class _Walker:
         if not conds:  # either order keeps the same nodes
             return [_select(h, rng) for h in hits], None
         if self.wide is None:  # the range, then the conditions
-            picked = [_select(h, rng) for h in hits]
-            answers = self._conditions(conds, _union(picked))[0]
-            return [self._keep(h, conds, answers) for h in picked], None
-        if self.cut:  # it decides each answer as it asks
-            scan = self._cut_scan
+            hits = [_select(h, rng) for h in hits]
+        if self.cut:  # the scan decides each answer where it first asks
+            answers = [{} for _ in conds]
         else:
             answers = self._conditions(conds, _union(hits))[0]
-            if not self.warns:  # no answer warns: no warnings to carry
-                return [_select(self._keep(h, conds, answers), rng) for h in hits], None
-            scan = partial(self._keep, answers=answers)
-        said = {u: [] for u in nodes}
-        kept = [_select(scan(h, conds, heard=said[u]), rng) for u, h in zip(nodes, hits)]
+        said = {u: [] for u in nodes} if self.warns or self.cut else {}
+        kept = [self._keep(h, conds, answers, said.get(u)) for u, h in zip(nodes, hits)]
+        if self.wide is not None:
+            kept = [_select(k, rng) for k in kept]
         return kept, said if self.warns else None
 
     def _conditions(self, conds: tuple, nodes: list) -> tuple:
@@ -554,43 +557,33 @@ class _Walker:
         return answers, nodes
 
     def _keep(self, hits, conds: tuple, answers: list, heard=None):
-        """The hits at which every condition holds, asked in turn up to the
-        first that does not; or the first error asked, or hits' own.  Each
-        asked answer's warnings go on heard."""
+        """The hits at which every condition holds, or the first error
+        asked, or hits' own.  The conditions are asked in turn up to the
+        first that fails, or with cut all of them, up to the first hit that
+        fails a '!'-marked one.  An answer not in answers is decided where
+        it is first asked, at that hit alone.  Their warnings go on heard."""
         if isinstance(hits, Exception):
             return hits
-        keep, warns = [], self.warns
+        keep, warns, cut, stop = [], self.warns, self.cut, False
         for w in hits:
+            held_all = True
             for c, held in zip(conds, answers):
+                a = held.get(w)
+                if a is None:
+                    a = held[w] = self.decide(c, [w])[w]
                 if heard is not None:
                     heard += warns.get((id(c), w), ())
-                a = held[w]
                 if a is not True:
                     if a is not False:
                         return a
-                    break
+                    if not cut:  # all() asks no further
+                        break
+                    held_all, stop = False, stop or c.cut
             else:
-                keep.append(w)
-        return keep
-
-    def _cut_scan(self, hits: list, conds: tuple, heard: list):
-        """The hits at which every condition holds, up to the first hit
-        that fails a '!'-marked one; every condition is asked at each hit,
-        as a one-node frontier.  Or the first error asked.  Each asked
-        answer's warnings go on heard."""
-        keep = []
-        for w in hits:
-            held = []
-            for c in conds:
-                a = self.decide(c, [w])[w]
-                heard += self.warns.get((id(c), w), ())
-                if isinstance(a, Exception):
-                    return a
-                held.append(a)
-            if all(held):
-                keep.append(w)
-            if not all(a for a, c in zip(held, conds) if c.cut):
-                break
+                if held_all:
+                    keep.append(w)
+                if stop:
+                    break
         return keep
 
     def _witness(self, cond: Chain, nodes: list) -> dict:

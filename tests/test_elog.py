@@ -519,15 +519,17 @@ def test_no_hot_path_walks_a_relation_pair_by_pair(quadratic, monkeypatch):
     assert dump.startswith("p(1,41)\np(1,42)\n") and dump.endswith("p(9,90)")
 
 
-def test_subelem_lists_are_kept_only_for_shared_automata(quadratic, parity):
-    # quadratic's one navigation never asks a node twice; parity's three
-    # chain steps and its contains share the child automaton
-    ev = elog._Eval(quadratic, parse_document(bchain_doc(5, 8)))
-    ev.run()
-    assert ev._sub == {}
-    ev = elog._Eval(parity, parse_document(items_doc(6)))
-    ev.run()
-    assert list(ev._sub) == [pr.compile_path("_")] and ev._sub[pr.compile_path("_")]
+def test_subelem_lists_are_kept_for_every_automaton(quadratic, parity):
+    # quadratic's one navigation and parity's three chain steps and its
+    # contains each keep every walked node's list on their automaton
+    for prog, doc, path in (
+        (quadratic, bchain_doc(5, 8), "b*.l"),
+        (parity, items_doc(6), "_"),
+    ):
+        ev = elog._Eval(prog, parse_document(doc))
+        ev.run()
+        aut = pr.compile_path(path)
+        assert list(ev._sub) == [aut] and ev._sub[aut], path
 
 
 def test_universal_predicate_not_materialized(doc1):

@@ -43,6 +43,30 @@ def test_setval_equality_is_set_like():
     assert a != ["x", "y"]
 
 
+VALUES = st.recursive(
+    st.sampled_from(["", "a", "b"]),
+    lambda inner: st.tuples(inner, inner)
+    | st.lists(inner, max_size=3).map(ob.SetVal)
+    | st.lists(inner, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES, VALUES)
+def test_equal_agrees_with_value_equality(a, b):
+    assert ob.equal(a, b) == (a == b)
+    assert ob.equal(a, a) and ob.equal(b, b)
+
+
+def test_equal_compares_values_deeper_than_the_recursion_limit():
+    a, b = "x", "x"
+    for i in range(5000):  # each level a new object on both sides
+        a, b = ob.SetVal([(f"{i}", a)]), ob.SetVal([(f"{i}", b)])
+    assert ob.equal(a, b)
+    assert not ob.equal(a, ob.SetVal([("4999", ob.SetVal([("4998", "y")]))]))
+
+
 def test_jsonable_nesting():
     rec = (ob.SetVal(["a"]), ob.SetVal())
     outer = ob.SetVal([rec])

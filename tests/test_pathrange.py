@@ -326,7 +326,9 @@ def test_parse_ranges():
     assert pr.parse_range("regex:0.1.0*") == pr.parse_range("regex:010*")
 
 
-@pytest.mark.parametrize("text", ["", "4-2", "-1", "a", "1,", "regex:", "regex:2"])
+@pytest.mark.parametrize(
+    "text", ["", "4-2", "-1", "a", "1,", "1-2-3", "regex:", "regex:2"]
+)
 def test_bad_ranges_rejected(text):
     with pytest.raises((pr.RangeSyntaxError, pr.PathSyntaxError)):
         pr.parse_range(text)
@@ -404,6 +406,16 @@ def test_raw_regex_without_word_of_the_length():
     assert pr.apply_range(list("ab"), rng) == ["b"]
     # beyond the probe bound the check degrades to an empty selection
     assert pr.apply_range(list(range(70)), rng) == []
+
+
+def test_raw_regex_with_several_words_past_the_probe():
+    # the density probe checks lengths below 64 only, so this parses
+    rng = pr.parse_range("regex:" + "0" * 64 + "(0|1)")
+    with pytest.raises(pr.MultipleWords) as info:
+        pr.apply_range(list(range(65)), rng)
+    assert info.value.length == 65
+    with pytest.raises(tk.MultipleWords):
+        tk.naive_select(list(range(65)), rng)
 
 
 def test_density_violation_detected_at_parse():
