@@ -281,12 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    formatwarning = warnings.formatwarning  # a lenient run's warnings: one line each
+    warnings.formatwarning = lambda message, *_: f"wrapctl: warning: {message}\n"
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except (WrapperError, DocumentError) as e:
         print(f"wrapctl: {e}", file=sys.stderr)
         return e.exit_code
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -81,9 +81,7 @@ def parse_hel(text: str) -> HelStatement:
             p.pos += 5
             where = p.conditions()
         p.eat(";")
-        p.ws()
-        if p.pos != len(text):
-            p.error("trailing input")
+        p.end()
     except rpn.RpnSyntaxError as e:
         raise HelSyntaxError(e.reason, e.pos) from None
     return HelStatement(chain, where)

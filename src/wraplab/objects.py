@@ -14,12 +14,13 @@ import json
 import re
 from dataclasses import dataclass
 
-from .pathrange import TextError
+from .pathrange import TextError, _Reader
 
 
 class SetVal:
     """A set of values that lists its distinct values in the order they
-    first occur; equality and hashing ignore that order.
+    first occur; equality, ``equal`` at any depth, and hashing ignore that
+    order.
 
     Both engines build one from the values of distinct nodes in ascending
     id (document) order: rpn's walker returns its nodes sorted and without
@@ -47,7 +48,7 @@ class SetVal:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SetVal):
             return NotImplemented
-        return self._values == other._values
+        return equal(self, other)
 
     def __hash__(self) -> int:
         return hash(self._values)
@@ -175,60 +176,42 @@ PREDICATE = re.compile(r"[a-z#][a-z0-9_#-]*'*")
 _NAME = re.compile(r"[^\s,()]*")  # read as a name, then checked
 
 
-def parse_schema(text: str) -> SetSchema:
-    pos = 0
-    n = len(text)
+class _SchemaParser(_Reader):
+    """set(name, str), or set(name, record(set(...), ...)); _ names no predicate."""
 
-    def ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos] in " \t":
-            pos += 1
+    error_class = SchemaSyntaxError
 
-    def expect(s: str) -> None:
-        nonlocal pos
-        ws()
-        if not text.startswith(s, pos):
-            raise SchemaSyntaxError(f"expected {s!r}", pos)
-        pos += len(s)
-
-    def pred() -> str | None:  # None for '_'
-        nonlocal pos
-        ws()
-        name = _NAME.match(text, pos).group()
+    def set_schema(self) -> SetSchema:
+        self.eat("set")
+        self.eat("(")
+        self.ws()
+        name = _NAME.match(self.text, self.pos).group()
         if name != "_" and not PREDICATE.fullmatch(name):
             raise SchemaSyntaxError(f"bad predicate name {name!r}")
-        pos += len(name)
-        return None if name == "_" else name
+        self.pos += len(name)
+        self.eat(",")
+        elem = self.element()
+        self.eat(")")
+        return SetSchema(None if name == "_" else name, elem)
 
-    def parse_set():
-        expect("set")
-        expect("(")
-        name = pred()
-        expect(",")
-        elem = parse_elem()
-        expect(")")
-        return SetSchema(name, elem)
-
-    def parse_elem():
-        nonlocal pos
-        ws()
-        if text.startswith("str", pos):
-            pos += 3
+    def element(self) -> StrSchema | RecordSchema:
+        if self.peek(3) == "str":
+            self.pos += 3
             return StrSchema()
-        if text.startswith("record", pos):
-            expect("record")
-            expect("(")
-            entries = [parse_set()]
-            ws()
-            while pos < n and text[pos] == ",":
-                pos += 1
-                entries.append(parse_set())
-            expect(")")
-            return RecordSchema(tuple(entries))
-        raise SchemaSyntaxError("expected 'str' or 'record'", pos)
+        if self.peek(6) != "record":
+            self.error("expected 'str' or 'record'")
+        self.pos += 6
+        self.eat("(")
+        entries = [self.set_schema()]
+        while self.peek() == ",":
+            self.pos += 1
+            entries.append(self.set_schema())
+        self.eat(")")
+        return RecordSchema(tuple(entries))
 
-    node = parse_set()
-    ws()
-    if pos != n:
-        raise SchemaSyntaxError("trailing input", pos)
-    return node
+
+def parse_schema(text: str) -> SetSchema:
+    p = _SchemaParser(text)
+    schema = p.set_schema()
+    p.end()
+    return schema

@@ -19,9 +19,9 @@ k has a 1 at each selected position.
 The lexical rules that every wrapper parser shares live here too: ``TAG``,
 the document's tag-name rule, ``STRING``, the "..." literal, and ``scan``,
 the statement parser's quote- and bracket-aware loop (the program reader
-matches patterns built from ``STRING`` instead).  So does ``TextError``,
-the base of every parser's error.  ``read_path`` reads a path in place
-inside a longer text, so its error offsets count from that text's start.
+matches patterns built from ``STRING`` instead).  So do ``TextError``,
+the base of every parser's error, and ``_Reader``, the one cursor that the
+path, statement and schema grammars read through, with one whitespace rule.
 """
 
 from __future__ import annotations
@@ -184,35 +184,58 @@ def group_end(text: str, i: int) -> int:
     return -1
 
 
+# what may stand between any two tokens of a path, a statement or a schema
+_WHITESPACE = " \t\r\n"
+
+
+class _Reader:
+    """A cursor over wrapper text: pos is an offset into text, ws skips
+    _WHITESPACE, and error raises the grammar's error_class, a TextError,
+    at pos."""
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+
+    def ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos] in _WHITESPACE:
+            self.pos += 1
+
+    def peek(self, k: int = 1) -> str:
+        self.ws()
+        return self.text[self.pos : self.pos + k]
+
+    def eat(self, s: str) -> None:
+        if self.peek(len(s)) != s:
+            self.error(f"expected {s!r}")
+        self.pos += len(s)
+
+    def end(self) -> None:
+        if self.peek():
+            self.error("trailing input")
+
+    def error(self, message: str):
+        raise self.error_class(message, self.pos)
+
+
 # ---------------------------------------------------------------------------
 # textual syntax: tags, '.', '|', '*', '_', parentheses
 
 
-class _PathParser:
-    """Recursive descent over the path syntax; '.' binds tighter than '|'."""
+class _PathParser(_Reader):
+    """Recursive descent over the path syntax; '.' binds tighter than '|'.
+    Its faults are PathSyntaxErrors, also inside a statement."""
 
-    def __init__(self, text: str, binary: bool = False):
-        self.text = text
-        self.pos = 0
-        self.binary = binary  # atoms are the digits 0/1 instead of tags
+    error_class = PathSyntaxError
+    juxtaposed = ""  # what starts a factor that follows one without a '.'
 
     def parse(self) -> PathRegex:
         node = self._alt()
-        if self.pos != len(self.text):
-            raise PathSyntaxError("trailing input", self.pos)
+        self.end()
         return node
-
-    def _ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def _alt(self) -> PathRegex:
         parts = [self._concat()]
-        while self._peek() == "|":
+        while self.peek() == "|":
             self.pos += 1
             parts.append(self._concat())
         return alt(*parts)
@@ -220,77 +243,76 @@ class _PathParser:
     def _concat(self) -> PathRegex:
         parts = [self._starred()]
         while True:
-            c = self._peek()
+            c = self.peek()
             if c == ".":
                 self.pos += 1
-                parts.append(self._starred())
-            elif self.binary and c != "" and c in "01(":
-                parts.append(self._starred())  # 01-regexes also juxtapose
-            else:
+            elif not c or c not in self.juxtaposed:
                 break
+            parts.append(self._starred())
         return concat(*parts)
 
     def _starred(self) -> PathRegex:
         node = self._primary()
-        while self._peek() == "*":
+        while self.peek() == "*":
             self.pos += 1
             node = Star(node)
         return node
 
     def _primary(self) -> PathRegex:
-        c = self._peek()
-        if c == "(":
+        if self.peek() == "(":
             self.pos += 1
-            if self._peek() == ")":  # '()' names the empty word
+            if self.peek() == ")":  # '()' names the empty word
                 self.pos += 1
                 return Epsilon()
             node = self._alt()
-            if self._peek() != ")":
+            if self.peek() != ")":
                 raise PathSyntaxError("missing ')'", self.pos)
             self.pos += 1
             return node
-        if c == "_" and not self.binary:
+        return self._label()
+
+    def _label(self) -> PathRegex:
+        t = self.tag()
+        if t is None:
+            c = self.peek()
+            reason = f"unexpected {c!r}" if c else "unexpected end of path"
+            raise PathSyntaxError(reason, self.pos)
+        return Wildcard() if t == "_" else Atom(t)
+
+    def tag(self) -> str | None:
+        """The tag or '_' at the cursor, read, in lower case; or None."""
+        if self.peek() == "_":
             self.pos += 1
-            return Wildcard()
-        if self.binary:
-            if c != "" and c in "01":
-                self.pos += 1
-                return Atom(c)
-            raise PathSyntaxError("expected 0 or 1", self.pos)
+            return "_"
         m = TAG.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return Atom(m.group().lower())
-        reason = f"unexpected {c!r}" if c else "unexpected end of path"
-        raise PathSyntaxError(reason, self.pos)
+        if m is None:
+            return None
+        self.pos = m.end()
+        return m.group().lower()
 
 
-def read_path(text: str, pos: int = 0) -> tuple:
-    """The path at text[pos], read in place up to the first character that
-    continues it in no way, and that character's index; a ')' at pos is
-    the empty path expression.  Error offsets count from text's start."""
-    p = _PathParser(text)
-    p.pos = pos
-    if p._peek() == ")":
-        raise PathSyntaxError("empty path expression", p.pos)
-    return p._alt(), p.pos
+class _BinaryParser(_PathParser):
+    """01-regexes: the atoms are the digits 0 and 1, which also juxtapose."""
+
+    juxtaposed = "01("
+
+    def _label(self) -> PathRegex:
+        c = self.peek()
+        if not c or c not in "01":
+            raise PathSyntaxError("expected 0 or 1", self.pos)
+        self.pos += 1
+        return Atom(c)
 
 
 def parse_path(text: str) -> PathRegex:
     if not text.strip():
         raise PathSyntaxError("empty path expression")
-    word = text.strip(" \t")  # a path of one label is read without the parser
+    word = text.strip(_WHITESPACE)  # a path of one label is read without the parser
     if word == "_":
         return Wildcard()
     if TAG.fullmatch(word):
         return Atom(word.lower())
     return _PathParser(text).parse()
-
-
-def parse_binary_regex(text: str) -> PathRegex:
-    if not text.strip():
-        raise PathSyntaxError("empty range regex")
-    return _PathParser(text, binary=True).parse()
 
 
 def path_to_text(node: PathRegex, sep: str = ".") -> str:
@@ -529,8 +551,10 @@ def parse_range(text: str) -> Range:
     if body.lower() == "last":
         return Last()
     if body[:6].lower() == "regex:":
+        if not body[6:].strip():
+            raise RangeSyntaxError("empty range regex")
         try:
-            pattern = parse_binary_regex(body[len("regex:") :])
+            pattern = _BinaryParser(body[6:]).parse()
         except PathSyntaxError as exc:  # its offset counts in the regex alone
             raise RangeSyntaxError(exc.reason) from None
         rng = RawRegex(pattern)

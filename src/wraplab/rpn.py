@@ -47,6 +47,7 @@ from .pathrange import (
     TAG,
     Atom,
     Concat,
+    PathSyntaxError,
     Range,
     RangeError,
     RawRegex,
@@ -54,12 +55,12 @@ from .pathrange import (
     StarRange,
     TextError,
     Wildcard,
+    _PathParser,
     apply_range,
     group_end,
     parse_range,
     path_to_text,
     range_to_text,
-    read_path,
     scan,
     subelem,
     walk,
@@ -130,52 +131,26 @@ def is_descendant_path(path) -> bool:
 _RESERVED = {"txt", "where", "and", "last", "regex"}  # in the variable dialect
 
 
-class _StmtParser:
+class _StmtParser(_PathParser):
     """All three dialects; "rpn" allows regex paths and nested conditions,
     "vhel" allows ->steps and cut marks instead, and "hel" allows ->steps
     and index variables, with no condition blocks or cut marks, reserved
-    words that are not tags, and at least one path atom per chain."""
+    words that are not tags, and at least one path atom per chain.  A
+    regex path group is read by the path grammar this parser inherits,
+    whose faults stay PathSyntaxErrors."""
+
+    error_class = RpnSyntaxError
 
     def __init__(self, text: str, dialect: str):
-        self.text = text
-        self.pos = 0
-        self.dialect = dialect
+        super().__init__(text)
         self.vf = dialect != "rpn"
         self.hel = dialect == "hel"
-
-    # -- low level ----------------------------------------------------------
-
-    def error(self, message: str):
-        raise RpnSyntaxError(message, self.pos)
-
-    def ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self, k: int = 1) -> str:
-        self.ws()
-        return self.text[self.pos : self.pos + k]
-
-    def eat(self, s: str):
-        if self.peek(len(s)) != s:
-            self.error(f"expected {s!r}")
-        self.pos += len(s)
 
     def at_word(self, w: str) -> bool:
         """Whether the next tag, in any case, is the keyword w."""
         self.ws()
         m = TAG.match(self.text, self.pos)
         return m is not None and m.group().lower() == w
-
-    def tag(self) -> str:
-        if self.peek() == "_":
-            self.pos += 1
-            return "_"
-        m = TAG.match(self.text, self.pos)
-        if m is None:
-            self.error("expected a tag")
-        self.pos = m.end()
-        return m.group().lower()
 
     def string(self) -> str:
         if self.peek() != '"':
@@ -194,9 +169,7 @@ class _StmtParser:
 
     def statement(self):
         node = self._chain(cond=False)
-        self.ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
+        self.end()
         return node
 
     def _chain(self, cond: bool):
@@ -275,12 +248,15 @@ class _StmtParser:
         if self.peek() == "(" and not self.hel:
             if self.vf:
                 self.error("regex paths belong to the path-expression dialect")
-            path, self.pos = read_path(self.text, self.pos + 1)
-            if self.text[self.pos : self.pos + 1] != ")":
-                self.error("expected ')'")
             self.pos += 1
+            if self.peek() == ")":
+                raise PathSyntaxError("empty path expression", self.pos)
+            path = self._alt()
+            self.eat(")")
         else:
             t = self.tag()
+            if t is None:
+                self.error("expected a tag")
             if self.hel and t in _RESERVED:
                 self.error(f"{t!r} is reserved")
             path = _descendant(t) if axis == "descendant" else tag_path(t)

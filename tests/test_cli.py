@@ -1,8 +1,12 @@
 """wrapctl command surface: routing, output formats, exit codes."""
 
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
+import warnings
 from collections import Counter
 
 import pytest
@@ -907,3 +911,27 @@ def test_help_still_exits_0(capsys):
             main(argv)
         assert e.value.code == 0
         assert capsys.readouterr().out.startswith("usage: wrapctl")
+
+
+def test_run_lenient_writes_each_warning_on_one_line(tmp_path):
+    # in a process of its own: in process, pytest records the warnings
+    w = tmp_path / "amb.vhel"
+    w.write_text('r.a{b.txt = "1"}.txt;\n')
+    d = tmp_path / "two.doc"
+    d.write_text("<r><a><b>1</b><b>2</b></a><a><b>3</b><b>4</b></a></r>")
+    env = {**os.environ, "PYTHONPATH": str(CORPUS.parent / "src")}
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "wraplab.cli", "run", str(w), str(d), "--lenient"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (run.returncode, run.stdout) == (0, '["12"]\n')
+    assert run.stderr == "".join(
+        f"wrapctl: warning: condition path reaches 2 nodes under node {v}; "
+        "it should reach at most one\n"
+        for v in (2, 7)
+    )
+    formatwarning = warnings.formatwarning
+    with pytest.warns(SingleValueWarning):
+        assert main(["run", str(w), str(d), "--lenient"]) == 0
+    assert warnings.formatwarning is formatwarning

@@ -98,3 +98,35 @@ def test_schema_anonymous_set():
 def test_bad_schema_rejected(text):
     with pytest.raises(ob.SchemaSyntaxError):
         ob.parse_schema(text)
+
+
+def test_a_newline_inside_a_schema_is_whitespace():
+    assert ob.parse_schema("set(p,\n str)") == ob.parse_schema("set(p, str)")
+    text = "set(\r\n  rows,\n  record(set(k, str),\n\tset(v, str))\n)\n"
+    assert ob.schema_to_text(ob.parse_schema(text)) == (
+        "set(rows, record(set(k, str), set(v, str)))"
+    )
+
+
+@pytest.mark.parametrize("text, reason, at", [
+    ("set(p, str) x", "trailing input", 12),
+    ("set(p, rec)", "expected 'str' or 'record'", 7),
+    ("set(p,\n  rec)", "expected 'str' or 'record'", 9),
+])
+def test_schema_faults_keep_their_offset(text, reason, at):
+    with pytest.raises(ob.SchemaSyntaxError) as info:
+        ob.parse_schema(text)
+    assert (info.value.reason, info.value.pos) == (reason, at)
+
+
+def test_value_equality_holds_deeper_than_the_recursion_limit():
+    def nested(leaf: str):
+        v = leaf
+        for _ in range(327):
+            v = ob.SetVal([("y", v)])
+        return v
+
+    a, b, c = nested("x"), nested("x"), nested("z")
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert len(ob.SetVal([a, b, c])) == 2  # equal values collapse

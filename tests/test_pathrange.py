@@ -451,3 +451,16 @@ def test_apply_range_matches_direct_indexing(seq, rng):
     got = pr.apply_range(seq, rng)
     assert got == [seq[i] for i in tk.naive_positions(rng, len(seq))]
 
+
+
+def test_a_newline_inside_a_path_or_a_range_regex_is_whitespace():
+    assert pr.parse_path("(a|\nb)*.\r\nc\n") == pr.parse_path("(a|b)*.c")
+    assert pr.parse_path(" a\n") == pr.Atom("a")
+    assert pr.parse_range("regex:1\n0*") == pr.parse_range("regex:10*")
+
+
+@pytest.mark.parametrize("text, picked", [("3,1", [1, 3]), ("1-3,2-4", [1, 2, 3, 4])])
+def test_a_range_union_selects_in_ascending_order_and_is_written_as_given(text, picked):
+    rng = pr.parse_range(text)
+    assert pr.apply_range(list(range(6)), rng) == picked
+    assert pr.range_to_text(rng) == text

@@ -1,6 +1,8 @@
 """Path-expression statements: syntax, typing, evaluation, translation."""
 
 import dataclasses
+import pathlib
+import re
 import warnings
 from collections import Counter
 from functools import partial
@@ -767,3 +769,46 @@ def test_translations_match_the_naive_oracles_on_shaped_trees(profile, one_pass)
             _, val = elog.run_pipeline(prog, tree)
             assert plain(val) == naive(tree, w), (language, seed)
     assert one_pass["finite"] >= 100 and one_pass["star"] >= 50, one_pass
+
+
+# ---------------------------------------------------------------------------
+# whitespace
+
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+_BREAKS = re.compile(pr.STRING.pattern + r"|[.|(]", re.S)
+
+
+def broken(text: str) -> str:
+    """text with a newline after every '.', '|' and '(' outside literals."""
+    return _BREAKS.sub(lambda m: m.group() + ("" if m.group()[0] == '"' else "\n"), text)
+
+
+def test_a_newline_may_stand_between_any_two_tokens():
+    # inside a regex path group and a range regex too: every corpus
+    # statement and generated ones read with a line break after every '.',
+    # '|' and '(' outside literals as they read without
+    parse = {".rpn": rpn.parse_rpn, ".vhel": hel.parse_vhel, ".hel": hel.parse_hel}
+    texts = [
+        (p.suffix, p.read_text()) for p in sorted(CORPUS.glob("*/*")) if p.suffix in parse
+    ]
+    pool = ("*", "index", "interval", "union", "last", "regex")
+    for seed in range(200):
+        texts.append((".rpn", gen_stmt(StmtGenSpec(seed, range_pool=pool))))
+        texts.append((".vhel", gen_stmt(StmtGenSpec(seed, "helvf", range_pool=pool))))
+    for suffix, text in texts:
+        assert parse[suffix](broken(text)) == parse[suffix](text), text
+    assert sum("regex:" in t for _, t in texts) >= 100
+    assert sum("|" in t.partition("regex:")[0] for _, t in texts) >= 30
+
+
+@pytest.mark.parametrize("text, error, at", [
+    ("a.().txt", "PathSyntaxError: empty path expression", 3),
+    ("a.(\n).txt", "PathSyntaxError: empty path expression", 4),
+    ("a.(b|).txt", "PathSyntaxError: unexpected ')'", 5),
+    ("a.(b c).txt", "RpnSyntaxError: expected ')'", 5),
+    ("a.(b\n\tc).txt", "RpnSyntaxError: expected ')'", 6),
+])
+def test_a_path_group_fault_keeps_its_class_and_offset(text, error, at):
+    with pytest.raises(pr.TextError) as info:
+        rpn.parse_rpn(text)
+    assert (f"{type(info.value).__name__}: {info.value.reason}", info.value.pos) == (error, at)
