@@ -10,11 +10,12 @@ walk from one start node, and holders derives a condition's node set for a
 whole document with one walk, or, for a ``*`` range over an infinite
 language, with one bottom-up pass.
 
-Ranges come in structured forms (star, index, interval, unions, last) that
-select by direct indexing and never fail, and as raw regular expressions
-over {0,1} that must mark positions deterministically: at most one word per
-length (checked up to a probe bound at compile time).  The word for length
-k has a 1 at each selected position.
+Ranges come in four forms.  Three are structured and select by direct
+indexing, never failing: ``*``, a union of intervals (``3`` is the union
+of one), and ``last``.  The fourth is a raw regular expression over {0,1}
+that must mark positions deterministically: at most one word per length
+(checked up to a probe bound when it is parsed).  The word for length k
+has a 1 at each selected position.
 
 The lexical rules that every wrapper parser shares live here too: ``TAG``,
 the document's tag-name rule, ``STRING``, the "..." literal, and ``scan``,
@@ -512,19 +513,8 @@ class StarRange:
 
 
 @dataclass(frozen=True)
-class Index:
-    i: int
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: int
-    hi: int  # inclusive, 0-based
-
-
-@dataclass(frozen=True)
 class IntervalUnion:
-    intervals: tuple  # of (lo, hi) pairs
+    intervals: tuple  # of (lo, hi) pairs, inclusive and 0-based
 
 
 @dataclass(frozen=True)
@@ -537,13 +527,16 @@ class RawRegex:
     pattern: object  # path AST over the atoms "0" and "1"
 
 
-Range = object  # union of the six range classes
+Range = object  # union of the four range classes
+
+# a union's item: a position, or two joined by '-', in ASCII digits
+_ITEM = re.compile(rf"([0-9]+)(?:[{_WHITESPACE}]*-[{_WHITESPACE}]*([0-9]+))?")
 
 
 def parse_range(text: str) -> Range:
-    """Parse the surface range syntax: '*', 'i', 'i-j', unions, 'last',
-    'regex:..'; the keywords are read in any case."""
-    body = text.strip()
+    """Parse the surface range syntax: '*', items 'i' and 'i-j' joined by
+    ',', 'last', 'regex:..'; the keywords are read in any case."""
+    body = text.strip(_WHITESPACE)
     if not body:
         raise RangeSyntaxError("empty range")
     if body == "*":
@@ -551,44 +544,32 @@ def parse_range(text: str) -> Range:
     if body.lower() == "last":
         return Last()
     if body[:6].lower() == "regex:":
-        if not body[6:].strip():
+        if not body[6:].strip(_WHITESPACE):
             raise RangeSyntaxError("empty range regex")
         try:
             pattern = _BinaryParser(body[6:]).parse()
         except PathSyntaxError as exc:  # its offset counts in the regex alone
             raise RangeSyntaxError(exc.reason) from None
         rng = RawRegex(pattern)
-        validate_raw_range(rng)
+        _dfa(rng)  # which rejects a regex with two words of one length
         return rng
     pairs = []
     for part in body.split(","):
-        part = part.strip()
-        m = part.split("-")
-        try:
-            if len(m) == 1:
-                lo = hi = int(m[0])
-            elif len(m) == 2:
-                lo, hi = int(m[0]), int(m[1])
-            else:
-                raise ValueError
-        except ValueError:
-            raise RangeSyntaxError(f"bad range item {part!r}") from None
-        if lo < 0 or hi < lo:
+        part = part.strip(_WHITESPACE)
+        m = _ITEM.fullmatch(part)
+        if m is None:
+            raise RangeSyntaxError(f"bad range item {part!r}")
+        lo = int(m[1])
+        hi = lo if m[2] is None else int(m[2])
+        if hi < lo:
             raise RangeSyntaxError(f"bad range bounds {part!r}")
         pairs.append((lo, hi))
-    if len(pairs) == 1:
-        lo, hi = pairs[0]
-        return Index(lo) if lo == hi else Interval(lo, hi)
     return IntervalUnion(tuple(pairs))
 
 
 def range_to_text(rng: Range) -> str:
     if isinstance(rng, StarRange):
         return "*"
-    if isinstance(rng, Index):
-        return str(rng.i)
-    if isinstance(rng, Interval):
-        return f"{rng.lo}-{rng.hi}"
     if isinstance(rng, IntervalUnion):
         return ",".join(str(l) if l == h else f"{l}-{h}" for l, h in rng.intervals)
     if isinstance(rng, Last):
@@ -598,108 +579,88 @@ def range_to_text(rng: Range) -> str:
     raise TypeError(f"not a range: {rng!r}")
 
 
-# a DFA over {0,1} per raw regex, for word counting and reconstruction
-
-
 class _BinaryDfa:
+    """A range regex's DFA over {0,1}, which counts its words of each
+    length, saturated at 2.  Building it runs the density probe: two words
+    of one length below DENSITY_PROBE raise MultipleWords."""
+
     def __init__(self, pattern):
         aut = PathAutomaton(pattern)
         self.trans = aut.determinise("01")
-        self.accept = aut.accept
         self.start = aut.start
-        self._counts: list[list[int]] = [
-            [1 if a else 0 for a in self.accept]
-        ]  # counts[m][s], saturated at 2
+        self._counts = [[1 if a else 0 for a in aut.accept]]  # counts[m][s]
+        for k in range(DENSITY_PROBE):
+            if self._count(k)[self.start] > 1:
+                raise MultipleWords(k)
 
-    def counts_at(self, length: int) -> list[int]:
+    def _count(self, length: int) -> list[int]:
         while len(self._counts) <= length:
             prev = self._counts[-1]
-            self._counts.append(
-                [min(2, prev[row[0]] + prev[row[1]]) for row in self.trans]
-            )
+            self._counts.append([min(2, prev[a] + prev[b]) for a, b in self.trans])
         return self._counts[length]
 
-    def word(self, length: int) -> str:
-        """The unique accepted word of this length."""
-        total = self.counts_at(length)[self.start]
-        if total == 0:
-            raise NoWordOfLength(length)
+    def positions(self, k: int) -> list[int]:
+        """The positions that the one word of length k marks with a 1.
+        Without a word, none past the probe and NoWordOfLength below it;
+        with several, MultipleWords."""
+        total = self._count(k)[self.start]
         if total > 1:
-            raise MultipleWords(length)
-        out = []
-        state = self.start
-        for m in range(length, 0, -1):
-            row = self.trans[state]
-            if self.counts_at(m - 1)[row[1]] >= 1:
-                out.append("1")
-                state = row[1]
+            raise MultipleWords(k)
+        if total == 0:
+            if k >= DENSITY_PROBE:
+                return []  # beyond the probe: select nothing
+            raise NoWordOfLength(k)
+        out, state = [], self.start
+        for i in range(k):
+            zero, one = self.trans[state]
+            if self._count(k - 1 - i)[one]:
+                out.append(i)
+                state = one
             else:
-                out.append("0")
-                state = row[0]
-        return "".join(out)
+                state = zero
+        return out
 
 
 _dfas: dict = {}
 
 
-def _binary_dfa(rng: RawRegex) -> _BinaryDfa:
+def _dfa(rng: RawRegex) -> _BinaryDfa:
     dfa = _dfas.get(rng.pattern)
     if dfa is None:
-        dfa = _BinaryDfa(rng.pattern)
-        _dfas[rng.pattern] = dfa
+        dfa = _dfas[rng.pattern] = _BinaryDfa(rng.pattern)
     return dfa
 
 
-def validate_raw_range(rng: RawRegex) -> None:
-    """Reject regexes with two marking words of one length (probe 0..63)."""
-    dfa = _binary_dfa(rng)
-    for k in range(DENSITY_PROBE):
-        if dfa.counts_at(k)[dfa.start] > 1:
-            raise MultipleWords(k)
-
-
-def unique_word(rng: RawRegex, k: int) -> str:
-    """The single {0,1}-word of length k, or NoWordOfLength / MultipleWords."""
-    return _binary_dfa(rng).word(k)
-
-
 def _positions(rng: Range, k: int) -> list[int] | range:
-    if isinstance(rng, (StarRange, Index, Interval, Last)):
-        return apply_range(range(k), rng)
-    if isinstance(rng, IntervalUnion):
+    if isinstance(rng, RawRegex):
+        return _dfa(rng).positions(k)
+    if isinstance(rng, IntervalUnion) and len(rng.intervals) > 1:
         picked = set()
         for lo, hi in rng.intervals:
-            picked.update(range(lo, min(hi, k - 1) + 1))
+            picked.update(range(lo, min(hi + 1, k)))
         return sorted(picked)
-    if isinstance(rng, RawRegex):
-        try:
-            word = unique_word(rng, k)
-        except NoWordOfLength:
-            if k >= DENSITY_PROBE:
-                return []  # beyond the validated probe: select nothing
-            raise
-        return [i for i, c in enumerate(word) if c == "1"]
-    raise TypeError(f"not a range: {rng!r}")
+    return apply_range(range(k), rng)
 
 
 def apply_range(seq: list, rng: Range) -> list:
     """Select positions of a duplicate-free document-ordered sequence.
 
     The ``*`` range returns seq itself, not a copy, so callers must not
-    mutate the result; an index, an interval or ``last`` slices it.
+    mutate the result; a union of one interval and ``last`` slice it.
     Structured ranges never raise; raw regexes raise NoWordOfLength /
     MultipleWords on density violations.
     """
     cls = type(rng)
     if cls is StarRange:
         return seq
-    if cls is Index:
-        return seq[rng.i : rng.i + 1]
-    if cls is Interval:
-        return seq[rng.lo : rng.hi + 1]
+    if cls is IntervalUnion and len(rng.intervals) == 1:
+        lo, hi = rng.intervals[0]
+        return seq[lo : hi + 1]
     if cls is Last:
         return seq[-1:]
-    return [seq[i] for i in _positions(rng, len(seq))]
+    if cls is IntervalUnion or cls is RawRegex:
+        return [seq[i] for i in _positions(rng, len(seq))]
+    raise TypeError(f"not a range: {rng!r}")
 
 
 # ---------------------------------------------------------------------------

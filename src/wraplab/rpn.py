@@ -56,6 +56,7 @@ from .pathrange import (
     TextError,
     Wildcard,
     _PathParser,
+    _WHITESPACE,
     apply_range,
     group_end,
     parse_range,
@@ -266,7 +267,7 @@ class _StmtParser(_PathParser):
             at, end = self.pos, group_end(self.text, self.pos)
             if end < 0:
                 self.error("missing ']'")
-            inside = self.text[self.pos + 1 : end - 1].strip()
+            inside = self.text[self.pos + 1 : end - 1].strip(_WHITESPACE)
             self.pos = end
             try:
                 if self.hel:
@@ -288,11 +289,11 @@ class _StmtParser(_PathParser):
         """A variable dialect bracket: [i], [i:range] or [range], read as
         (variable or None, range); 'regex:', in any case, starts a range."""
         head, sep, tail = inside.partition(":")
-        head = head.strip()
+        head = head.strip(_WHITESPACE)
         if sep and head.lower() != "regex":
             if not _is_var(head):
                 self.error(f"bad index variable {head!r}")
-            return head, parse_range(tail.strip())
+            return head, parse_range(tail)
         if _is_var(inside):
             return inside, StarRange()
         return None, parse_range(inside)

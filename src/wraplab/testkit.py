@@ -296,10 +296,6 @@ def naive_positions(rng, k: int) -> list[int]:
     kind = type(rng).__name__
     if kind == "StarRange":
         return list(range(k))
-    if kind == "Index":
-        return [rng.i] if rng.i < k else []
-    if kind == "Interval":
-        return [p for p in range(rng.lo, rng.hi + 1) if p < k]
     if kind == "IntervalUnion":
         picked = set()
         for lo, hi in rng.intervals:

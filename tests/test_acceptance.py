@@ -202,9 +202,9 @@ def test_a9_navigation_and_range_primitives(record_property):
         assert pr.apply_range(seq, pr.StarRange()) == seq
         assert pr.apply_range(seq, pr.Last()) == seq[-1:]
         for i in (0, 1, 7, 49):
-            assert pr.apply_range(seq, pr.Index(i)) == seq[i : i + 1]
+            assert pr.apply_range(seq, pr.IntervalUnion(((i, i),))) == seq[i : i + 1]
         for lo, hi in ((0, 3), (2, 2), (5, 9), (0, 49)):
-            assert pr.apply_range(seq, pr.Interval(lo, hi)) == seq[lo : hi + 1]
+            assert pr.apply_range(seq, pr.IntervalUnion(((lo, hi),))) == seq[lo : hi + 1]
         for _ in range(20):
             a, b, c, d = sorted(rng_src.sample(range(60), 4))
             if b >= c:

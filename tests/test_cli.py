@@ -170,6 +170,25 @@ RANGE_FAULTS = {  # wrapper -> (its text, the one line's text after the name)
         "line 3, column 34: unexpected ')'",
     ),
     "end.rpn": ("(a.", "at 3: unexpected end of path"),
+    # a range item is ASCII digits, with only spaces, tabs and line breaks
+    # around them
+    "underscore.rpn": ("a[1_0].txt", "at 1: bad range item '1_0'"),
+    "sign.rpn": ("a[+1].txt", "at 1: bad range item '+1'"),
+    "digit.rpn": ("a[\u0661].txt", "at 1: bad range item '\u0661'"),
+    "formfeed.rpn": ("a[\x0c1].txt", "at 1: bad range item '\\x0c1'"),
+    "formfeed.hel": (
+        'shop.prod[\x0ci](name.txt # tag.txt) where shop.prod[i].price.txt = "3";',
+        "at 9: bad range item '\\x0ci'",
+    ),
+    "formfeed_var.hel": ("a.b[i:\x0c1].txt;", "at 3: bad range item '\\x0c1'"),
+    "underscore.elog": (
+        _PROGRAM + "q(X0, X) :- p(_, X0), subelem[a][1_0](X0, X).",
+        "line 3, column 33: bad range item '1_0'",
+    ),
+    "sign.elog": (
+        _PROGRAM + "q(X0, X) :- p(_, X0), subelem[b](X0, X) [+1].",
+        "line 3, column 41: bad range item '+1'",
+    ),
     "end.elog": (
         _PROGRAM + "q(X0, X) :- p(_, X0), subelem[a.](X0, X).",
         "line 3, column 33: unexpected end of path",
@@ -183,7 +202,7 @@ def test_range_and_path_faults_name_their_place(wrapctl, tmp_path, name):
     # is in; a program's faults name their line and column
     text, message = RANGE_FAULTS[name]
     w = tmp_path / name
-    w.write_text(text)
+    w.write_text(text, encoding="utf-8")
     assert wrapctl("check", w) == (1, "", f"wrapctl: {w}: {message}\n")
 
 

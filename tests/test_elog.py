@@ -132,7 +132,7 @@ def test_generated_programs_round_trip():
         # a trailing rule range after a bracketed atom, with and without space
         (
             "p(X0,X) :- root(_,X0), subelem[a][*](X0,X), contains[b][last](X,Y)[0-1].",
-            lambda r: r.rule_range == pr.Interval(0, 1) and r.conds[0].rng == pr.Last(),
+            lambda r: r.rule_range == pr.IntervalUnion(((0, 1),)) and r.conds[0].rng == pr.Last(),
         ),
         (
             "p(X0,X) :- dom(X0,X), contains[b](X,Y)  [ 1,3 ] .",

@@ -15,8 +15,7 @@ from wraplab.doctree import parse_document
 from wraplab.pathrange import (
     Atom,
     Concat,
-    Index,
-    Interval,
+    IntervalUnion,
     Last,
     NoWordOfLength,
     RangeError,
@@ -67,10 +66,13 @@ def _entries(*tags) -> rpn.Record:
 
 def test_listing_parses():
     tr_i = rpn.Patom(Atom("tr"), var="i")
-    first = (rpn.Patom(Atom("tr"), Index(0)), rpn.Patom(Atom("td"), Index(0)))
-    second = (tr_i, rpn.Patom(Atom("td"), Index(1)))
+    first = (
+        rpn.Patom(Atom("tr"), IntervalUnion(((0, 0),))),
+        rpn.Patom(Atom("td"), IntervalUnion(((0, 0),))),
+    )
+    second = (tr_i, rpn.Patom(Atom("td"), IntervalUnion(((1, 1),))))
     table = _patoms("html", "body", "table")
-    cond = table + (tr_i, rpn.Patom(Atom("td"), Index(0)))
+    cond = table + (tr_i, rpn.Patom(Atom("td"), IntervalUnion(((0, 0),))))
     assert hel.parse_hel(ITEMS_HEL) == hel.HelStatement(
         rpn.Chain(table, rpn.Record((
             rpn.Chain(first, rpn.Txt()), rpn.Chain(second, rpn.Txt())
@@ -83,8 +85,8 @@ def test_vrange_forms():
     s = hel.parse_hel("a[i].b[j:1-2].c[0].d[last].e.txt;")
     assert s == hel.HelStatement(rpn.Chain((
         rpn.Patom(Atom("a"), var="i"),
-        rpn.Patom(Atom("b"), Interval(1, 2), var="j"),
-        rpn.Patom(Atom("c"), Index(0)),
+        rpn.Patom(Atom("b"), IntervalUnion(((1, 2),)), var="j"),
+        rpn.Patom(Atom("c"), IntervalUnion(((0, 0),))),
         rpn.Patom(Atom("d"), Last()),
         rpn.Patom(Atom("e")),
     ), rpn.Txt()))

@@ -313,8 +313,8 @@ def test_automaton_steps_do_not_grow_with_the_document(monkeypatch):
 
 def test_parse_ranges():
     assert pr.parse_range("*") == pr.StarRange()
-    assert pr.parse_range("3") == pr.Index(3)
-    assert pr.parse_range("1-4") == pr.Interval(1, 4)
+    assert pr.parse_range("3") == pr.IntervalUnion(((3, 3),))
+    assert pr.parse_range("1-4") == pr.IntervalUnion(((1, 4),))
     assert pr.parse_range("0,2-3,7") == pr.IntervalUnion(
         ((0, 0), (2, 3), (7, 7))
     )
@@ -394,8 +394,8 @@ def test_last_is_backward_first():
 
 def test_raw_regex_selects_marked_positions():
     assert pr.apply_range(list("abcde"), pr.parse_range("regex:010*")) == ["b"]
-    assert pr.unique_word(pr.parse_range("regex:010*"), 5) == "01000"
-    assert pr.unique_word(pr.parse_range("regex:10*"), 3) == "100"
+    assert pr.apply_range(list(range(5)), pr.parse_range("regex:010*")) == [1]
+    assert pr.apply_range(list("abc"), pr.parse_range("regex:10*")) == ["a"]
     assert tk.naive_select(list("abcde"), pr.parse_range("regex:010*")) == ["b"]
 
 
@@ -432,10 +432,11 @@ def structured_ranges(draw):
     if kind == "*":
         return pr.StarRange()
     if kind == "i":
-        return pr.Index(draw(st.integers(0, 8)))
+        i = draw(st.integers(0, 8))
+        return pr.IntervalUnion(((i, i),))
     if kind == "iv":
         lo = draw(st.integers(0, 6))
-        return pr.Interval(lo, lo + draw(st.integers(0, 4)))
+        return pr.IntervalUnion(((lo, lo + draw(st.integers(0, 4))),))
     if kind == "union":
         pieces = []
         for _ in range(draw(st.integers(1, 3))):

@@ -18,7 +18,7 @@ from wraplab import pathrange as pr
 from wraplab import rpn
 from wraplab import testkit as tk
 from wraplab.doctree import parse_document
-from wraplab.pathrange import Atom, Index
+from wraplab.pathrange import Atom, IntervalUnion
 from wraplab.testkit import (
     DOC1,
     StmtGenSpec,
@@ -74,7 +74,7 @@ def test_bare_txt_parses():
 
 def test_range_and_condition_attach_to_the_patom():
     assert rpn.parse_rpn('a[1]{b.txt = "x"}.txt') == rpn.Chain(
-        (rpn.Patom(Atom("a"), Index(1), (_txt_eq("x", "b"),)),), rpn.Txt()
+        (rpn.Patom(Atom("a"), IntervalUnion(((1, 1),)), (_txt_eq("x", "b"),)),), rpn.Txt()
     )
 
 
@@ -415,7 +415,8 @@ def test_bare_wildcard_step_matches_any_child_label(doc1):
 
     w = rpn.parse_rpn("html.body.table.tr._[1].txt")
     assert w == rpn.Chain(
-        _patoms("html", "body", "table", "tr") + (rpn.Patom(Wildcard(), Index(1)),),
+        _patoms("html", "body", "table", "tr")
+        + (rpn.Patom(Wildcard(), IntervalUnion(((1, 1),))),),
         rpn.Txt(),
     )
     assert ob.to_jsonable(rpn.eval_rpn(w, doc1)) == ["A", "B", "C"]
